@@ -5,9 +5,10 @@ Usage: ``pivotal --config cfg.json --out results/ [--seed N] [--suite name ...]`
 The config is JSON with top-level keys ``seed`` (required), ``reps``,
 ``suites`` (list), ``tolerances`` (optional overrides) and one optional block
 per suite with suite-specific parameters.  One CSV row is written per check
-plus a JSON summary; reruns with the same config and seed produce
-byte-identical output.  Exit code: 0 if all checks pass, 1 on any check
-failure, 2 on usage or configuration errors.
+plus a JSON summary, both replacing any earlier reports in the output
+directory; reruns with the same config and seed produce byte-identical
+output.  Exit code: 0 if all checks pass, 1 on any check failure, 2 on usage
+or configuration errors.
 """
 
 from __future__ import annotations
@@ -86,12 +87,9 @@ def _fmt(x: float) -> str:
 def write_reports(rows: list[CheckResult], out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "results.csv"
-    new_file = not csv_path.exists() or csv_path.stat().st_size == 0
-    with csv_path.open("a", newline="") as fh:
+    with (out / "results.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if new_file:
-            writer.writerow(CSV_HEADER)
+        writer.writerow(CSV_HEADER)
         for r in rows:
             writer.writerow([
                 r.suite, r.check_id,

@@ -479,7 +479,8 @@ def crofton_poisson_check(
     a restriction of the larger, so the coupling is exact and removes most of
     the variance).  At t = 0 for a segment the boundary integral runs over the
     segment itself with weight 2 (each inner point has two unit normals) and
-    the base process is empty almost surely.
+    the base process is empty almost surely.  ``sup_density`` must bound h on
+    the largest parallel set sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")
@@ -544,7 +545,8 @@ def crofton_binomial_check(
 
     No coupling is available across radii (the sample distribution changes
     with t), so the finite difference uses independent samples on each side;
-    the boundary side pairs xi^(m) with its first m-1 points.
+    the boundary side pairs xi^(m) with its first m-1 points.  ``sup_density``
+    must bound h on the largest parallel set sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")

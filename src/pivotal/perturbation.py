@@ -76,7 +76,8 @@ def perturbation_series(
     theta: float,
     kmax: int = 6,
     reps: int = 20000,
-    rng: RngStream = RngStream(0),
+    *,
+    rng: RngStream,
     nu_over_lambda_bound: float | None = None,
 ) -> PerturbationSeriesResult:
     """Expectation under the intensity lam + theta*nu expanded around lam.

@@ -17,6 +17,11 @@ from .quadrature import adaptive_simpson
 from .rng import RngStream
 
 MAX_ITERATED_DIFFERENCE = 20
+_MAX_REJECTED_PROPOSALS = 1_000_000
+
+
+class DeclarationError(RuntimeError):
+    """A statistic or intensity measure broke a bound it declared."""
 
 
 @dataclass(frozen=True)
@@ -187,12 +192,17 @@ def total_mass(mu: IntensityMeasure, tol: float = 1e-9) -> float:
 
 
 def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np.ndarray:
-    """n i.i.d. points with density h/int h via rejection from the bounding box."""
+    """n i.i.d. points with density h/int h via rejection from the bounding box.
+
+    Raises DeclarationError when h exceeds ``sup_density`` at a proposal, or
+    when ``_MAX_REJECTED_PROPOSALS`` proposals in a row are all rejected.
+    """
     if n == 0 or mu.dim == 0:
         return np.empty((n, mu.dim))
     lo, hi = mu.bounds[:, 0], mu.bounds[:, 1]
     out = np.empty((n, mu.dim))
     got = 0
+    rejected = 0
     plain = mu.density is None and mu.contains is None
     while got < n:
         m = max(n - got, 16)
@@ -201,7 +211,15 @@ def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np
             acc = pts
         else:
             u = gen.random(m) * mu.sup_density
-            acc = pts[u < mu.density_at(pts)]
+            dens = mu.density_at(pts)
+            if dens.max() > mu.sup_density:
+                raise DeclarationError(
+                    f"density {float(dens.max())!r} exceeds the declared sup_density {mu.sup_density!r}"
+                )
+            acc = pts[u < dens]
+        rejected = rejected + m if acc.shape[0] == 0 else 0
+        if rejected >= _MAX_REJECTED_PROPOSALS:
+            raise DeclarationError(f"no proposal accepted in {rejected} draws from the bounding box")
         take = min(acc.shape[0], n - got)
         out[got : got + take] = acc[:take]
         got += take
@@ -241,8 +259,8 @@ class Statistic:
 
     def value(self, phi: PointConfiguration) -> float:
         v = float(self.eval(phi))
-        if self.bound is not None:
-            assert abs(v) <= self.bound + 1e-12, f"declared bound {self.bound} violated: {v}"
+        if self.bound is not None and not abs(v) <= self.bound + 1e-12:
+            raise DeclarationError(f"declared bound {self.bound} violated: {v}")
         return v
 
     @property

@@ -16,6 +16,16 @@ exponent 1/alpha) is added back deterministically, so only the zero-mean
 fluctuation is lost.  For alpha >= 1 the spectral measure must be centered,
 the tail mean vanishes, and N is capped (default 10^5) with the achieved
 dispersion bound reported.
+
+Draw contract: ``sample_stable_many`` splits the samples into blocks of
+``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.  A block
+takes all its exponential inter-arrival times first (row by row, N per
+sample), then, when the spectral measure has more than one atom, one uniform
+u per term; the term goes to atom j, the number of cumulative atom
+probabilities <= u, capped at natoms - 1.  The kernel works through a block
+in row chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's generators fill
+arrays sequentially, so the chunking does not change the draws, only the
+order in which the terms are summed.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from .quadrature import adaptive_simpson, power_singular_integral
 from .rng import RngStream
 
 _BATCH_ELEMENTS = 4_000_000
+_CHUNK_ELEMENTS = 1 << 16
 _GL16 = np.polynomial.legendre.leggauss(16)
 
 
@@ -182,27 +193,38 @@ def truncation_plan(
 def _sample_batch(params: StableParams, nbatch: int, nterms: int,
                   comp: np.ndarray | None, gen: np.random.Generator) -> np.ndarray:
     spec = params.spectral
-    theta = spec.total_mass
+    scale = 1.0 / spec.total_mass
     alpha = params.alpha
-    gam = gen.exponential(scale=1.0 / theta, size=(nbatch, nterms))
-    np.cumsum(gam, axis=1, out=gam)
-    if alpha == 1.0:
-        coef = 1.0 / gam
-    elif alpha == 0.5:
-        coef = 1.0 / (gam * gam)
-    else:
-        coef = gam ** (-1.0 / alpha)
     natoms = spec.weights.size
-    out = np.zeros((nbatch, spec.dim))
-    if natoms == 1:
-        out += coef.sum(axis=1)[:, None] * spec.directions[0]
-    else:
-        cum = np.cumsum(spec.probabilities)
-        which = np.searchsorted(cum, gen.random((nbatch, nterms)), side="right")
-        which = np.minimum(which, natoms - 1)
-        for i in range(natoms):
-            s_i = np.where(which == i, coef, 0.0).sum(axis=1)
-            out += s_i[:, None] * spec.directions[i]
+    cuts = np.cumsum(spec.probabilities)[:-1]
+    rows = max(1, _CHUNK_ELEMENTS // nterms)
+    # the uniforms follow all of the block's exponentials in the stream, so a
+    # multi-atom block draws its exponentials up front; one atom draws no
+    # uniforms and takes its exponentials chunk by chunk
+    gam = gen.exponential(scale=scale, size=(nbatch, nterms)) if natoms > 1 else None
+    sums = np.empty((nbatch, natoms))
+    for r0 in range(0, nbatch, rows):
+        r1 = min(r0 + rows, nbatch)
+        g = gen.exponential(scale=scale, size=(r1 - r0, nterms)) if gam is None else gam[r0:r1]
+        np.cumsum(g, axis=1, out=g)
+        if alpha == 1.0:
+            np.reciprocal(g, out=g)
+        elif alpha == 0.5:
+            np.multiply(g, g, out=g)
+            np.reciprocal(g, out=g)
+        else:
+            np.power(g, -1.0 / alpha, out=g)
+        if natoms == 1:
+            g.sum(axis=1, out=sums[r0:r1, 0])
+            continue
+        # term k goes to the atom counting the cut points <= u_k
+        u = gen.random(g.shape)
+        key = np.repeat(np.arange(0, (r1 - r0) * natoms, natoms), nterms)
+        for c in cuts:
+            key += (u >= c).ravel()
+        sums[r0:r1] = np.bincount(key, weights=g.ravel(),
+                                  minlength=(r1 - r0) * natoms).reshape(-1, natoms)
+    out = sums @ spec.directions
     if comp is not None:
         out += comp
     return out

@@ -394,12 +394,14 @@ def run_crofton(cfg: SuiteConfig) -> list[CheckResult]:
     if "shape" in opts:
         body = parse_shape(opts["shape"])
         h, sup = parse_density(opts.get("h"))
-        if sup is None:
-            box = geo.bounding_box(body, pad=float(opts.get("t", 0.5)))
-            corners = np.array([[x, y] for x in box[0] for y in box[1]])
-            sup = float(np.max(h(corners)))
         t = float(opts.get("t", 0.5))
         m = int(opts.get("m", 10))
+        if sup is None:
+            # the checks below sample out to radius max(t, 0.2) + delta
+            # (delta <= 1e-2), so the envelope must hold on that box
+            box = geo.bounding_box(body, pad=max(t, 0.2) + 1e-2)
+            corners = np.array([[x, y] for x in box[0] for y in box[1]])
+            sup = float(np.max(h(corners)))
         rep = geo.crofton_poisson_check(count, body, t, reps, rng.substream(50),
                                         h=h, sup_density=sup)
         rows.append(CheckResult("crofton", "poisson_count_configured_shape",

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from pivotal.cli import CSV_HEADER, ConfigError, load_config, run
-from pivotal.suites import parse_density, parse_shape
+from pivotal.cli import CSV_HEADER, ConfigError, load_config, run, write_reports
+from pivotal.suites import CheckResult, parse_density, parse_shape
 
 
 def write_cfg(tmp_path: Path, payload: dict) -> Path:
@@ -103,6 +103,29 @@ class TestRunner:
         assert run(cfg, out2) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_rewrite_replaces_earlier_reports(self, tmp_path):
+        rows = [CheckResult("s", f"c{i}", {"i": i}, 1.0, 1.0, 0.0, 0.0, 0.0, 1e-10, i != 1)
+                for i in range(3)]
+        write_reports(rows, tmp_path)
+        first = (tmp_path / "results.csv").read_bytes()
+        write_reports(rows, tmp_path)
+        assert (tmp_path / "results.csv").read_bytes() == first
+        written = list(csv.reader((tmp_path / "results.csv").open()))
+        assert written[0] == CSV_HEADER and len(written) == 1 + len(rows)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"] == len(written) - 1
+        assert summary["passed"] == sum(r[-1] == "true" for r in written[1:])
+        assert summary["failures"] == ["c1"]
+
+    def test_affine_density_envelope_covers_sampled_radii(self, tmp_path):
+        # the checks sample the box at radius max(t, 0.2) + delta, where the
+        # affine density exceeds its maximum over the box padded by t alone;
+        # the sampler raises if the envelope is computed on the smaller box
+        cfg = write_cfg(tmp_path, {"seed": 5, "reps": 40, "suites": ["crofton"], "crofton": {
+            "reps": 40, "shape": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+            "h": "affine:1,0.5,0.3", "t": 0.1, "m": 3}})
+        assert run(cfg, tmp_path / "out", verbose=False) in (0, 1)
 
     def test_malformed_shape_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, {"seed": 1, "reps": 300, "suites": ["crofton"],

@@ -192,8 +192,9 @@ class TestCroftonPoisson:
 
     def test_nonconstant_density(self):
         h = lambda p: 1.0 + 0.5 * p[:, 0] ** 2
+        # the envelope holds on the largest disk sampled, radius 1 + t + delta
         rep = crofton_poisson_check(COUNT, DISK, 0.4, 6000, RngStream(95),
-                                    h=h, sup_density=1.0 + 0.5 * 1.4**2)
+                                    h=h, sup_density=1.0 + 0.5 * 1.41**2)
         # rhs is deterministic for the counting statistic; left side must agree
         assert rep.rhs_stderr <= 1e-12
         assert abs(rep.z) <= 4.0

@@ -83,6 +83,11 @@ class TestPerturbationSeries:
         with pytest.raises(ValueError):
             perturbation_series(g, SQUARE, SQUARE, -0.5, reps=100, rng=RngStream(49))
 
+    def test_stream_required(self):
+        g = void_indicator(B)
+        with pytest.raises(TypeError):
+            perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=1, reps=10)
+
     def test_negative_theta_with_certificate(self):
         # nu = lam, certified ratio 1: lam + theta*nu valid down to theta = -1
         g = void_indicator(B)

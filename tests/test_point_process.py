@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pivotal.point_process import (
+    DeclarationError,
     IntensityMeasure,
     PointConfiguration,
     Statistic,
@@ -18,6 +23,7 @@ from pivotal.point_process import (
     sample_poisson,
     total_mass,
 )
+from pivotal import point_process
 from pivotal.rng import RngStream
 
 
@@ -88,6 +94,28 @@ class TestPoissonSampler:
         frac = (pts < 0.5).mean()
         se = math.sqrt(frac * (1 - frac) / pts.size)
         assert abs(frac - 0.25) < 4.0 * se
+
+
+class TestEnvelope:
+    @staticmethod
+    def cubic(sup: float) -> IntensityMeasure:
+        return IntensityMeasure.interval(0.0, 1.0, density=lambda p: 3.0 * p[:, 0] ** 2,
+                                         sup_density=sup)
+
+    def test_exceeded_envelope_raises(self):
+        with pytest.raises(DeclarationError):
+            sample_binomial(self.cubic(1.0), 1000, RngStream(16))
+
+    def test_true_envelope_samples_the_law(self):
+        # mean 3/4 and variance 3/5 - 9/16 under the density 3x^2
+        pts = sample_binomial(self.cubic(3.0), 20_000, RngStream(16)).points[:, 0]
+        se = math.sqrt((0.6 - 0.5625) / pts.size)
+        assert abs(pts.mean() - 0.75) < 5.0 * se
+
+    def test_nothing_accepted_raises(self):
+        mu = IntensityMeasure.interval(0.0, 1.0, density=lambda p: np.zeros(p.shape[0]))
+        with pytest.raises(DeclarationError):
+            point_process._sample_points(mu, 5, RngStream(17).generator())
 
 
 class TestBinomialSampler:
@@ -231,8 +259,25 @@ class TestConfiguration:
 
     def test_declared_bound_asserted(self):
         g = Statistic(eval=lambda phi: float(len(phi)), bound=1.0)
-        with pytest.raises(AssertionError):
+        with pytest.raises(DeclarationError):
             g.value(PointConfiguration.of(1, [[0.0], [0.1]]))
+
+    def test_declared_bound_checked_under_optimize(self):
+        # python -O strips assert statements; the bound check must survive it
+        code = (
+            "from pivotal.point_process import DeclarationError, PointConfiguration, Statistic\n"
+            "g = Statistic(eval=lambda phi: 5.0, bound=1.0)\n"
+            "try:\n"
+            "    g.value(PointConfiguration.empty(1))\n"
+            "except DeclarationError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n"
+        )
+        src = str(Path(point_process.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 def test_sampler_reproducible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from pivotal import stable
 from pivotal.rng import RngStream
 from pivotal.stable import (
     EnvelopeError,
@@ -148,6 +149,80 @@ class TestSampler:
         cdf = 2.0 / math.pi * np.arctan(rs / gamma)
         gap = np.max(np.abs(np.arange(1, 10_001) / 10_000 - cdf))
         assert gap <= 0.025
+
+
+def _reference_samples(params, nsamples, rng, nterms):
+    """The per-atom loop the LePage kernel replaced, on the same blocks and draws.
+
+    Also returns each sample's sum of |terms| (plus the compensation), which
+    bounds the rounding that a different summation order can introduce.
+    """
+    plan = truncation_plan(params, nterms=nterms)
+    spec = params.spectral
+    natoms = spec.weights.size
+    batch = max(1, min(nsamples, stable._BATCH_ELEMENTS // plan.nterms))
+    comp = 0.0 if plan.compensation is None else plan.compensation
+    out, scale = [], []
+    for index, got in enumerate(range(0, nsamples, batch)):
+        take = min(batch, nsamples - got)
+        gen = rng.substream(index).generator()
+        gam = np.cumsum(gen.exponential(scale=1.0 / spec.total_mass, size=(take, plan.nterms)), axis=1)
+        if params.alpha == 1.0:
+            coef = 1.0 / gam
+        elif params.alpha == 0.5:
+            coef = 1.0 / (gam * gam)
+        else:
+            coef = gam ** (-1.0 / params.alpha)
+        x = np.zeros((take, spec.dim))
+        if natoms == 1:
+            x += coef.sum(axis=1)[:, None] * spec.directions[0]
+        else:
+            cum = np.cumsum(spec.probabilities)
+            which = np.searchsorted(cum, gen.random((take, plan.nterms)), side="right")
+            which = np.minimum(which, natoms - 1)
+            for i in range(natoms):
+                x += np.where(which == i, coef, 0.0).sum(axis=1)[:, None] * spec.directions[i]
+        out.append(x + comp)
+        scale.append(coef.sum(axis=1) + np.linalg.norm(comp))
+    return np.concatenate(out), np.concatenate(scale)
+
+
+UNCENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
+                              np.array([0.3, 1.1, 0.6]))
+
+
+class TestLepageKernel:
+    CASES = [
+        (0.5, SpectralMeasure.positive_half_line(1.0), None),
+        (0.5, SpectralMeasure.symmetric_pair(2.0), 300),
+        (0.8, SpectralMeasure.symmetric_pair(1.0), 700),
+        (1.0, SpectralMeasure.symmetric_pair(1.0), 1000),
+        (1.5, SpectralMeasure.symmetric_pair(1.0), 2000),
+        (0.8, SpectralMeasure.axis_symmetric(1.0, dim=2), 800),
+        (1.5, SpectralMeasure.axis_symmetric(1.0, dim=2), 500),
+        (0.5, UNCENTRED_3, 200),
+        (0.8, UNCENTRED_3, 600),
+    ]
+
+    @pytest.mark.parametrize("alpha, spec, nterms", CASES)
+    def test_matches_per_atom_reference(self, monkeypatch, alpha, spec, nterms):
+        # a small block size gives several blocks, each of several chunks
+        # ending in a partial one
+        monkeypatch.setattr(stable, "_BATCH_ELEMENTS", 300_000)
+        params = StableParams(alpha, spec)
+        got, _ = sample_stable_many(params, 1500, RngStream(86, 3), nterms=nterms)
+        want, scale = _reference_samples(params, 1500, RngStream(86, 3), nterms)
+        # only the summation order differs: rounding stays within a few
+        # nterms * eps of the sum of |terms|
+        assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None])
+
+    @pytest.mark.parametrize("alpha, spec, nterms", [CASES[0], CASES[2], CASES[7]])
+    def test_chunking_does_not_change_samples(self, monkeypatch, alpha, spec, nterms):
+        params = StableParams(alpha, spec)
+        whole, _ = sample_stable_many(params, 400, RngStream(87), nterms=nterms)
+        monkeypatch.setattr(stable, "_CHUNK_ELEMENTS", 3)  # one row per chunk
+        rows, _ = sample_stable_many(params, 400, RngStream(87), nterms=nterms)
+        assert np.array_equal(whole, rows)
 
 
 class TestLevyIntegral:
