@@ -12,7 +12,6 @@ from .point_process import (
     ball_region,
     box_region,
     count_event,
-    count_in_statistic,
     count_statistic,
     difference,
     hit_indicator,

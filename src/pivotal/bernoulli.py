@@ -175,17 +175,6 @@ def russo_pivotal_expectations(event: BooleanEvent, theta: float) -> tuple[float
     return float(np.dot(eplus, w)), float(np.dot(eminus, w))
 
 
-def russo_derivative_mc(event: BooleanEvent, theta: float, reps: int, rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo E_theta[N+ - N-] for systems too large to enumerate."""
-    gen = rng.generator()
-    vals = np.empty(reps)
-    for i in range(reps):
-        x = (gen.random(event.nbits) < theta).astype(np.uint8)
-        np_, nm = pivotal_counts(event, x)
-        vals[i] = np_ - nm
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
-
-
 # -- event builders ---------------------------------------------------------
 
 

@@ -7,8 +7,7 @@ The config is JSON with top-level keys ``seed`` (required), ``reps``,
 per suite with suite-specific parameters.  One CSV row is written per check
 plus a JSON summary, both replacing any earlier reports in the output
 directory; reruns with the same config and seed produce byte-identical
-output.  Exit code: 0 if all checks pass, 1 on any check failure, 2 on usage
-or configuration errors.
+output.  Exit codes are listed in ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+from .point_process import DeclarationError
+from .quadrature import QuadratureError
 from .suites import SUITES, CheckResult, SuiteConfig
 
 CSV_HEADER = ["suite", "check_id", "param_json", "lhs", "rhs",
@@ -34,6 +35,14 @@ _TOLERANCE_KEYS = {
     "z": "zmax",
     "ks_p": "ks_floor",
 }
+
+
+EXIT_CODES = """exit codes:
+  0  all checks passed
+  1  some check failed
+  2  usage or configuration error
+  3  a check could not be computed: a declared bound or envelope was broken
+     (DeclarationError) or a quadrature missed its tolerance (QuadratureError)"""
 
 
 class ConfigError(ValueError):
@@ -115,19 +124,22 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None,
         return 2
 
     rows: list[CheckResult] = []
-    try:
-        for name in names:
+    for name in names:
+        try:
             suite_rows = SUITES[name](cfg)
-            rows.extend(suite_rows)
-            if verbose:
-                bad = [r for r in suite_rows if not r.passed]
-                print(f"[{name}] {len(suite_rows) - len(bad)}/{len(suite_rows)} checks passed")
-                for r in bad:
-                    print(f"  FAIL {r.check_id} {r.params}: "
-                          f"{r.z_or_gap!r} vs threshold {r.threshold!r}")
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        except (DeclarationError, QuadratureError) as exc:
+            print(f"check error in suite {name}: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        rows.extend(suite_rows)
+        if verbose:
+            bad = [r for r in suite_rows if not r.passed]
+            print(f"[{name}] {len(suite_rows) - len(bad)}/{len(suite_rows)} checks passed")
+            for r in bad:
+                print(f"  FAIL {r.check_id} {r.params}: "
+                      f"{r.z_or_gap!r} vs threshold {r.threshold!r}")
     write_reports(rows, out_dir)
     return 0 if all(r.passed for r in rows) else 1
 
@@ -136,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pivotal",
         description="Run identity and derivative-formula check suites.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory for CSV/JSON reports")
@@ -144,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="suite to run (repeatable); overrides the config list")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2  # --help exits 0
     return run(args.config, args.out, seed=args.seed, suites=args.suite)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .point_process import IntensityMeasure, PointConfiguration, Statistic, sample_binomial, sample_poisson
 from .quadrature import QuadratureError
-from .rng import RngStream
+from .rng import RngStream, _rekey
 
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -484,6 +484,8 @@ def crofton_poisson_check(
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")
+    if reps < 2 or (inner_reps is not None and inner_reps < 2):
+        raise ValueError("need reps >= 2 and inner_reps >= 2")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t > 0:
@@ -496,8 +498,9 @@ def crofton_poisson_check(
 
     lhs_rng = rng.substream(0)
     vals = np.empty(reps)
+    gen = rng.generator()
     for i in range(reps):
-        eta = sample_poisson(mu_plus, lhs_rng.substream(i))
+        eta = sample_poisson(mu_plus, _rekey(gen, lhs_rng.substream(i)))
         vals[i] = (g.value(eta) - g.value(eta.restrict(region_minus))) / denom
     lhs, lhs_se = _mean_se(vals)
 
@@ -517,7 +520,7 @@ def crofton_poisson_check(
         rhs_rng = rng.substream(1)
         cvals = np.empty(pool)
         for j in range(pool):
-            eta = sample_poisson(mu_t, rhs_rng.substream(j))
+            eta = sample_poisson(mu_t, _rekey(gen, rhs_rng.substream(j)))
             base = g.value(eta)
             acc = 0.0
             for p, w in zip(pts, wh):
@@ -550,6 +553,8 @@ def crofton_binomial_check(
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if m < 1:
         raise ValueError("need m >= 1")
     if area(body) <= 0 and t == 0.0:
@@ -560,11 +565,13 @@ def crofton_binomial_check(
     else:
         tminus, denom = 0.0, delta
 
+    gen = rng.generator()
+
     def mean_g_at(radius: float, stream: RngStream) -> tuple[float, float]:
         mu = intensity_on_parallel_set(body, radius, h, sup_density)
         vals = np.empty(reps)
         for i in range(reps):
-            vals[i] = g.value(sample_binomial(mu, m, stream.substream(i)))
+            vals[i] = g.value(sample_binomial(mu, m, _rekey(gen, stream.substream(i))))
         return _mean_se(vals)
 
     up, up_se = mean_g_at(t + delta, rng.substream(0))
@@ -581,8 +588,8 @@ def crofton_binomial_check(
     rhs_rng = rng.substream(2)
     cvals = np.empty(pool)
     for j in range(pool):
-        xi_m = sample_binomial(mu_t, m, rhs_rng.substream(j))
-        xi_m1 = PointConfiguration(2, xi_m.points[: m - 1])
+        xi_m = sample_binomial(mu_t, m, _rekey(gen, rhs_rng.substream(j)))
+        xi_m1 = PointConfiguration._wrap(2, xi_m.points[: m - 1])
         base = g.value(xi_m)
         acc = 0.0
         for p, w in zip(pts, wh):

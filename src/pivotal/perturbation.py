@@ -3,7 +3,8 @@
 Every estimator derives one child stream per replicate from the supplied
 :class:`~pivotal.rng.RngStream` and aggregates replicate values with NumPy's
 fixed-order pairwise summation, so results depend only on the master seed and
-the replicate count.
+the replicate count.  Each loop draws from one generator, rekeyed to every
+child stream in turn (see :mod:`pivotal.rng`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .point_process import (
     sample_poisson,
     total_mass,
 )
-from .rng import RngStream
+from .rng import RngStream, _rekey
 
 
 def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
@@ -42,8 +43,9 @@ def expectation_mc(g: Statistic, mu: IntensityMeasure, reps: int, rng: RngStream
     if reps < 2:
         raise ValueError("need reps >= 2")
     vals = np.empty(reps)
+    gen = rng.generator()
     for i in range(reps):
-        vals[i] = g.value(sample_poisson(mu, rng.substream(i)))
+        vals[i] = g.value(sample_poisson(mu, _rekey(gen, rng.substream(i))))
     mean, se = _mean_stderr(vals)
     return MCEstimate(mean, se, reps)
 
@@ -111,10 +113,11 @@ def perturbation_series(
     for k in range(1, kmax + 1):
         sub = rng.substream(k)
         vals = np.empty(reps)
+        gen = sub.generator()
         for i in range(reps):
             stream = sub.substream(i)
-            zs = sample_binomial(nu, k, stream).points
-            eta = sample_poisson(lam, stream.substream(1))
+            zs = sample_binomial(nu, k, _rekey(gen, stream)).points
+            eta = sample_poisson(lam, _rekey(gen, stream.substream(1)))
             vals[i] = iterated_difference(g, eta, zs)
         mean, se = _mean_stderr(vals)
         weight = theta**k / math.factorial(k) * nu_mass**k
@@ -156,10 +159,11 @@ def derivative_location_estimator(
     scaled = lam.scaled(theta)
     vals = np.empty(reps)
     plus = np.empty(reps) if g.is_event else None
+    gen = rng.generator()
     for i in range(reps):
         stream = rng.substream(i)
-        z = sample_binomial(lam, 1, stream).points[0]
-        eta = sample_poisson(scaled, stream.substream(1))
+        z = sample_binomial(lam, 1, _rekey(gen, stream)).points[0]
+        eta = sample_poisson(scaled, _rekey(gen, stream.substream(1)))
         before = g.value(eta)
         after = g.value(eta.add_atom(z))
         vals[i] = lam_mass * (after - before)
@@ -194,6 +198,8 @@ def derivative_point_estimator(
     g: Statistic, lam: IntensityMeasure, theta: float, reps: int, rng: RngStream
 ) -> PivotalPointEstimate:
     """Estimate E N+ as (1/theta) E sum over points z of 1{eta in A, eta - delta_z not in A}."""
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if theta <= 0:
         raise ValueError("theta must be positive")
     if not g.is_event:
@@ -201,8 +207,9 @@ def derivative_point_estimator(
     scaled = lam.scaled(theta)
     removed = np.empty(reps)
     added = np.empty(reps)
+    gen = rng.generator()
     for i in range(reps):
-        eta = sample_poisson(scaled, rng.substream(i))
+        eta = sample_poisson(scaled, _rekey(gen, rng.substream(i)))
         r = a = 0.0
         if g.value(eta) == 1.0:
             for j in range(len(eta)):
@@ -221,15 +228,18 @@ def higher_derivative_estimator(
     g: Statistic, lam: IntensityMeasure, theta: float, k: int, reps: int, rng: RngStream
 ) -> MCEstimate:
     """MC estimate of the k-th theta-derivative of E g(eta_theta)."""
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if not 1 <= k <= 10:
         raise ValueError("need 1 <= k <= 10")
     lam_mass = total_mass(lam)
     scaled = lam.scaled(theta)
     vals = np.empty(reps)
+    gen = rng.generator()
     for i in range(reps):
         stream = rng.substream(i)
-        zs = sample_binomial(lam, k, stream).points
-        eta = sample_poisson(scaled, stream.substream(1))
+        zs = sample_binomial(lam, k, _rekey(gen, stream)).points
+        eta = sample_poisson(scaled, _rekey(gen, stream.substream(1)))
         vals[i] = lam_mass**k * iterated_difference(g, eta, zs)
     mean, se = _mean_stderr(vals)
     return MCEstimate(mean, se, reps)

@@ -7,6 +7,7 @@ ground space, where a configuration is just a counter.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,9 +43,17 @@ class PointConfiguration:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def _wrap(cls, dim: int, pts: np.ndarray) -> "PointConfiguration":
+        """Wrap a float (n, dim) array the library built itself, skipping re-validation."""
+        phi = object.__new__(cls)
+        pts.setflags(write=False)
+        phi.__dict__.update(dim=dim, points=pts)  # the frozen __setattr__ refuses
+        return phi
+
     @staticmethod
     def empty(dim: int) -> "PointConfiguration":
-        return PointConfiguration(dim, np.empty((0, dim)))
+        return PointConfiguration._wrap(dim, np.empty((0, dim)))
 
     @staticmethod
     def of(dim: int, points) -> "PointConfiguration":
@@ -61,14 +70,14 @@ class PointConfiguration:
         z = np.asarray(z, dtype=float).reshape(1, -1) if self.dim else np.empty((1, 0))
         if z.shape[1] != self.dim:
             raise ValueError(f"point has dimension {z.shape[1]}, expected {self.dim}")
-        return PointConfiguration(self.dim, np.vstack([self.points, z]))
+        return PointConfiguration._wrap(self.dim, np.concatenate((self.points, z)))
 
     def add_atoms(self, zs) -> "PointConfiguration":
         zs = np.asarray(zs, dtype=float).reshape(-1, self.dim)
-        return PointConfiguration(self.dim, np.vstack([self.points, zs]))
+        return PointConfiguration._wrap(self.dim, np.concatenate((self.points, zs)))
 
     def without_index(self, i: int) -> "PointConfiguration":
-        return PointConfiguration(self.dim, np.delete(self.points, i, axis=0))
+        return PointConfiguration._wrap(self.dim, np.delete(self.points, i, axis=0))
 
     def count_in(self, region: Callable[[np.ndarray], np.ndarray]) -> int:
         if len(self) == 0:
@@ -79,7 +88,7 @@ class PointConfiguration:
         if len(self) == 0:
             return self
         mask = np.asarray(region(self.points), dtype=bool)
-        return PointConfiguration(self.dim, self.points[mask])
+        return PointConfiguration._wrap(self.dim, self.points[mask])
 
 
 @dataclass(frozen=True)
@@ -199,14 +208,16 @@ def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np
     """
     if n == 0 or mu.dim == 0:
         return np.empty((n, mu.dim))
-    lo, hi = mu.bounds[:, 0], mu.bounds[:, 1]
+    lo = mu.bounds[:, 0]
+    span = mu.bounds[:, 1] - lo
     out = np.empty((n, mu.dim))
     got = 0
     rejected = 0
     plain = mu.density is None and mu.contains is None
     while got < n:
         m = max(n - got, 16)
-        pts = gen.uniform(lo, hi, size=(m, mu.dim))
+        # the same draws and the same arithmetic as gen.uniform(lo, hi, (m, dim))
+        pts = lo + span * gen.random((m, mu.dim))
         if plain:
             acc = pts
         else:
@@ -233,7 +244,7 @@ def sample_poisson(mu: IntensityMeasure, rng: RngStream) -> PointConfiguration:
     if not math.isfinite(m):
         raise ValueError("total mass must be finite")
     n = int(gen.poisson(m)) if m > 0 else 0
-    return PointConfiguration(mu.dim, _sample_points(mu, n, gen))
+    return PointConfiguration._wrap(mu.dim, _sample_points(mu, n, gen))
 
 
 def sample_binomial(mu: IntensityMeasure, m: int, rng: RngStream) -> PointConfiguration:
@@ -245,7 +256,7 @@ def sample_binomial(mu: IntensityMeasure, m: int, rng: RngStream) -> PointConfig
     if total_mass(mu) <= 0:
         raise ValueError("binomial sampling needs positive total mass")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return PointConfiguration(mu.dim, _sample_points(mu, m, gen))
+    return PointConfiguration._wrap(mu.dim, _sample_points(mu, m, gen))
 
 
 @dataclass(frozen=True)
@@ -276,10 +287,6 @@ def capped_count_statistic(cap: float) -> Statistic:
     return Statistic(eval=lambda phi: float(min(len(phi), cap)), bound=cap, name=f"count^{cap}")
 
 
-def count_in_statistic(region, name: str = "count_in") -> Statistic:
-    return Statistic(eval=lambda phi: float(phi.count_in(region)), name=name)
-
-
 def void_indicator(region, name: str = "void") -> Statistic:
     return Statistic(
         eval=lambda phi: 1.0 if phi.count_in(region) == 0 else 0.0,
@@ -305,16 +312,17 @@ def box_region(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
     hi = np.asarray(hi, dtype=float)
 
     def inside(pts: np.ndarray) -> np.ndarray:
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        return np.logical_and.reduce((pts >= lo) & (pts <= hi), axis=1)
 
     return inside
 
 
 def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:
     c = np.asarray(center, dtype=float)
+    r2 = radius * radius
 
     def inside(pts: np.ndarray) -> np.ndarray:
-        return np.sum((pts - c) ** 2, axis=1) <= radius * radius
+        return ((pts - c) ** 2).sum(axis=1) <= r2
 
     return inside
 
@@ -336,9 +344,19 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
         raise ValueError("need at least one point")
     if k > MAX_ITERATED_DIFFERENCE:
         raise ValueError(f"k={k} exceeds the configured maximum {MAX_ITERATED_DIFFERENCE}")
+    signs, masks = _subsets(k)
     total = 0.0
-    for mask in range(1 << k):
-        sel = [j for j in range(k) if mask >> j & 1]
-        sign = 1.0 if (k - len(sel)) % 2 == 0 else -1.0
-        total += sign * g.value(phi.add_atoms(zs[sel]) if sel else phi)
+    total += signs[0] * g.value(phi)  # row 0 is the empty subset
+    for sign, sel in zip(signs[1:], masks[1:]):
+        total += sign * g.value(phi.add_atoms(zs.compress(sel, axis=0)))
     return total
+
+
+@functools.cache
+def _subsets(k: int) -> tuple[tuple[float, ...], np.ndarray]:
+    """Inclusion-exclusion signs and membership masks (2^k, k) of the subsets of
+    range(k), in bitmask order; built once per k (2^k * k bytes)."""
+    masks = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+    signs = tuple(-1.0 if (k - mask.bit_count()) % 2 else 1.0 for mask in range(1 << k))
+    masks.flags.writeable = False
+    return signs, masks

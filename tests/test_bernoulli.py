@@ -134,11 +134,6 @@ class TestRussoDerivative:
             _, eminus = bn._signed_pivotal_by_popcount(ev)
             assert np.all(eminus == 0)
 
-    def test_mc_estimator_agrees(self):
-        ev = bn.threshold_event(6, 2)
-        est, se = bn.russo_derivative_mc(ev, 0.3, 4000, RngStream(25))
-        assert abs(est - bn.russo_derivative(ev, 0.3)) < 4.0 * se
-
 
 class TestIdentityReports:
     def test_binomial_simple(self):

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from pivotal import cli
 from pivotal.cli import CSV_HEADER, ConfigError, load_config, run, write_reports
+from pivotal.point_process import DeclarationError
+from pivotal.quadrature import QuadratureError
 from pivotal.suites import CheckResult, parse_density, parse_shape
 
 
@@ -135,3 +138,20 @@ class TestRunner:
     def test_main_usage_error(self):
         from pivotal.cli import main
         assert main(["--config"]) == 2
+
+    def test_main_help_lists_exit_codes(self, capsys):
+        from pivotal.cli import main
+        assert main(["--help"]) == 0
+        assert "3  a check could not be computed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [DeclarationError, QuadratureError])
+    def test_check_error_in_suite_is_exit_3(self, tmp_path, monkeypatch, capsys, error):
+        def broken(cfg):
+            raise error("declared bound 1.0 violated: 5.0")
+
+        monkeypatch.setitem(cli.SUITES, "russo", broken)
+        cfg = write_cfg(tmp_path, {"seed": 1, "reps": 300, "suites": ["identities", "russo"]})
+        assert run(cfg, tmp_path / "out", verbose=False) == 3
+        err = capsys.readouterr().err
+        assert err == "check error in suite russo: declared bound 1.0 violated: 5.0\n"
+        assert not (tmp_path / "out" / "results.csv").exists()

@@ -6,6 +6,7 @@ import pytest
 from pivotal.geometry import (
     Box,
     ConvexPolygon,
+    CroftonReport,
     Disk,
     Segment,
     area,
@@ -204,6 +205,27 @@ class TestCroftonPoisson:
         with pytest.raises(ValueError):
             crofton_poisson_check(g, DISK, 0.5, 100, RngStream(96))
 
+    @pytest.mark.parametrize("reps, inner_reps", [(0, None), (1, None), (100, 1)])
+    def test_too_few_reps_rejected(self, reps, inner_reps):
+        # one replicate has no standard error (it would read 0.0)
+        with pytest.raises(ValueError):
+            crofton_poisson_check(COUNT, DISK, 0.5, reps, RngStream(96), inner_reps=inner_reps)
+
+    def test_golden_values(self):
+        rep = crofton_poisson_check(COUNT, DISK, 0.5, 60, RngStream(38), inner_reps=20)
+        assert rep == CroftonReport(
+            lhs=9.166666666666666, lhs_stderr=2.785065768900227, rhs=9.42477796076938,
+            rhs_stderr=4.07524207927e-16, z=-0.09267691161370198, delta=0.01, reps=60)
+        rep = crofton_poisson_check(COUNT, SEG, 0.0, 60, RngStream(39))
+        assert rep == CroftonReport(
+            lhs=3.3333333333333335, lhs_stderr=2.3369624723103315, rhs=3.9999999999999996,
+            rhs_stderr=0.0, z=-0.2852705914475368, delta=0.01, reps=60)
+        rep = crofton_poisson_check(COUNT, DISK, 0.4, 60, RngStream(40), h=lambda p: 1.0 + 0.5 * p[:, 0] ** 2,
+                                    sup_density=2.0, inner_reps=20)
+        assert rep == CroftonReport(
+            lhs=7.5, lhs_stderr=2.6105500859804294, rhs=13.106724550776624,
+            rhs_stderr=4.07524207927e-16, z=-2.1477176710329, delta=0.01, reps=60)
+
 
 class TestCroftonBinomial:
     def test_single_point_quotient_rule(self):
@@ -238,6 +260,20 @@ class TestCroftonBinomial:
         unbounded = Statistic(eval=lambda phi: float(len(phi)))
         with pytest.raises(ValueError):
             crofton_binomial_check(unbounded, DISK, 0.3, 2, 100, RngStream(100))
+        for reps in (0, 1):
+            with pytest.raises(ValueError):
+                crofton_binomial_check(g, DISK, 0.3, 2, reps, RngStream(100))
+
+    def test_golden_values(self):
+        B = ball_region([0.0, 0.0], 0.5)
+        g1 = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=1.0)
+        assert crofton_binomial_check(g1, DISK, 0.2, 1, 40, RngStream(42)) == CroftonReport(
+            lhs=3.749999999999999, lhs_stderr=3.8760854559127638, rhs=-0.3750000000000001,
+            rhs_stderr=0.1114444785302161, z=1.0637784185285262, delta=0.01, reps=40)
+        g5 = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=5.0)
+        assert crofton_binomial_check(g5, DISK, 0.2, 5, 40, RngStream(46)) == CroftonReport(
+            lhs=12.5, lhs_stderr=9.883131186586668, rhs=-0.6250000000000001,
+            rhs_stderr=0.351469746786239, z=1.327181440461517, delta=0.01, reps=40)
 
 
 class TestIntensityOnParallelSet:

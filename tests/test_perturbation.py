@@ -5,6 +5,7 @@ import pytest
 from pivotal.point_process import (
     IntensityMeasure,
     Statistic,
+    ball_region,
     box_region,
     capped_count_statistic,
     count_statistic,
@@ -12,6 +13,11 @@ from pivotal.point_process import (
     void_indicator,
 )
 from pivotal.perturbation import (
+    DerivativeEstimate,
+    MCEstimate,
+    PerturbationSeriesResult,
+    PivotalPointEstimate,
+    SeriesTerm,
     derivative_location_estimator,
     derivative_point_estimator,
     expectation_mc,
@@ -184,6 +190,12 @@ class TestPointEstimator:
         with pytest.raises(ValueError):
             derivative_point_estimator(count_statistic(), SQUARE, 1.0, 100, RngStream(59))
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        # one replicate has no standard error (it would read 0.0)
+        with pytest.raises(ValueError):
+            derivative_point_estimator(hit_indicator(B), SQUARE, 1.0, reps, RngStream(59))
+
 
 class TestHigherDerivatives:
     def test_count_second_derivative_vanishes(self):
@@ -209,6 +221,11 @@ class TestHigherDerivatives:
         with pytest.raises(ValueError):
             higher_derivative_estimator(count_statistic(), SQUARE, 1.0, 11, 100, RngStream(64))
 
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        with pytest.raises(ValueError):
+            higher_derivative_estimator(void_indicator(B), SQUARE, 1.0, 2, reps, RngStream(64))
+
 
 class TestFiniteDifferenceConsistency:
     def test_fd_matches_location_estimator(self):
@@ -231,3 +248,53 @@ class TestFiniteDifferenceConsistency:
         est = derivative_location_estimator(atleast, seg, th, 30_000, RngStream(66))
         truth = x**n / math.factorial(n - 1) * th ** (n - 1) * math.exp(-th * x)
         assert abs(est.estimate - truth) < 4.0 * est.stderr
+
+
+class TestGoldenValues:
+    """Exact results at fixed seeds, pinned so that a change to the sampling or
+    evaluation path that alters a single draw or the order of a sum shows."""
+
+    def test_location_estimator(self):
+        est = derivative_location_estimator(hit_indicator(B), SQUARE, 1.5, 200, RngStream(31))
+        assert est == DerivativeEstimate(
+            estimate=0.195, stderr=0.028085923439997246, reps=200, nplus=0.195,
+            nplus_stderr=0.028085923439997246, nminus=0.0, nminus_stderr=0.0)
+
+    def test_location_estimator_rejection_sampling(self):
+        # a disk (membership test) and a density: both reject proposals
+        disk = IntensityMeasure.disk([0.2, -0.1], 0.8, scale=2.0)
+        g = hit_indicator(ball_region([0.2, 0.0], 0.3), k=2)
+        est = derivative_location_estimator(g, disk, 1.2, 200, RngStream(32))
+        assert est == DerivativeEstimate(
+            estimate=0.1407433508808227, stderr=0.052387899172356533, reps=200,
+            nplus=0.1407433508808227, nplus_stderr=0.052387899172356533, nminus=0.0, nminus_stderr=0.0)
+        dens = IntensityMeasure.box([[-1.0, 0.5], [0.0, 2.0]], scale=1.5,
+                                    density=lambda p: 1.0 + 0.5 * p[:, 0] * p[:, 1], sup_density=2.0)
+        est = derivative_location_estimator(void_indicator(box_region([-0.5, 0.5], [0.0, 1.5])),
+                                            dens, 0.7, 100, RngStream(33))
+        assert est == DerivativeEstimate(
+            estimate=-0.63, stderr=0.14507834873862904, reps=100, nplus=0.0, nplus_stderr=0.0,
+            nminus=0.63, nminus_stderr=0.14507834873862904)
+
+    def test_point_estimator(self):
+        est = derivative_point_estimator(hit_indicator(B), SQUARE, 1.5, 200, RngStream(34))
+        assert est == PivotalPointEstimate(
+            estimate=0.16666666666666663, stderr=0.02046363772675145,
+            added_atom_estimate=0.0, added_atom_stderr=0.0, reps=200)
+
+    def test_higher_derivative_estimator(self):
+        g = Statistic(eval=lambda phi: float(len(phi)) ** 2, name="count_squared")
+        assert higher_derivative_estimator(g, SQUARE, 0.8, 2, 200, RngStream(35)) == MCEstimate(
+            mean=2.0, stderr=0.0, reps=200)
+        assert higher_derivative_estimator(void_indicator(B), SQUARE, 0.8, 3, 100, RngStream(36)) == MCEstimate(
+            mean=-0.04, stderr=0.019694638556693237, reps=100)
+
+    def test_perturbation_series(self):
+        res = perturbation_series(void_indicator(B), SQUARE, SQUARE, 0.5, kmax=3, reps=40, rng=RngStream(37))
+        assert res == PerturbationSeriesResult(
+            estimate=0.6088541666666668, truncation_bound=0.05161516179237857, stderr=0.08043863145791734,
+            base=MCEstimate(mean=0.675, stderr=0.075, reps=40),
+            terms=[SeriesTerm(order=1, weight=0.5, mean_difference=-0.15, stderr=0.05717718748968655),
+                   SeriesTerm(order=2, weight=0.125, mean_difference=0.075, stderr=0.042176369614348674),
+                   SeriesTerm(order=3, weight=0.020833333333333332, mean_difference=-0.025,
+                              stderr=0.024999999999999998)])

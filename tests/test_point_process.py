@@ -210,6 +210,36 @@ class TestDifferenceOperators:
                 self._recursive(g, phi, list(zs)), abs=1e-12
             )
 
+    def test_matches_the_bitmask_loop_exactly(self):
+        # the subset sum in bitmask order, rebuilt per call: the same
+        # configurations must be evaluated in the same order, giving the same sum
+        def reference(g, phi, zs):
+            k = zs.shape[0]
+            total = 0.0
+            for mask in range(1 << k):
+                sel = [j for j in range(k) if mask >> j & 1]
+                sign = 1.0 if (k - len(sel)) % 2 == 0 else -1.0
+                total += sign * g.value(phi.add_atoms(zs[sel]) if sel else phi)
+            return total
+
+        gen = RngStream(19).generator()
+        seen = []
+
+        def smooth(phi):
+            seen.append(phi.points.tolist())
+            return float(np.exp(-(phi.points ** 2).sum())) + 0.1 * len(phi)
+
+        g = Statistic(eval=smooth)
+        for k in range(1, 7):
+            phi = PointConfiguration.of(2, gen.normal(size=(3, 2)))
+            zs = gen.normal(size=(k, 2))
+            seen.clear()
+            got = iterated_difference(g, phi, zs)
+            order = list(seen)
+            seen.clear()
+            assert got == reference(g, phi, zs)
+            assert order == seen
+
     def test_symmetric_in_points(self):
         gen = RngStream(12).generator()
         g = Statistic(eval=lambda phi: math.sin(float(len(phi))) + float((phi.points ** 2).sum()),
@@ -285,3 +315,38 @@ def test_sampler_reproducible():
     a = sample_poisson(mu, RngStream(15, 4))
     b = sample_poisson(mu, RngStream(15, 4))
     assert np.array_equal(a.points, b.points)
+
+
+def _uniform_proposal_reference(mu, n, gen):
+    """Rejection sampling with proposals from gen.uniform(lo, hi, size)."""
+    lo, hi = mu.bounds[:, 0], mu.bounds[:, 1]
+    out = np.empty((n, mu.dim))
+    got = 0
+    while got < n:
+        m = max(n - got, 16)
+        pts = gen.uniform(lo, hi, size=(m, mu.dim))
+        if mu.density is not None or mu.contains is not None:
+            u = gen.random(m) * mu.sup_density
+            pts = pts[u < mu.density_at(pts)]
+        take = min(pts.shape[0], n - got)
+        out[got : got + take] = pts[:take]
+        got += take
+    return out
+
+
+@pytest.mark.parametrize("bounds", [
+    [[-3.5, -0.25]],
+    [[-1.0, 2.5], [-7.0, -6.9]],
+    [[-2.0, -1.0], [0.1, 5.0], [-0.3, 0.3]],
+])
+def test_proposals_match_uniform_reference(bounds):
+    plain = IntensityMeasure.box(bounds)
+    dens = IntensityMeasure.box(bounds, density=lambda p: np.exp(-np.abs(p).sum(axis=1)), sup_density=1.0)
+    center = np.asarray(bounds).mean(axis=1)
+    width = min(b[1] - b[0] for b in bounds)
+    ball = IntensityMeasure(dim=len(bounds), bounds=np.asarray(bounds), contains=ball_region(center, width / 2))
+    for mu in (plain, dens, ball):
+        for n in (1, 5, 16, 40):
+            stream = RngStream(18, n)
+            got = point_process._sample_points(mu, n, stream.generator())
+            assert np.array_equal(got, _uniform_proposal_reference(mu, n, stream.generator()))

@@ -1,8 +1,9 @@
 """Stream derivation contract: injective, reproducible, bit-exact."""
 
 import numpy as np
+import pytest
 
-from pivotal.rng import RngStream, mix64
+from pivotal.rng import RngStream, _rekey, mix64
 
 
 def test_same_stream_reproduces_bits():
@@ -41,3 +42,27 @@ def test_independent_of_partitioning():
     vals_forward = [float(RngStream(5, 0).substream(i).generator().random()) for i in range(10)]
     vals_backward = [float(RngStream(5, 0).substream(i).generator().random()) for i in reversed(range(10))]
     assert vals_forward == vals_backward[::-1]
+
+
+DRAWS = [
+    lambda g: g.random(5),
+    lambda g: g.poisson(3.5, 4),
+    lambda g: g.uniform(-2.0, 3.0, (3, 2)),
+    lambda g: g.integers(0, 2**32, 5, dtype=np.uint32),
+]
+
+
+@pytest.mark.parametrize("stream", [RngStream(2**64 + 7, 3).substream(11), RngStream(-3, -1)])
+def test_rekey_gives_the_fresh_generator(stream):
+    used = RngStream(1, 2).generator()
+    used.random(3)
+    used.integers(0, 2**32, 3, dtype=np.uint32)  # an odd count leaves half a word cached
+    assert used.bit_generator.state["has_uint32"] == 1
+    for draw in DRAWS:
+        gen = _rekey(used, stream)
+        assert gen is used
+        fresh = stream.generator()
+        assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state)
+        for d in DRAWS:
+            assert np.array_equal(d(gen), d(fresh))
+        draw(used)  # rekey again after leaving the generator partly used
