@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import xlog1py, xlogy
 
 from .quadrature import adaptive_simpson
 from .rng import RngStream
@@ -23,8 +24,7 @@ MAX_EXACT_BITS = 24
 class BooleanEvent:
     """An event A on {0,1}^nbits given by its indicator.
 
-    ``indicator`` receives an (N, nbits) 0/1 matrix and returns (N,) booleans;
-    a scalar fallback (one bit vector in, bool out) is also accepted.
+    ``indicator`` receives an (N, nbits) 0/1 matrix and returns (N,) booleans.
     """
 
     nbits: int
@@ -33,13 +33,21 @@ class BooleanEvent:
 
 
 def _eval_indicator(event: BooleanEvent, bits: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(event.indicator(bits))
-        if out.shape == (bits.shape[0],):
-            return out.astype(bool)
-    except Exception:
-        pass
-    return np.array([bool(event.indicator(row)) for row in bits])
+    out = np.asarray(event.indicator(bits))
+    if out.shape != (bits.shape[0],):
+        raise TypeError(
+            f"indicator must map a bit matrix of shape {bits.shape} to values of "
+            f"shape {(bits.shape[0],)}, got shape {out.shape}"
+        )
+    return out.astype(bool)
+
+
+def _popcount(idx: np.ndarray, m: int) -> np.ndarray:
+    """Number of ones among the low m bits of each index, by m shift-and-mask adds."""
+    pop = np.zeros_like(idx)
+    for i in range(m):
+        pop += (idx >> i) & 1
+    return pop
 
 
 def _bits_matrix(m: int, idx: np.ndarray) -> np.ndarray:
@@ -118,8 +126,7 @@ class EventPolynomial:
 def event_polynomial(event: BooleanEvent) -> EventPolynomial:
     m = event.nbits
     table = truth_table(event)
-    idx = np.arange(1 << m, dtype=np.int64)
-    pop = np.array([int(v).bit_count() for v in range(1 << m)], dtype=np.int64)
+    pop = _popcount(np.arange(1 << m, dtype=np.int64), m)
     counts = np.bincount(pop[table], minlength=m + 1)
     # exact integer expansion of sum_j c_j t^j (1-t)^(m-j)
     coeffs = [0] * (m + 1)
@@ -144,7 +151,7 @@ def _signed_pivotal_by_popcount(event: BooleanEvent) -> tuple[np.ndarray, np.nda
     m = event.nbits
     table = truth_table(event)
     idx = np.arange(1 << m, dtype=np.int64)
-    pop = np.array([int(v).bit_count() for v in range(1 << m)], dtype=np.int64)
+    pop = _popcount(idx, m)
     nplus = np.zeros(1 << m, dtype=np.int64)
     nminus = np.zeros(1 << m, dtype=np.int64)
     for i in range(m):
@@ -229,13 +236,28 @@ def random_event(m: int, rng: RngStream) -> BooleanEvent:
 # -- integral-representation reports ----------------------------------------
 
 
+def _log_comb(n: int, j: int) -> float:
+    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+
+
 def binomial_pmf(n: int, p: float, j: int) -> float:
-    return math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+    """Mass at j; the binomial coefficient stays in the exponent, so large n cannot overflow."""
+    if p == 0.0 or p == 1.0:
+        return 1.0 if j == (n if p == 1.0 else 0) else 0.0
+    return math.exp(_log_comb(n, j) + j * math.log(p) + (n - j) * math.log1p(-p))
 
 
 def negbin_pmf(r: int, p: float, j: int) -> float:
-    """Mass at j failures before the r-th success."""
-    return math.comb(j + r - 1, j) * p**r * (1.0 - p) ** j
+    """Mass at j failures before the r-th success (r >= 1)."""
+    if p == 0.0 or p == 1.0:
+        return 1.0 if p == 1.0 and j == 0 else 0.0
+    return math.exp(_log_comb(j + r - 1, j) + r * math.log(p) + j * math.log1p(-p))
+
+
+def _beta_kernel(a: int, b: int, log_prefactor: float):
+    """t -> exp(log_prefactor) * t^a * (1-t)^b on node arrays, with 0^0 = 1;
+    the prefactor stays in the exponent, so large a + b cannot overflow."""
+    return lambda t: np.exp(log_prefactor + xlogy(a, t) + xlog1py(b, -t))
 
 
 @dataclass(frozen=True)
@@ -255,10 +277,8 @@ def identity_report_binomial(n: int, k: int, p: float, tol: float = 1e-12) -> Bi
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     tail = sum(binomial_pmf(n, p, j) for j in range(k, n + 1))
-    prefac = math.exp(math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1))
-    integral = adaptive_simpson(
-        lambda t: prefac * t ** (k - 1) * (1.0 - t) ** (n - k), 0.0, p, tol=tol
-    ) if p > 0 else 0.0
+    kernel = _beta_kernel(k - 1, n - k, math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1))
+    integral = adaptive_simpson(kernel, 0.0, p, tol=tol) if p > 0 else 0.0
     return BinomialIdentityReport(n, k, p, tail, integral, abs(tail - integral))
 
 
@@ -289,10 +309,8 @@ def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegB
         raise ValueError("p must lie in [0, 1]")
     n = k + r - 1
     tail = sum(binomial_pmf(n, p, j) for j in range(r, n + 1))
-    prefac = math.exp(math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r))
-    integral = adaptive_simpson(
-        lambda t: prefac * t ** (r - 1) * (1.0 - t) ** (k - 1), 0.0, p, tol=tol
-    ) if p > 0 else 0.0
+    kernel = _beta_kernel(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r))
+    integral = adaptive_simpson(kernel, 0.0, p, tol=tol) if p > 0 else 0.0
     below = sum(negbin_pmf(r, p, j) for j in range(k))
     through = below + negbin_pmf(r, p, k)
     return NegBinIdentityReport(

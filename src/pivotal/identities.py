@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .quadrature import adaptive_simpson
 
@@ -61,17 +61,34 @@ def poisson_pmf(theta: float, k) -> np.ndarray | float:
 
 
 def poisson_tail(theta: float, k: int) -> float:
-    """P(Poisson(theta) >= k) as 1 minus the partial sum, with a stable term recurrence."""
+    """P(Poisson(theta) >= k), summed from the mass next to k in log space.
+
+    For k > theta the terms j >= k are summed upward from the mass at k;
+    otherwise the masses j < k are summed downward from the mass at k - 1 and
+    subtracted from 1, which keeps the relative accuracy because that head
+    holds at most about half the mass.  Each branch scales its terms by the
+    first one, taken as exp(j log theta - theta - lgamma(j + 1)), so neither
+    exp(-theta) nor a factorial is ever formed alone.
+    """
     if theta < 0 or k < 1:
         raise ValueError("need theta >= 0 and k >= 1")
     if theta == 0.0:
         return 0.0
-    term = math.exp(-theta)
-    acc = term
-    for j in range(1, k):
-        term *= theta / j
+    if k > theta:
+        j = k
+        term = acc = 1.0
+        while term > 1e-17 * acc:
+            j += 1
+            term *= theta / j
+            acc += term
+        return math.exp(k * math.log(theta) - theta - math.lgamma(k + 1.0)) * acc
+    term = acc = 1.0
+    for j in range(k - 1, 0, -1):
+        term *= j / theta
         acc += term
-    return max(0.0, 1.0 - acc)
+        if term <= 1e-17 * acc:
+            break
+    return 1.0 - math.exp((k - 1) * math.log(theta) - theta - math.lgamma(k)) * acc
 
 
 def _gamma_kernel_quadrature(shape: float, rate: float, upper: float, integrand, tol: float) -> float:
@@ -95,10 +112,8 @@ def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
         return 0.0
     lg = math.lgamma(k)
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 1.0 if k == 1 else 0.0
-        return math.exp((k - 1) * math.log(t) - t - lg)
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return np.exp(xlogy(k - 1, t) - t - lg)  # xlogy(0, 0) = 0: value 1 at t = 0 for k = 1
 
     return _gamma_kernel_quadrature(float(k), 1.0, theta, integrand, tol)
 
@@ -112,17 +127,13 @@ def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[floa
         return 0.0, 0.0, 0.0
     lg = math.lgamma(n)
 
-    def density(y: float) -> float:
-        if y <= 0.0:
-            return theta if n == 1 else 0.0
-        return math.exp(n * math.log(theta) + (n - 1) * math.log(y) - theta * y - lg)
+    def density(y: np.ndarray) -> np.ndarray:
+        return np.exp(n * math.log(theta) + xlogy(n - 1, y) - theta * y - lg)
 
     direct = _gamma_kernel_quadrature(float(n), theta, x, density, tol)
 
-    def kernel(t: float) -> float:
-        if t <= 0.0:
-            return x if n == 1 else 0.0
-        return math.exp(n * math.log(x) + (n - 1) * math.log(t) - t * x - lg)
+    def kernel(t: np.ndarray) -> np.ndarray:
+        return np.exp(n * math.log(x) + xlogy(n - 1, t) - t * x - lg)
 
     via_integral = _gamma_kernel_quadrature(float(n), x, theta, kernel, tol)
     via_poisson = poisson_tail(theta * x, n)
@@ -190,19 +201,16 @@ def cpois_pmf_polyrec(theta: float, q: LatticeDistribution, k: int) -> float:
     """
     if k < 0:
         return 0.0
-    # coeff[j] holds the coefficient array of c_j
-    coeffs: list[np.ndarray] = [np.array([1.0])]
+    q_pad = np.zeros(k + 1)
+    take = min(q.probs.size, k + 1)
+    q_pad[:take] = q.probs[:take]
+    # row j holds the coefficients of Integral_0^theta c_j(t) dt (degree j + 1)
+    integ = np.zeros((k + 1, k + 2))
+    integ[0, 1] = 1.0
+    ck = np.array([1.0])
     for kk in range(1, k + 1):
-        c = np.zeros(kk + 1)
-        for j in range(kk):
-            if q.q(kk - j) == 0.0:
-                continue
-            cj = coeffs[j]
-            integ = np.zeros(cj.size + 1)
-            integ[1:] = cj / np.arange(1, cj.size + 1)
-            c[: integ.size] += q.q(kk - j) * integ
-        coeffs.append(c)
-    ck = coeffs[k]
+        ck = q_pad[kk:0:-1] @ integ[:kk, : kk + 1]
+        integ[kk, 1 : kk + 2] = ck / np.arange(1, kk + 2)
     value = 0.0
     for a in ck[::-1]:  # Horner
         value = value * theta + a

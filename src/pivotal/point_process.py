@@ -25,6 +25,23 @@ class DeclarationError(RuntimeError):
     """A statistic or intensity measure broke a bound it declared."""
 
 
+def _point_rows(points, dim: int) -> np.ndarray:
+    """``points`` as a float (n, dim) array.
+
+    On the one-point ground space (dim 0) a point has no coordinates, so the
+    count is the number of rows of an (n, 0) array; any other empty input is
+    no points.
+    """
+    pts = np.asarray(points, dtype=float)
+    if dim:
+        return pts.reshape(-1, dim)
+    if pts.ndim == 2 and pts.shape[1] == 0:
+        return pts
+    if pts.size:
+        raise ValueError("points of the one-point ground space have no coordinates")
+    return np.empty((0, 0))
+
+
 @dataclass(frozen=True)
 class PointConfiguration:
     """A finite multiset of points in R^dim (the empty configuration is valid)."""
@@ -33,13 +50,7 @@ class PointConfiguration:
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if self.dim == 0:
-            # a configuration on the one-point ground space is just a counter
-            if not (pts.ndim == 2 and pts.shape[1] == 0):
-                pts = np.empty((0, 0)) if pts.size == 0 else pts.reshape(pts.shape[0], 0)
-        else:
-            pts = pts.reshape(-1, self.dim)
+        pts = _point_rows(self.points, self.dim)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -57,7 +68,7 @@ class PointConfiguration:
 
     @staticmethod
     def of(dim: int, points) -> "PointConfiguration":
-        return PointConfiguration(dim, np.asarray(points, dtype=float).reshape(-1, dim))
+        return PointConfiguration(dim, points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -73,7 +84,7 @@ class PointConfiguration:
         return PointConfiguration._wrap(self.dim, np.concatenate((self.points, z)))
 
     def add_atoms(self, zs) -> "PointConfiguration":
-        zs = np.asarray(zs, dtype=float).reshape(-1, self.dim)
+        zs = _point_rows(zs, self.dim)
         return PointConfiguration._wrap(self.dim, np.concatenate((self.points, zs)))
 
     def without_index(self, i: int) -> "PointConfiguration":
@@ -183,18 +194,18 @@ def total_mass(mu: IntensityMeasure, tol: float = 1e-9) -> float:
         return mu.scale  # singleton with default unit weight
     lo, hi = mu.bounds[:, 0], mu.bounds[:, 1]
     if mu.dim == 1:
-        val = adaptive_simpson(
-            lambda x: float(mu.density_at(np.array([[x]]))[0]), lo[0], hi[0], tol=tol
-        )
+        val = adaptive_simpson(lambda x: mu.density_at(x[:, None]), lo[0], hi[0], tol=tol)
     elif mu.dim == 2:
 
         def slice_integral(x: float) -> float:
             return adaptive_simpson(
-                lambda y: float(mu.density_at(np.array([[x, y]]))[0]),
+                lambda y: mu.density_at(np.column_stack((np.full_like(y, x), y))),
                 lo[1], hi[1], tol=tol / max(hi[0] - lo[0], 1.0) / 4.0,
             )
 
-        val = adaptive_simpson(slice_integral, lo[0], hi[0], tol=tol / 2.0)
+        val = adaptive_simpson(
+            lambda xs: np.array([slice_integral(x) for x in xs]), lo[0], hi[0], tol=tol / 2.0
+        )
     else:
         raise NotImplementedError("quadrature mass only for dim <= 2; supply base_mass")
     return mu.scale * val
@@ -338,7 +349,7 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
     Equals the inductive definition (one difference at a time) but needs no
     recursion state; costs 2^k evaluations of g.  Symmetric in ``zs``.
     """
-    zs = np.asarray(zs, dtype=float).reshape(-1, phi.dim)
+    zs = _point_rows(zs, phi.dim)
     k = zs.shape[0]
     if k < 1:
         raise ValueError("need at least one point")

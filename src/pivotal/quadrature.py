@@ -1,4 +1,22 @@
-"""Quadrature kernels: Gauss-Legendre, adaptive Simpson, power-law singular integrals."""
+"""Quadrature kernels: Gauss-Legendre, adaptive Simpson, power-law singular integrals.
+
+Integrand contract: every routine here calls its integrand on a 1-D float
+array of nodes and expects back an array of the same shape.  An integrand
+that returns a scalar, or any other shape, raises ``TypeError``; there is no
+point-by-point retry.  A non-finite value raises :class:`QuadratureError`.
+
+Adaptive Simpson refines breadth first.  Level d holds every interval still
+live at depth d as arrays (endpoints, the three Simpson values, the coarse
+estimate), evaluates the integrand once on all their half-interval
+midpoints, and applies the same per-interval test |S2 - S1| <= 15 eps with
+eps = tol / 2^(d-1) that a depth-first recursion applies at depth d.  The
+test of an interval depends only on its own endpoints and values, never on
+the order in which intervals are visited, so both orders reach the same
+leaves.  The value is then reduced bottom up, each split interval taking the
+sum of its left and right child, which is the recursion's own
+``left + right`` summation tree: given the same integrand values the result
+is the same to the bit, and so is the reported depth.
+"""
 
 from __future__ import annotations
 
@@ -23,11 +41,25 @@ def _gl_nodes(npoints: int) -> tuple[np.ndarray, np.ndarray]:
     return _gl_cache[npoints]
 
 
+def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``f`` on the node array ``x``; its values must be finite and have x's shape."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != x.shape:
+        raise TypeError(
+            f"integrand must map a node array of shape {x.shape} to values of the "
+            f"same shape, got shape {vals.shape}"
+        )
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise QuadratureError(f"non-finite integrand at x={float(x[bad][0])!r}")
+    return vals
+
+
 def gauss_legendre(f: Callable, a: float, b: float, npoints: int = 32) -> float:
     """Gauss-Legendre quadrature of ``f`` on ``[a, b]``.
 
-    Exact for polynomials of degree <= 2*npoints - 1.  ``f`` may be
-    vectorized over an ndarray of nodes; a scalar fallback is used otherwise.
+    Exact for polynomials of degree <= 2*npoints - 1.  ``f`` is called once,
+    on the (npoints,) array of nodes, and must return an array of that shape.
 
     Parameters
     ----------
@@ -42,24 +74,20 @@ def gauss_legendre(f: Callable, a: float, b: float, npoints: int = 32) -> float:
         raise ValueError("require a < b")
     x, w = _gl_nodes(npoints)
     y = 0.5 * (b - a) * x + 0.5 * (a + b)
-    try:
-        vals = np.asarray(f(y), dtype=float)
-        if vals.shape != y.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(t)) for t in y])
-    if not np.all(np.isfinite(vals)):
-        bad = y[~np.isfinite(vals)][0]
-        raise QuadratureError(f"non-finite integrand at x={bad!r}")
-    return 0.5 * (b - a) * float(np.dot(w, vals))
+    return 0.5 * (b - a) * float(np.dot(w, _eval_nodes(f, y)))
 
 
-def _simpson(fa: float, fm: float, fb: float, a: float, b: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """[left[0], right[0], left[1], right[1], ...]: the children of each split
+    interval, in the order the recursion visits them."""
+    out = np.empty(2 * left.size)
+    out[0::2] = left
+    out[1::2] = right
+    return out
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
@@ -68,9 +96,13 @@ def adaptive_simpson(
 ):
     """Adaptive Simpson quadrature with the standard |S2-S1|/15 error estimate.
 
-    Returns the integral, or ``(integral, achieved_depth)`` when
-    ``full_output`` is set.  Raises :class:`QuadratureError` if the recursion
-    exceeds ``max_depth`` before the local tolerance is met.
+    The refinement runs breadth first: each level calls ``f`` once, on the
+    midpoints of the halves of every interval still live at that level (see
+    the module docstring).  Returns the integral, or
+    ``(integral, achieved_depth)`` when ``full_output`` is set.  Raises
+    :class:`QuadratureError` on a non-finite integrand value, or if the
+    intervals cut off at ``max_depth`` leave more than ``tol`` of unresolved
+    error.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -79,57 +111,63 @@ def adaptive_simpson(
     if a > b:
         raise ValueError("require a <= b")
 
-    def _eval(x: float) -> float:
-        v = float(f(x))
-        if not math.isfinite(v):
-            raise QuadratureError(f"non-finite integrand at x={x!r}")
-        return v
-
-    depth_used = 0
+    fa, fm, fb = _eval_nodes(f, np.array([a, 0.5 * (a + b), b]))
+    x0, x2 = np.array([float(a)]), np.array([float(b)])
+    f0, f1, f2 = np.array([fa]), np.array([fm]), np.array([fb])
+    whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    eps, depth = tol, 1
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (interval values, split mask)
     unconverged = 0.0  # error budget spent on intervals cut off at max_depth
-
-    def _recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        nonlocal depth_used, unconverged
-        xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
-        xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
-        fl = _eval(xm_l)
-        fr = _eval(xm_r)
+    while True:
+        n = x0.size
         x1 = 0.5 * (x0 + x2)
-        left = _simpson(f0, fl, f1, x0, x1)
-        right = _simpson(f1, fr, f2, x1, x2)
-        err = left + right - whole
-        if abs(err) <= 15.0 * eps:
-            depth_used = max(depth_used, depth)
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            # localized non-smoothness (e.g. a jump): the interval is now so
-            # narrow that its residual error is at most |err|; spend budget
-            depth_used = depth
-            unconverged += abs(err)
-            return left + right + err / 15.0
-        return _recurse(x0, x1, f0, fl, f1, left, 0.5 * eps, depth + 1) + _recurse(
-            x1, x2, f1, fr, f2, right, 0.5 * eps, depth + 1
-        )
-
-    f0, f1, f2 = _eval(a), _eval(0.5 * (a + b)), _eval(b)
-    whole = _simpson(f0, f1, f2, a, b)
-    value = _recurse(a, b, f0, f1, f2, whole, tol, 1)
+        fmid = _eval_nodes(f, np.concatenate((0.5 * (x0 + x1), 0.5 * (x1 + x2))))
+        fl, fr = fmid[:n], fmid[n:]
+        left = (x1 - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (x2 - x1) / 6.0 * (f1 + 4.0 * fr + f2)
+        both = left + right
+        err = both - whole
+        value = both + err / 15.0
+        split = np.abs(err) > 15.0 * eps
+        if depth >= max_depth and split.any():
+            # localized non-smoothness (e.g. a jump): the intervals are now so
+            # narrow that their residual error is at most |err|; spend budget,
+            # added left to right as the recursion would
+            unconverged = float(np.cumsum(np.abs(err[split]))[-1])
+            split[:] = False
+        levels.append((value, split))
+        if not split.any():
+            break
+        x0, x2 = _interleave(x0[split], x1[split]), _interleave(x1[split], x2[split])
+        f0, f2 = _interleave(f0[split], f1[split]), _interleave(f1[split], f2[split])
+        f1 = _interleave(fl[split], fr[split])
+        whole = _interleave(left[split], right[split])
+        eps *= 0.5
+        depth += 1
     if unconverged > tol:
         raise QuadratureError(
             f"adaptive Simpson: unresolved error {unconverged:.3e} > tol {tol:.3e} "
             f"after max_depth={max_depth}"
         )
-    return (value, depth_used) if full_output else value
+    # each split interval's value is the sum of its two children's, bottom up
+    child = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = child[0::2] + child[1::2]
+        child = value
+    return (float(child[0]), depth) if full_output else float(child[0])
 
 
 def power_singular_integral(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     x: float,
     tol: float = 1e-8,
     lipschitz: float | None = None,
 ) -> float:
     """Integrate ``f(z) * z**(-alpha-1)`` over ``(0, x]`` for ``f(0) = 0``.
+
+    ``f`` follows the integrand contract of :func:`adaptive_simpson`: it maps
+    an array of radii to an array of values.
 
     ``lipschitz`` must be a declared bound with ``|f(z)| <= lipschitz * z``
     near zero (we require it on all of ``(0, x]``); it certifies that the
@@ -153,14 +191,11 @@ def power_singular_integral(
     if eps >= x:
         return 0.0
 
-    def g(z: float) -> float:
-        return float(f(z)) * z ** (-alpha - 1.0)
-
     # Substitute z = eps * exp(u) to even out the power-law scale near eps.
     umax = math.log(x / eps)
 
-    def g_sub(u: float) -> float:
-        z = eps * math.exp(u)
-        return g(z) * z
+    def g_sub(u: np.ndarray) -> np.ndarray:
+        z = eps * np.exp(u)
+        return f(z) * z ** (-alpha - 1.0) * z
 
     return adaptive_simpson(g_sub, 0.0, umax, tol=tol / 2.0)

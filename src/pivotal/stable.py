@@ -275,7 +275,9 @@ def levy_integral(params: StableParams, f, tol: float = 1e-8,
                   envelope: RadialEnvelope | None = None) -> float:
     """Integral of ``f`` against the Levy measure of ``params``.
 
-    The measure factorizes over the spectral atoms with the common radial
+    ``f`` maps one point (a vector of the ambient dimension) to a number; it
+    is called point by point over each batch of quadrature nodes.  The
+    measure factorizes over the spectral atoms with the common radial
     density alpha * s^(-alpha-1); the radial integral is split at s = 1 with
     logarithmic substitutions on both sides.  The declared envelope fixes the
     quadrature cutoffs so that the discarded pieces stay below ``tol/2``.
@@ -291,8 +293,8 @@ def levy_integral(params: StableParams, f, tol: float = 1e-8,
     probs = spec.probabilities
     dirs = spec.directions
 
-    def fbar(s: float) -> float:
-        return float(sum(p * f(s * u) for p, u in zip(probs, dirs)))
+    def fbar(s: np.ndarray) -> np.ndarray:
+        return np.array([float(sum(p * f(si * u) for p, u in zip(probs, dirs))) for si in s])
 
     # spot-check the declared small-radius envelope
     for s in np.logspace(-6, 0, 25):
@@ -321,11 +323,11 @@ def levy_integral(params: StableParams, f, tol: float = 1e-8,
     total = 0.0
     if eps < 1.0:
         total += _piecewise(
-            lambda u: alpha * math.exp(alpha * u) * fbar(math.exp(-u)),
+            lambda u: alpha * np.exp(alpha * u) * fbar(np.exp(-u)),
             math.log(1.0 / eps), tol / 4.0,
         )
     total += _piecewise(
-        lambda u: alpha * math.exp(-alpha * u) * fbar(math.exp(u)),
+        lambda u: alpha * np.exp(-alpha * u) * fbar(np.exp(u)),
         math.log(smax), tol / 4.0,
     )
     return theta * total
@@ -349,11 +351,13 @@ def positive_half_cdf(x, theta: float):
     return out if out.ndim else float(out)
 
 
-def positive_half_pdf(x: float, theta: float) -> float:
-    if x <= 0:
-        return 0.0
+def positive_half_pdf(x, theta: float):
+    """Density of the alpha=1/2 positive law, elementwise over an array ``x``."""
     c = levy_location_scale(theta)
-    return math.sqrt(c / (2.0 * math.pi)) * x**-1.5 * math.exp(-c / (2.0 * x))
+    x = np.asarray(x, dtype=float)
+    xp = np.where(x > 0, x, 1.0)
+    out = np.where(x > 0, math.sqrt(c / (2.0 * math.pi)) * xp**-1.5 * np.exp(-c / (2.0 * xp)), 0.0)
+    return out if out.ndim else float(out)
 
 
 def positive_half_pdf_deriv(x: float, theta: float) -> float:
@@ -378,6 +382,8 @@ class IdentityResidual:
 def _full_kernel_integral(g, alpha: float, theta: float, x: float,
                           boundary_value: float, lipschitz: float, tol: float) -> float:
     """theta * alpha^2 * [ int_0^x g(z) z^(-alpha-1) dz + boundary_value * x^-alpha / alpha ].
+
+    ``g`` maps an array of radii to an array of values.
 
     The second term is the closed-form contribution of radii beyond x, where
     the bracket is constant; the identities fail by exactly this amount if it
@@ -410,7 +416,7 @@ def dimone_residual(
     if method == "closed_form_levy":
         if alpha != 0.5:
             raise ValueError("closed forms are available only for alpha = 1/2")
-        F = lambda y: float(positive_half_cdf(y, theta))
+        F = lambda y: positive_half_cdf(y, theta)
         lhs = x * positive_half_pdf(x, theta)
         c = levy_location_scale(theta)
         fmax = positive_half_pdf(c / 3.0, theta)  # mode of the density

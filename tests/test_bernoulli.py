@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from pivotal import bernoulli as bn
 from pivotal.rng import RngStream
@@ -89,6 +90,18 @@ class TestEventProbability:
         with pytest.raises(ValueError):
             bn.event_probability(bn.full_event(25), 0.5)
 
+    def test_scalar_indicator_raises(self):
+        # no row-by-row retry: the error names the expected shape
+        event = bn.BooleanEvent(3, lambda bits: bool(bits.sum() >= 2))
+        with pytest.raises(TypeError, match=r"shape \(8,\)"):
+            bn.truth_table(event)
+
+    def test_popcount_matches_bit_count(self):
+        for m in (1, 5, 12):
+            idx = np.arange(1 << m, dtype=np.int64)
+            want = [int(v).bit_count() for v in range(1 << m)]
+            assert bn._popcount(idx, m).tolist() == want
+
     def test_impure_indicator_detected(self):
         calls = {"n": 0}
 
@@ -168,6 +181,24 @@ class TestIdentityReports:
             rep = bn.identity_report_negbin(r, k, p)
             assert rep.gap <= 1e-10
             assert rep.gap_below_k <= 1e-10
+
+    def test_large_n_binomial(self):
+        # the binomial coefficient and the beta prefactor overflow a float here
+        rep = bn.identity_report_binomial(2000, 1000, 0.5)
+        assert abs(rep.tail - stats.binom.sf(999, 2000, 0.5)) <= 1e-10
+        assert abs(rep.integral - special.betainc(1000, 1001, 0.5)) <= 1e-10
+
+    def test_masses_at_p_endpoints(self):
+        for n, j in [(5, 0), (5, 2), (5, 5)]:
+            assert bn.binomial_pmf(n, 0.0, j) == float(j == 0)
+            assert bn.binomial_pmf(n, 1.0, j) == float(j == n)
+            assert bn.negbin_pmf(3, 0.0, j) == 0.0
+            assert bn.negbin_pmf(3, 1.0, j) == float(j == 0)
+        for k in (1, 3, 5):
+            assert bn.identity_report_binomial(5, k, 0.0).integral == 0.0
+            rep = bn.identity_report_binomial(5, k, 1.0)
+            assert rep.tail == 1.0
+            assert rep.integral == pytest.approx(1.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pivotal.identities import (
     LatticeDistribution,
@@ -40,6 +41,16 @@ class TestPoissonTail:
     def test_tail_vs_integral(self):
         for th, k in [(2.0, 3), (7.0, 2), (20.0, 30), (0.5, 5)]:
             assert abs(poisson_tail(th, k) - poisson_tail_integral(th, k)) <= 1e-10
+
+    @pytest.mark.parametrize("theta, k", [
+        (800.0, 900),  # exp(-theta) underflows
+        (800.0, 790),
+        (0.5, 30),  # 1 minus the head sum cancels to nothing
+        (20.0, 21),
+    ])
+    def test_relative_accuracy(self, theta, k):
+        want = stats.poisson.sf(k - 1, theta)
+        assert poisson_tail(theta, k) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 class TestErlang:
@@ -90,6 +101,37 @@ class TestCompoundPoissonPmf:
         for k, th in [(0, 0.3), (3, 1.2), (7, 2.0)]:
             want = th**k / math.factorial(k) * math.exp(-th)
             assert cpois_pmf_polyrec(th, q, k) == pytest.approx(want, rel=1e-13)
+
+    def test_polyrec_matches_loop_reference(self):
+        # the criterion-c05 jump laws against the per-j loop the matrix form replaced
+        def loop_polyrec(theta, q, k):
+            coeffs = [np.array([1.0])]
+            for kk in range(1, k + 1):
+                c = np.zeros(kk + 1)
+                for j in range(kk):
+                    if q.q(kk - j) == 0.0:
+                        continue
+                    cj = coeffs[j]
+                    integ = np.zeros(cj.size + 1)
+                    integ[1:] = cj / np.arange(1, cj.size + 1)
+                    c[: integ.size] += q.q(kk - j) * integ
+                coeffs.append(c)
+            value = 0.0
+            for a in coeffs[k][::-1]:
+                value = value * theta + a
+            return math.exp(-theta * (1.0 - q.q(0))) * value
+
+        rng = RngStream(20260810, 5)
+        for i in range(50):
+            gen = rng.substream(i).generator()
+            q_raw = gen.random(6) * (gen.random(6) < 0.7)
+            if q_raw.sum() == 0:
+                q_raw[1] = 1.0
+            q = LatticeDistribution(q_raw / q_raw.sum())
+            theta = float(gen.uniform(0.05, 5.0))
+            for k in range(51):
+                want = loop_polyrec(theta, q, k)
+                assert cpois_pmf_polyrec(theta, q, k) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_three_routes_agree(self):
         rng = RngStream(31)

@@ -157,6 +157,16 @@ class TestSingletonGroundSpace:
         truth = float(poisson_pmf(theta, k - 1))
         assert abs(est.estimate - truth) < 4.0 * est.stderr
 
+    def test_second_derivative(self):
+        # d^2/dtheta^2 P(N >= 2) = (1 - theta) e^-theta
+        from pivotal.point_process import count_event
+
+        lam = IntensityMeasure.singleton()
+        theta = 0.5
+        est = higher_derivative_estimator(count_event(2), lam, theta, 2, 2000, RngStream(1))
+        truth = (1.0 - theta) * math.exp(-theta)
+        assert abs(est.mean - truth) < 4.0 * est.stderr
+
 
 class TestPointEstimator:
     def test_agrees_with_location_form(self):

@@ -282,6 +282,12 @@ class TestConfiguration:
         bigger = phi.add_atom([])
         assert bigger.count == phi.count + 1
 
+    def test_singleton_add_atoms(self):
+        # points of the one-point ground space have no coordinates
+        assert PointConfiguration.empty(0).add_atoms([[], []]).count == 2
+        assert PointConfiguration.of(0, np.empty((3, 0))).count == 3
+        assert PointConfiguration.of(0, []).count == 0
+
     def test_restrict(self):
         phi = PointConfiguration.of(2, [[0.1, 0.1], [0.9, 0.9]])
         inner = phi.restrict(box_region([0.0, 0.0], [0.5, 0.5]))

@@ -34,9 +34,12 @@ class TestGaussLegendre:
             want = integ(1.3) - integ(-0.7)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_scalar_fallback(self):
-        got = gauss_legendre(lambda x: float(x) ** 2, 0.0, 1.0, 8)
-        assert got == pytest.approx(1.0 / 3.0, abs=1e-14)
+    def test_scalar_integrand_raises(self):
+        # no point-by-point retry: the error names the expected shape
+        with pytest.raises(TypeError):
+            gauss_legendre(lambda x: float(x) ** 2, 0.0, 1.0, 8)
+        with pytest.raises(TypeError, match=r"shape \(8,\)"):
+            gauss_legendre(lambda x: 1.0, 0.0, 1.0, 8)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -45,32 +48,140 @@ class TestGaussLegendre:
 
 class TestAdaptiveSimpson:
     def test_closed_forms(self):
-        assert adaptive_simpson(lambda x: math.exp(-x), 0.0, 1.0, tol=1e-12) == pytest.approx(
+        assert adaptive_simpson(lambda x: np.exp(-x), 0.0, 1.0, tol=1e-12) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-12
         )
         assert adaptive_simpson(lambda x: x**3, 0.0, 1.0, tol=1e-12) == pytest.approx(0.25, abs=1e-13)
-        assert adaptive_simpson(lambda x: 1.0, 2.0, 3.5, tol=1e-12) == pytest.approx(1.5, abs=1e-13)
+        assert adaptive_simpson(np.ones_like, 2.0, 3.5, tol=1e-12) == pytest.approx(1.5, abs=1e-13)
 
     def test_empty_interval(self):
         assert adaptive_simpson(lambda x: x, 1.0, 1.0) == 0.0
 
     def test_depth_reported(self):
-        val, depth = adaptive_simpson(lambda x: math.sin(20 * x), 0.0, 3.0, tol=1e-11, full_output=True)
+        val, depth = adaptive_simpson(lambda x: np.sin(20 * x), 0.0, 3.0, tol=1e-11, full_output=True)
         assert val == pytest.approx((1 - math.cos(60.0)) / 20.0, abs=1e-10)
         assert depth >= 1
 
     def test_jump_integrand(self):
-        val = adaptive_simpson(lambda x: 1.0 if x > 0.3 else 0.0, 0.0, 1.0, tol=1e-9)
+        val = adaptive_simpson(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, tol=1e-9)
         assert val == pytest.approx(0.7, abs=1e-8)
 
     def test_unresolvable_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda x: 1.0 if x > 1 / math.pi else 0.0, 0.0, 1.0,
+            adaptive_simpson(lambda x: np.where(x > 1 / math.pi, 1.0, 0.0), 0.0, 1.0,
                              tol=1e-13, max_depth=6)
 
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda x: math.inf if abs(x) < 0.1 else 1.0, -1.0, 1.0, tol=1e-8)
+            adaptive_simpson(lambda x: np.where(np.abs(x) < 0.1, np.inf, 1.0), -1.0, 1.0, tol=1e-8)
+
+    def test_scalar_integrand_raises(self):
+        with pytest.raises(TypeError, match=r"shape \(3,\)"):
+            adaptive_simpson(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            adaptive_simpson(lambda x: math.exp(-x), 0.0, 1.0)
+
+    def test_one_integrand_call_per_level(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.sin(20 * x)
+
+        _, depth = adaptive_simpson(f, 0.0, 3.0, tol=1e-11, full_output=True)
+        # the three initial nodes, then one batch of midpoints per level
+        assert len(calls) == depth + 1
+        assert calls[0] == 3 and calls[1] == 2
+
+
+def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40, full_output=False):
+    """Depth-first adaptive Simpson, one scalar integrand call per node: the
+    reference the breadth-first refinement must match to the bit."""
+    if a == b:
+        return (0.0, 0) if full_output else 0.0
+
+    def _eval(x):
+        v = float(f(x))
+        if not math.isfinite(v):
+            raise QuadratureError(f"non-finite integrand at x={x!r}")
+        return v
+
+    def _simpson(fa, fm, fb, a, b):
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    depth_used = 0
+    unconverged = 0.0
+
+    def _recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        nonlocal depth_used, unconverged
+        xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
+        xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
+        fl = _eval(xm_l)
+        fr = _eval(xm_r)
+        x1 = 0.5 * (x0 + x2)
+        left = _simpson(f0, fl, f1, x0, x1)
+        right = _simpson(f1, fr, f2, x1, x2)
+        err = left + right - whole
+        if abs(err) <= 15.0 * eps:
+            depth_used = max(depth_used, depth)
+            return left + right + err / 15.0
+        if depth >= max_depth:
+            depth_used = depth
+            unconverged += abs(err)
+            return left + right + err / 15.0
+        return _recurse(x0, x1, f0, fl, f1, left, 0.5 * eps, depth + 1) + _recurse(
+            x1, x2, f1, fr, f2, right, 0.5 * eps, depth + 1
+        )
+
+    f0, f1, f2 = _eval(a), _eval(0.5 * (a + b)), _eval(b)
+    whole = _simpson(f0, f1, f2, a, b)
+    value = _recurse(a, b, f0, f1, f2, whole, tol, 1)
+    if unconverged > tol:
+        raise QuadratureError(f"unresolved error {unconverged:.3e} > tol {tol:.3e}")
+    return (value, depth_used) if full_output else value
+
+
+def _pointwise(g):
+    """An array integrand that calls the scalar ``g`` once per node."""
+    return lambda x: np.array([g(float(t)) for t in x])
+
+
+class TestBreadthFirstMatchesRecursion:
+    """Given the same integrand values, the breadth-first refinement reaches
+    the recursion's leaves and sums them in its tree: value and depth agree
+    with ``==``."""
+
+    @pytest.mark.parametrize("g, a, b, tol, max_depth", [
+        (lambda x: x**3 - 2.0 * x + 1.0, 0.0, 1.7, 1e-12, 40),
+        (lambda x: x**7 - 3.0 * x**4 + 0.5, -1.2, 0.9, 1e-12, 40),
+        (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1e-11, 40),
+        (lambda x: (x + 2.0) / (x * x + 0.01), -1.0, 2.0, 1e-10, 40),
+        (lambda x: 1.0 if x > 0.3 else 0.0, 0.0, 1.0, 1e-9, 40),
+        # intervals cut off at max_depth whose unresolved error stays within tol
+        (lambda x: 1.0 if x > 1 / math.pi else 0.0, 0.0, 1.0, 1e-4, 12),
+    ])
+    def test_same_value_and_depth(self, g, a, b, tol, max_depth):
+        want = _recursive_simpson(g, a, b, tol=tol, max_depth=max_depth, full_output=True)
+        got = adaptive_simpson(_pointwise(g), a, b, tol=tol, max_depth=max_depth, full_output=True)
+        assert got == want
+
+    def test_max_depth_raises_in_both(self):
+        g = lambda x: 1.0 if x > 1 / math.pi else 0.0
+        with pytest.raises(QuadratureError):
+            _recursive_simpson(g, 0.0, 1.0, tol=1e-13, max_depth=6)
+        with pytest.raises(QuadratureError):
+            adaptive_simpson(_pointwise(g), 0.0, 1.0, tol=1e-13, max_depth=6)
+
+    def test_binomial_beta_kernel_grid(self):
+        # the incomplete-beta integrals of criterion c02, k <= n <= 30
+        for n in range(1, 31):
+            for k in range(1, n + 1):
+                prefac = math.exp(math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1))
+                g = lambda t: prefac * t ** (k - 1) * (1.0 - t) ** (n - k)
+                for p in (0.1, 0.5, 0.9):
+                    want = _recursive_simpson(g, 0.0, p, tol=1e-12, full_output=True)
+                    got = adaptive_simpson(_pointwise(g), 0.0, p, tol=1e-12, full_output=True)
+                    assert got == want, (n, k, p)
 
 
 class TestPowerSingular:
