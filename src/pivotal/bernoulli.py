@@ -165,21 +165,29 @@ def _signed_pivotal_by_popcount(event: BooleanEvent) -> tuple[np.ndarray, np.nda
     return eplus, eminus
 
 
-def russo_derivative(event: BooleanEvent, theta: float) -> float:
+def russo_derivative(event: BooleanEvent, theta):
     """Exact E_theta[N+ - N-]; equals d/dtheta of the event probability."""
-    est = russo_pivotal_expectations(event, theta)
-    return est[0] - est[1]
+    plus, minus = russo_pivotal_expectations(event, theta)
+    return plus - minus
 
 
-def russo_pivotal_expectations(event: BooleanEvent, theta: float) -> tuple[float, float]:
-    """(E_theta N+, E_theta N-) by exact enumeration."""
+def russo_pivotal_expectations(event: BooleanEvent, theta):
+    """(E_theta N+, E_theta N-) by exact enumeration, done once for an array of
+    thetas; a scalar theta gives two floats, each equal to the array entry."""
     m = event.nbits
     eplus, eminus = _signed_pivotal_by_popcount(event)
+    theta = np.asarray(theta, dtype=float)
     j = np.arange(m + 1)
+    t = theta[..., None]
     with np.errstate(invalid="ignore"):
-        w = theta**j * (1.0 - theta) ** (m - j)
-    w = np.where(np.isfinite(w), w, 0.0)
-    return float(np.dot(eplus, w)), float(np.dot(eminus, w))
+        w = t**j * (1.0 - t) ** (m - j)
+    w = np.where(np.isfinite(w), w, 0.0).reshape(-1, m + 1)
+    # one dot per theta: a matrix product would sum in a different order
+    plus = np.array([np.dot(eplus, row) for row in w]).reshape(theta.shape)
+    minus = np.array([np.dot(eminus, row) for row in w]).reshape(theta.shape)
+    if theta.ndim == 0:
+        return float(plus), float(minus)
+    return plus, minus
 
 
 # -- event builders ---------------------------------------------------------

@@ -4,7 +4,8 @@ Usage: ``pivotal --config cfg.json --out results/ [--seed N] [--suite name ...]`
 
 The config is JSON with top-level keys ``seed`` (required), ``reps``,
 ``suites`` (list), ``tolerances`` (optional overrides) and one optional block
-per suite with suite-specific parameters.  One CSV row is written per check
+per suite with suite-specific parameters; ``load_config`` rejects unknown
+keys, wrong types and out-of-range values.  One CSV row is written per check
 plus a JSON summary, both replacing any earlier reports in the output
 directory; reruns with the same config and seed produce byte-identical
 output.  Exit codes are listed in ``EXIT_CODES``.
@@ -15,12 +16,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
+from .bernoulli import MAX_EXACT_BITS
+from .geometry import body_dim
 from .point_process import DeclarationError
 from .quadrature import QuadratureError
-from .suites import SUITES, CheckResult, SuiteConfig
+from .suites import SUITES, CheckResult, SuiteConfig, parse_density, parse_shape
 
 CSV_HEADER = ["suite", "check_id", "param_json", "lhs", "rhs",
               "lhs_stderr", "rhs_stderr", "z_or_gap", "threshold", "pass"]
@@ -49,6 +53,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, lo=0.0, hi=math.inf) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
+
+
+def _count(lo, hi=math.inf):
+    return (lambda v: isinstance(v, int) and _number(v, lo, hi)), f"an integer in [{lo}, {hi}]"
+
+
+# the keys a suite block may set: key -> (is_valid(value), what the value must be)
+_SUITE_OPTIONS = {
+    "identities": {},
+    "russo": {"events": _count(1, 1000), "max_bits": _count(2, MAX_EXACT_BITS),
+              "thetas": (lambda v: isinstance(v, list) and len(v) > 0 and all(_number(x, 0, 1) for x in v),
+                         "a nonempty list of numbers in [0, 1]")},
+    "poisson-derivative": {"reps": _count(2)},
+    "stable": {"samples": _count(2), "radvec_reps": _count(100)},
+    "crofton": {"reps": _count(2), "m": _count(1), "t": (_number, "a nonnegative number"),
+                "shape": (lambda v: isinstance(v, dict) and body_dim(parse_shape(v)) == 2, "a planar shape"),
+                "h": (lambda v: isinstance(v, str) and parse_density(v) is not None, "a density spec")},
+}
+
+
 def load_config(path: str | Path, seed_override: int | None = None,
                 suites_override: list[str] | None = None) -> tuple[SuiteConfig, list[str]]:
     try:
@@ -65,12 +91,14 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError("seed must be an integer")
 
     reps = raw.get("reps", 20000)
-    if not isinstance(reps, int) or reps <= 0:
-        raise ConfigError("reps must be a positive integer")
+    if not (isinstance(reps, int) and _number(reps, 2)):
+        raise ConfigError("reps must be an integer >= 2")
 
     names = suites_override if suites_override else raw.get("suites", [])
     if isinstance(names, str):
         names = [names]
+    if not isinstance(names, list):
+        raise ConfigError("suites must be a list of suite names")
     if "all" in names:
         names = list(SUITES)
     if not names:
@@ -79,12 +107,29 @@ def load_config(path: str | Path, seed_override: int | None = None,
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
 
-    cfg = SuiteConfig(seed=seed, reps=reps,
-                      options={k: v for k, v in raw.items()
-                               if k not in ("seed", "reps", "suites", "tolerances")})
-    for key, value in raw.get("tolerances", {}).items():
+    options = {k: v for k, v in raw.items() if k not in ("seed", "reps", "suites", "tolerances")}
+    for suite, block in options.items():
+        if suite not in SUITES or not isinstance(block, dict):
+            raise ConfigError(f"config key {suite!r} is neither a setting nor a suite block")
+        for key, value in block.items():
+            if key not in _SUITE_OPTIONS[suite]:
+                raise ConfigError(f"unknown key {key!r} in block {suite!r}")
+            valid, expected = _SUITE_OPTIONS[suite][key]
+            try:
+                ok = valid(value)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{suite}.{key}: {exc}") from exc
+            if not ok:
+                raise ConfigError(f"{suite}.{key} must be {expected}")
+    cfg = SuiteConfig(seed=seed, reps=reps, options=options)
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("tolerances must be an object")
+    for key, value in tolerances.items():
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}")
+        if not _number(value):
+            raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
         setattr(cfg, _TOLERANCE_KEYS[key], float(value))
     return cfg, list(names)
 
@@ -130,9 +175,6 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None,
         except (DeclarationError, QuadratureError) as exc:
             print(f"check error in suite {name}: {exc}", file=sys.stderr)
             return 3
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         rows.extend(suite_rows)
         if verbose:
             bad = [r for r in suite_rows if not r.passed]

@@ -17,17 +17,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .point_process import IntensityMeasure, PointConfiguration, Statistic, sample_binomial, sample_poisson
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, _gl_nodes
 from .rng import RngStream, _rekey
-
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gl_cache:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _gl_cache[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _gl_cache[n]
+from .summaries import mean_stderr, zscore
 
 
 # -- shapes -------------------------------------------------------------------
@@ -227,7 +219,8 @@ def bounding_box(body: ConvexBody, pad: float = 0.0) -> np.ndarray:
 
 
 def _affine_patch(p0, e1, e2, n):
-    u, wu = _gl01(n)
+    x, w = _gl_nodes(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
     U, V = np.meshgrid(u, u, indexing="ij")
     pts = p0 + U.ravel()[:, None] * e1 + V.ravel()[:, None] * e2
@@ -235,7 +228,8 @@ def _affine_patch(p0, e1, e2, n):
 
 
 def _sector_patch(center, rho0, rho1, phi0, phi1, n):
-    u, wu = _gl01(n)
+    x, w = _gl_nodes(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
     phi = phi0 + u * (phi1 - phi0)
     rho = rho0 + u * (rho1 - rho0)
     P, R = np.meshgrid(phi, rho, indexing="ij")
@@ -245,7 +239,8 @@ def _sector_patch(center, rho0, rho1, phi0, phi1, n):
 
 
 def _triangle_patch(a, b, c, n):
-    u, wu = _gl01(n)
+    x, w = _gl_nodes(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
     U, V = np.meshgrid(u, u, indexing="ij")
     jac2 = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
     pts = a + U.ravel()[:, None] * (
@@ -330,13 +325,15 @@ def parallel_mass(body: ConvexBody, t: float, h=None, tol: float = 1e-9) -> floa
 
 
 def _line_nodes(p0, p1, n):
-    u, wu = _gl01(n)
+    x, w = _gl_nodes(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
     pts = p0 + u[:, None] * (p1 - p0)
     return pts, wu * float(np.linalg.norm(p1 - p0))
 
 
 def _arc_nodes(center, radius, phi0, phi1, n):
-    u, wu = _gl01(n)
+    x, w = _gl_nodes(n)
+    u, wu = 0.5 * (x + 1.0), 0.5 * w
     phi = phi0 + u * (phi1 - phi0)
     pts = np.stack([center[0] + radius * np.cos(phi), center[1] + radius * np.sin(phi)], axis=1)
     return pts, wu * radius * (phi1 - phi0)
@@ -450,16 +447,6 @@ class CroftonReport:
     reps: int
 
 
-def _zscore(gap: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if gap == 0.0 else math.inf
-    return gap / se
-
-
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
-
-
 def crofton_poisson_check(
     g: Statistic,
     body: ConvexBody,
@@ -502,7 +489,7 @@ def crofton_poisson_check(
     for i in range(reps):
         eta = sample_poisson(mu_plus, _rekey(gen, lhs_rng.substream(i)))
         vals[i] = (g.value(eta) - g.value(eta.restrict(region_minus))) / denom
-    lhs, lhs_se = _mean_se(vals)
+    lhs, lhs_se = mean_stderr(vals)
 
     hval = (lambda pts: np.ones(pts.shape[0])) if h is None else h
     if isinstance(body, Segment) and t == 0.0:
@@ -526,9 +513,9 @@ def crofton_poisson_check(
             for p, w in zip(pts, wh):
                 acc += w * (g.value(eta.add_atom(p)) - base)
             cvals[j] = acc
-        rhs, rhs_se = _mean_se(cvals)
+        rhs, rhs_se = mean_stderr(cvals)
 
-    z = _zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
+    z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
     return CroftonReport(lhs, lhs_se, rhs, rhs_se, z, delta, reps)
 
 
@@ -572,7 +559,7 @@ def crofton_binomial_check(
         vals = np.empty(reps)
         for i in range(reps):
             vals[i] = g.value(sample_binomial(mu, m, _rekey(gen, stream.substream(i))))
-        return _mean_se(vals)
+        return mean_stderr(vals)
 
     up, up_se = mean_g_at(t + delta, rng.substream(0))
     down, down_se = mean_g_at(tminus, rng.substream(1))
@@ -595,9 +582,9 @@ def crofton_binomial_check(
         for p, w in zip(pts, wh):
             acc += w * (g.value(xi_m1.add_atom(p)) - base)
         cvals[j] = acc
-    rhs, rhs_se = _mean_se(cvals)
+    rhs, rhs_se = mean_stderr(cvals)
     rhs *= m / mass_t
     rhs_se *= m / mass_t
 
-    z = _zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
+    z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
     return CroftonReport(lhs, lhs_se, rhs, rhs_se, z, delta, reps)

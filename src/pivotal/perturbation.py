@@ -23,12 +23,7 @@ from .point_process import (
     total_mass,
 )
 from .rng import RngStream, _rekey
-
-
-def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
-    mean = float(np.sum(vals) / vals.size)
-    var = float(np.sum((vals - mean) ** 2) / (vals.size - 1)) if vals.size > 1 else 0.0
-    return mean, math.sqrt(var / vals.size)
+from .summaries import mean_stderr
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ def expectation_mc(g: Statistic, mu: IntensityMeasure, reps: int, rng: RngStream
     gen = rng.generator()
     for i in range(reps):
         vals[i] = g.value(sample_poisson(mu, _rekey(gen, rng.substream(i))))
-    mean, se = _mean_stderr(vals)
+    mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)
 
 
@@ -119,7 +114,7 @@ def perturbation_series(
             zs = sample_binomial(nu, k, _rekey(gen, stream)).points
             eta = sample_poisson(lam, _rekey(gen, stream.substream(1)))
             vals[i] = iterated_difference(g, eta, zs)
-        mean, se = _mean_stderr(vals)
+        mean, se = mean_stderr(vals)
         weight = theta**k / math.factorial(k) * nu_mass**k
         terms.append(SeriesTerm(k, weight, mean, se))
         estimate += weight * mean
@@ -169,12 +164,12 @@ def derivative_location_estimator(
         vals[i] = lam_mass * (after - before)
         if plus is not None:
             plus[i] = lam_mass * (1.0 if (after == 1.0 and before == 0.0) else 0.0)
-    mean, se = _mean_stderr(vals)
+    mean, se = mean_stderr(vals)
     if plus is None:
         return DerivativeEstimate(mean, se, reps)
     minus = plus - vals  # N- contribution = N+ - signed value
-    pm, pse = _mean_stderr(plus)
-    mm, mse = _mean_stderr(minus)
+    pm, pse = mean_stderr(plus)
+    mm, mse = mean_stderr(minus)
     return DerivativeEstimate(mean, se, reps, pm, pse, mm, mse)
 
 
@@ -219,8 +214,8 @@ def derivative_point_estimator(
                     a += 1.0
         removed[i] = r / theta
         added[i] = a / theta
-    rm, rse = _mean_stderr(removed)
-    am, ase = _mean_stderr(added)
+    rm, rse = mean_stderr(removed)
+    am, ase = mean_stderr(added)
     return PivotalPointEstimate(rm, rse, am, ase, reps)
 
 
@@ -241,5 +236,5 @@ def higher_derivative_estimator(
         zs = sample_binomial(lam, k, _rekey(gen, stream)).points
         eta = sample_poisson(scaled, _rekey(gen, stream.substream(1)))
         vals[i] = lam_mass**k * iterated_difference(g, eta, zs)
-    mean, se = _mean_stderr(vals)
+    mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)

@@ -34,8 +34,7 @@ class QuadratureError(RuntimeError):
 
 
 def _gl_nodes(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    if npoints not in _GL_SIZES:
-        raise ValueError(f"npoints must be one of {_GL_SIZES}, got {npoints}")
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
     if npoints not in _gl_cache:
         _gl_cache[npoints] = np.polynomial.legendre.leggauss(npoints)
     return _gl_cache[npoints]
@@ -72,6 +71,8 @@ def gauss_legendre(f: Callable, a: float, b: float, npoints: int = 32) -> float:
     """
     if not a < b:
         raise ValueError("require a < b")
+    if npoints not in _GL_SIZES:
+        raise ValueError(f"npoints must be one of {_GL_SIZES}, got {npoints}")
     x, w = _gl_nodes(npoints)
     y = 0.5 * (b - a) * x + 0.5 * (a + b)
     return 0.5 * (b - a) * float(np.dot(w, _eval_nodes(f, y)))

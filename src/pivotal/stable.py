@@ -36,12 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gammaln
 
-from .quadrature import adaptive_simpson, power_singular_integral
+from .quadrature import _gl_nodes, adaptive_simpson, power_singular_integral
 from .rng import RngStream
+from .summaries import mean_stderr
 
 _BATCH_ELEMENTS = 4_000_000
 _CHUNK_ELEMENTS = 1 << 16
-_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 class EnvelopeError(ValueError):
@@ -472,7 +472,7 @@ def _radial_nodes(alpha: float, eps: float, smax: float, piece_len: float = 1.5)
     """Radial quadrature nodes/weights for alpha * s^(-alpha-1) ds on [eps, smax],
     log-substituted on both sides of s = 1.  Returns (s, w) with
     sum w_i g(s_i) ~ int_eps^smax g(s) alpha s^(-alpha-1) ds."""
-    glx, glw = _GL16
+    glx, glw = _gl_nodes(16)
     ss, ww = [], []
 
     def add(u0, u1, sign):
@@ -579,9 +579,7 @@ def radvec_residual(
         integral += f_r * tail_start**-alpha  # bracket -> P(|xi| <= r) past the cutoff
         rhs_blocks[b] = alpha * theta * integral
 
-    resid = lhs_blocks - rhs_blocks
-    mean = float(resid.mean())
-    stderr = float(resid.std(ddof=1) / math.sqrt(nblocks))
+    mean, stderr = mean_stderr(lhs_blocks - rhs_blocks)
     lhs = float(lhs_blocks.mean())
     rhs = float(rhs_blocks.mean())
     flip = abs(lhs + rhs) < abs(lhs - rhs)
@@ -616,8 +614,5 @@ def _alphadens1_mc(alpha, theta, x, reps, rng, trunc_tol, nterms):
         integral = float(np.dot(s_weights, incr)) + f_x * x**-alpha
         rhs_blocks[b] = alpha * theta * integral
 
-    resid = lhs_blocks - rhs_blocks
-    return IdentityResidual(
-        float(lhs_blocks.mean()), float(rhs_blocks.mean()),
-        float(resid.mean()), float(resid.std(ddof=1) / math.sqrt(nblocks)),
-    )
+    return IdentityResidual(float(lhs_blocks.mean()), float(rhs_blocks.mean()),
+                            *mean_stderr(lhs_blocks - rhs_blocks))

@@ -1,10 +1,12 @@
-"""Check suites behind the command-line runner.
+"""Check suites: the one definition of every check.
 
-Every check produces one CheckResult row.  Deterministic checks compare a
-gap against an absolute tolerance; Monte Carlo checks compare a z-score
-against a z threshold (default 4); KS-type checks compare a p-value against
-a floor.  Seeds are derived per suite and per check from the master seed, in
-a fixed order, so reruns are byte-identical.
+Each ``check_*`` function takes the RngStream it draws from, in a fixed
+substream layout, and its cases, replication counts and bounds, and returns
+one CheckResult row per case.  Its callers are the ``run_*`` suites of the
+command-line runner, with the config's values and streams derived from
+``SuiteConfig.rng(suite)``, and the acceptance gate, with its own.  A row
+compares a gap with a tolerance, a z-score with a z threshold, or a KS
+p-value with a floor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import perturbation as pert
 from . import stable as stb
 from .point_process import IntensityMeasure, Statistic, ball_region, box_region, hit_indicator, void_indicator
 from .rng import RngStream
-from .summaries import ks_two_sample
+from .summaries import ks_two_sample, zscore
 
 SUITE_INDEX = {"identities": 1, "russo": 2, "poisson-derivative": 3, "stable": 4, "crofton": 5}
 
@@ -47,13 +49,18 @@ def _gap_row(suite, check_id, params, lhs, rhs, tol) -> CheckResult:
 
 
 def _z_row(suite, check_id, params, lhs, rhs, lse, rse, zmax) -> CheckResult:
-    se = math.hypot(lse, rse)
-    z = 0.0 if (se == 0.0 and lhs == rhs) else (math.inf if se == 0.0 else (lhs - rhs) / se)
+    z = zscore(lhs - rhs, math.hypot(lse, rse))
     return CheckResult(suite, check_id, params, lhs, rhs, lse, rse, z, zmax, abs(z) <= zmax)
 
 
 def _p_row(suite, check_id, params, stat, pvalue, floor) -> CheckResult:
     return CheckResult(suite, check_id, params, stat, 0.0, 0.0, 0.0, pvalue, floor, pvalue > floor)
+
+
+def _crofton_row(check_id, params, rep: geo.CroftonReport, zmax, rhs_ok: bool = True) -> CheckResult:
+    """z row of a Crofton check; ``rhs_ok``: its boundary side matches a closed form."""
+    return CheckResult("crofton", check_id, params, rep.lhs, rep.rhs, rep.lhs_stderr,
+                       rep.rhs_stderr, rep.z, zmax, abs(rep.z) <= zmax and rhs_ok)
 
 
 @dataclass
@@ -80,156 +87,311 @@ class SuiteConfig:
 # -- identities ---------------------------------------------------------------
 
 
-def run_identities(cfg: SuiteConfig) -> list[CheckResult]:
+def check_binomial_identity(cases, tol) -> list[CheckResult]:
+    """Binomial tail against its incomplete-beta integral, per (n, k, p)."""
     rows = []
-    tol = cfg.tol_identity
-    for n, k, p in [(2, 1, 0.5), (10, 3, 0.1), (10, 3, 0.9), (25, 1, 0.5), (30, 15, 0.5), (30, 30, 0.9)]:
+    for n, k, p in cases:
         rep = bn.identity_report_binomial(n, k, p)
         rows.append(_gap_row("identities", "binomial_tail_vs_beta_integral",
                              {"n": n, "k": k, "p": p}, rep.tail, rep.integral, tol))
-    for r, k, p in [(1, 1, 0.5), (3, 5, 0.3), (10, 10, 0.5), (20, 20, 0.9)]:
+    return rows
+
+
+def check_negbin_identity(cases, tol, overshoot_tol) -> list[CheckResult]:
+    """Negative-binomial integral against the binomial tail, the head sum below
+    k, and the sum through k less the k-th mass, per (r, k, p); and that sum's
+    overshoot exceeding ``tol`` at (1, 1, 1/2), where the two sums differ."""
+    rows = []
+    for r, k, p in cases:
         rep = bn.identity_report_negbin(r, k, p)
+        params = {"r": r, "k": k, "p": p}
         rows.append(_gap_row("identities", "negbin_binomial_tail_vs_integral",
-                             {"r": r, "k": k, "p": p}, rep.binomial_tail, rep.integral, tol))
+                             params, rep.binomial_tail, rep.integral, tol))
         rows.append(_gap_row("identities", "negbin_sum_below_k_vs_integral",
-                             {"r": r, "k": k, "p": p}, rep.nb_sum_below_k, rep.integral, tol))
-        # the sum through k overshoots by exactly the k-th mass (documented
-        # discrepancy); the check verifies the overshoot is that mass
-        rows.append(_gap_row("identities", "negbin_sum_through_k_overshoot",
-                             {"r": r, "k": k, "p": p},
-                             rep.nb_sum_through_k - rep.integral, bn.negbin_pmf(r, p, k), 1e-12))
-    for theta, k in [(0.5, 1), (2.0, 3), (20.0, 30)]:
-        rows.append(_gap_row("identities", "poisson_tail_vs_integral", {"theta": theta, "k": k},
-                             idn.poisson_tail(theta, k), idn.poisson_tail_integral(theta, k), tol))
-    for n, theta, x in [(1, 2.0, 0.5), (3, 1.5, 2.0), (30, 20.0, 10.0)]:
+                             params, rep.nb_sum_below_k, rep.integral, tol))
+        rows.append(_gap_row("identities", "negbin_sum_through_k_overshoot", params,
+                             rep.nb_sum_through_k - rep.integral, bn.negbin_pmf(r, p, k),
+                             overshoot_tol))
+    rep = bn.identity_report_negbin(1, 1, 0.5)
+    rows.append(CheckResult("identities", "negbin_sum_through_k_exceeds_integral",
+                            {"r": 1, "k": 1, "p": 0.5}, rep.nb_sum_through_k, rep.integral,
+                            0.0, 0.0, rep.gap_through_k, tol, rep.gap_through_k > tol))
+    return rows
+
+
+def check_poisson_erlang(tail_cases, erlang_cases, tol) -> list[CheckResult]:
+    """Poisson tail against its gamma-kernel integral, per (theta, k), and the
+    Erlang CDF three ways (direct, integral, Poisson tail), per (n, theta, x)."""
+    rows = [_gap_row("identities", "poisson_tail_vs_integral", {"theta": theta, "k": k},
+                     idn.poisson_tail(theta, k), idn.poisson_tail_integral(theta, k), tol)
+            for theta, k in tail_cases]
+    for n, theta, x in erlang_cases:
         direct, via_int, via_po = idn.erlang_cdf(n, theta, x)
         gap = max(abs(direct - via_int), abs(direct - via_po), abs(via_int - via_po))
         rows.append(CheckResult("identities", "erlang_three_way", {"n": n, "theta": theta, "x": x},
                                 direct, via_po, 0.0, 0.0, gap, tol, gap <= tol))
-    q1 = idn.LatticeDistribution.uniform([1, 2])
-    q2 = idn.LatticeDistribution.from_dict({0: 0.2, 1: 0.3, 3: 0.5})
-    for name, q, theta, k in [("uniform12", q1, 1.0, 25), ("mixed03", q2, 2.5, 25)]:
-        direct = idn.cpois_pmf_direct(theta, q, k)
-        panjer = idn.cpois_pmf_panjer(theta, q, k)
-        rel = abs(direct - panjer) / max(abs(panjer), 1e-300)
-        rows.append(CheckResult("identities", "cpois_direct_vs_panjer",
-                                {"q": name, "theta": theta, "k": k},
-                                direct, panjer, 0.0, 0.0, rel, cfg.tol_relative, rel <= cfg.tol_relative))
-    poly = idn.cpois_pmf_polyrec(2.5, q2, 20)
-    pan = idn.cpois_pmf_panjer(2.5, q2, 20)
-    rel = abs(poly - pan) / max(abs(pan), 1e-300)
-    rows.append(CheckResult("identities", "cpois_polyrec_vs_panjer", {"q": "mixed03", "theta": 2.5, "k": 20},
-                            poly, pan, 0.0, 0.0, rel, cfg.tol_relative, rel <= cfg.tol_relative))
-    for q, theta, x in [(q1, 1.0, 3.0), (q2, 2.0, 4.0)]:
-        resid = idn.cpois_cdf_ode_residual(theta, q, x, 1e-3)
-        rows.append(_gap_row("identities", "cpois_cdf_rate_equation",
-                             {"theta": theta, "x": x}, resid, 0.0, cfg.tol_ode))
     return rows
+
+
+def _random_jump_law(gen: np.random.Generator) -> idn.LatticeDistribution:
+    q_raw = gen.random(6) * (gen.random(6) < 0.7)
+    if q_raw.sum() == 0:
+        q_raw[1] = 1.0
+    return idn.LatticeDistribution(q_raw / q_raw.sum())
+
+
+def check_compound_poisson(rng: RngStream, nlaws, kmax, nrate, tol_relative, tol_ode) -> list[CheckResult]:
+    """Direct sum and polynomial recursion against Panjer (worst relative gap
+    over k <= kmax) on random jump laws (stream i), and the CDF rate-equation
+    residual at step 1e-3 on others (stream 1000 + i)."""
+    rows = []
+    for i in range(nlaws):
+        gen = rng.substream(i).generator()
+        q = _random_jump_law(gen)
+        theta = float(gen.uniform(0.05, 5.0))
+        pan = idn.panjer_pmfs(theta, q, kmax)
+        for check_id, route in (("cpois_direct_vs_panjer", idn.cpois_pmf_direct),
+                                ("cpois_polyrec_vs_panjer", idn.cpois_pmf_polyrec)):
+            vals = np.array([route(theta, q, k) for k in range(kmax + 1)])
+            rel = np.abs(vals - pan) / np.maximum(np.abs(pan), 1e-300)
+            k = int(np.argmax(rel))
+            rows.append(CheckResult("identities", check_id, {"law": i, "theta": theta, "k": k},
+                                    float(vals[k]), float(pan[k]), 0.0, 0.0, float(rel[k]),
+                                    tol_relative, bool(rel[k] <= tol_relative)))
+    for i in range(nrate):
+        gen = rng.substream(1000 + i).generator()
+        q = _random_jump_law(gen)
+        theta, x = float(gen.uniform(0.1, 5.0)), float(gen.uniform(0.0, 8.0))
+        rows.append(_gap_row("identities", "cpois_cdf_rate_equation", {"law": 1000 + i, "theta": theta, "x": x},
+                             idn.cpois_cdf_ode_residual(theta, q, x, 1e-3), 0.0, tol_ode))
+    return rows
+
+
+def run_identities(cfg: SuiteConfig) -> list[CheckResult]:
+    tol = cfg.tol_identity
+    return (check_binomial_identity([(2, 1, 0.5), (10, 3, 0.1), (10, 3, 0.9), (25, 1, 0.5),
+                                     (30, 15, 0.5), (30, 30, 0.9)], tol)
+            + check_negbin_identity([(1, 1, 0.5), (3, 5, 0.3), (10, 10, 0.5), (20, 20, 0.9)],
+                                    tol, overshoot_tol=1e-12)
+            + check_poisson_erlang([(0.5, 1), (2.0, 3), (20.0, 30)],
+                                   [(1, 2.0, 0.5), (3, 1.5, 2.0), (30, 20.0, 10.0)], tol)
+            + check_compound_poisson(cfg.rng("identities"), nlaws=1, kmax=25, nrate=2,
+                                     tol_relative=cfg.tol_relative, tol_ode=cfg.tol_ode))
 
 
 # -- russo --------------------------------------------------------------------
 
 
-def run_russo(cfg: SuiteConfig) -> list[CheckResult]:
-    opts = cfg.suite_options("russo")
-    nevents = int(opts.get("events", 30))
-    max_bits = int(opts.get("max_bits", 10))
-    thetas = np.asarray(opts.get("thetas", [0.1, 0.3, 0.5, 0.7, 0.9]), dtype=float)
-    rng = cfg.rng("russo")
+def check_russo_derivative(rng: RngStream, nevents, max_bits, thetas, tol) -> list[CheckResult]:
+    """E_theta[N+ - N-] against the event polynomial's derivative: per family
+    (monotone DNF, uniform truth table) the worst gap over its events, event i
+    of family f drawing its size in [2, max_bits] from stream 1000 f + i."""
+    thetas = np.asarray(thetas, dtype=float)
     rows = []
-    for kind, builder in (("monotone_dnf", bn.random_monotone_dnf), ("arbitrary", bn.random_event)):
+    for f, (kind, builder) in enumerate((("monotone_dnf", bn.random_monotone_dnf),
+                                         ("arbitrary", bn.random_event))):
         worst = 0.0
         for i in range(nevents):
-            stream = rng.substream(i if kind == "monotone_dnf" else 10_000 + i)
+            stream = rng.substream(1000 * f + i)
             m = int(stream.generator().integers(2, max_bits + 1))
             event = builder(m, stream.substream(1))
-            poly = bn.event_polynomial(event)
-            for th in thetas:
-                worst = max(worst, abs(bn.russo_derivative(event, float(th))
-                                       - float(poly.derivative(th))))
+            gaps = np.abs(bn.russo_derivative(event, thetas)
+                          - bn.event_polynomial(event).derivative(thetas))
+            worst = max(worst, float(gaps.max()))
         rows.append(_gap_row("russo", f"derivative_matches_polynomial_{kind}",
-                             {"events": nevents, "max_bits": max_bits}, worst, 0.0, cfg.tol_identity))
+                             {"events": nevents, "max_bits": max_bits}, worst, 0.0, tol))
+    return rows
+
+
+def check_threshold_pivotal_counts() -> list[CheckResult]:
+    """Pivotal counts at the boundary of threshold events, against their closed forms."""
     n, k = 8, 3
-    ev = bn.threshold_event(n, k)
     x = np.zeros(n, dtype=np.uint8)
     x[: k - 1] = 1
-    nplus, nminus = bn.pivotal_counts(ev, x)
-    rows.append(_gap_row("russo", "threshold_below_boundary_pivotal_count",
-                         {"n": n, "k": k}, float(nplus), float(n - k + 1), 0.0))
-    rows.append(_gap_row("russo", "threshold_monotone_no_minus", {"n": n, "k": k}, float(nminus), 0.0, 0.0))
+    nplus, nminus = bn.pivotal_counts(bn.threshold_event(n, k), x)
+    rows = [_gap_row("russo", "threshold_below_boundary_pivotal_count",
+                     {"n": n, "k": k}, float(nplus), float(n - k + 1), 0.0),
+            _gap_row("russo", "threshold_monotone_no_minus", {"n": n, "k": k}, float(nminus), 0.0, 0.0)]
     r, k = 4, 6
-    ev = bn.threshold_event(k + r - 1, r)
     x = np.zeros(k + r - 1, dtype=np.uint8)
     x[:r] = 1  # exactly r successes: flipping any of them exits the event
-    nplus, _ = bn.pivotal_counts(ev, x)
+    nplus, _ = bn.pivotal_counts(bn.threshold_event(k + r - 1, r), x)
     rows.append(_gap_row("russo", "negbin_boundary_pivotal_count_is_r",
                          {"r": r, "k": k}, float(nplus), float(r), 0.0))
     return rows
 
 
+def run_russo(cfg: SuiteConfig) -> list[CheckResult]:
+    opts = cfg.suite_options("russo")
+    return (check_russo_derivative(cfg.rng("russo"), int(opts.get("events", 30)),
+                                   int(opts.get("max_bits", 10)),
+                                   opts.get("thetas", [0.1, 0.3, 0.5, 0.7, 0.9]), cfg.tol_identity)
+            + check_threshold_pivotal_counts())
+
+
 # -- poisson derivative -------------------------------------------------------
 
+_UNIT_SQUARE = IntensityMeasure.unit_square()
+# the count is unbounded; the bound only gets it past the Crofton checks' guard
+_COUNT = Statistic(eval=lambda phi: float(len(phi)), bound=1e9, name="count")
+_QUARTER = box_region([0.0, 0.0], [0.5, 0.5])  # B = [0, 1/2]^2, of measure 1/4
 
-def run_poisson_derivative(cfg: SuiteConfig) -> list[CheckResult]:
-    opts = cfg.suite_options("poisson-derivative")
-    reps = int(opts.get("reps", cfg.reps))
-    rng = cfg.rng("poisson-derivative")
-    lam = IntensityMeasure.unit_square()
-    B = box_region([0.0, 0.0], [0.5, 0.5])
-    theta = 1.5
-    pB = 0.25
-    rows = []
 
-    count = Statistic(eval=lambda phi: float(len(phi)), name="count")
-    est = pert.derivative_location_estimator(count, lam, theta, reps, rng.substream(0))
-    rows.append(_z_row("poisson-derivative", "location_count", {"theta": theta, "reps": reps},
-                       est.estimate, 1.0, est.stderr, 0.0, cfg.zmax))
-
-    void = void_indicator(B)
-    est = pert.derivative_location_estimator(void, lam, theta, reps, rng.substream(1))
-    rows.append(_z_row("poisson-derivative", "location_void", {"theta": theta, "reps": reps},
-                       est.estimate, -pB * math.exp(-theta * pB), est.stderr, 0.0, cfg.zmax))
-
-    hit = hit_indicator(B)
-    est = pert.derivative_location_estimator(hit, lam, theta, reps, rng.substream(2))
-    rows.append(_z_row("poisson-derivative", "location_hit", {"theta": theta, "reps": reps},
-                       est.estimate, pB * math.exp(-theta * pB), est.stderr, 0.0, cfg.zmax))
-
-    loc = pert.derivative_location_estimator(hit, lam, theta, reps, rng.substream(3))
-    pnt = pert.derivative_point_estimator(hit, lam, theta, reps, rng.substream(4))
-    rows.append(_z_row("poisson-derivative", "pivotal_points_vs_locations", {"theta": theta, "reps": reps},
-                       pnt.estimate, loc.nplus, pnt.stderr, loc.nplus_stderr, cfg.zmax))
-
-    nu = IntensityMeasure.unit_square()
-    for th in (0.25, 1.0):
-        res = pert.perturbation_series(void, lam, nu, th, kmax=6, reps=max(2000, reps // 4),
-                                       rng=rng.substream(5 + int(th * 4)))
-        target = math.exp(-pB * (1.0 + th))
-        gap = abs(res.estimate - target)
-        slack = res.truncation_bound + cfg.zmax * res.stderr
-        rows.append(CheckResult("poisson-derivative", "series_void_probability",
-                                {"theta": th, "kmax": 6}, res.estimate, target,
-                                res.stderr, 0.0, gap, slack, gap <= slack))
-
-    # arrival-time identity: on [0, x] with unit density, the derivative of
-    # P(at least n points) is x^n/(n-1)! * theta^(n-1) e^(-theta x)
-    n_arr, x_arr, th_arr = 3, 1.5, 0.8
-    seg = IntensityMeasure.interval(0.0, x_arr)
-    atleast = hit_indicator(box_region([0.0], [x_arr]), k=n_arr)
-    est = pert.derivative_location_estimator(atleast, seg, th_arr, reps, rng.substream(11))
-    truth = x_arr**n_arr / math.factorial(n_arr - 1) * th_arr ** (n_arr - 1) * math.exp(-th_arr * x_arr)
-    rows.append(_z_row("poisson-derivative", "erlang_arrival_derivative",
-                       {"n": n_arr, "x": x_arr, "theta": th_arr}, est.estimate, truth,
-                       est.stderr, 0.0, cfg.zmax))
-
-    sq_count = Statistic(eval=lambda phi: float(len(phi)) ** 2, name="count_squared")
-    est2 = pert.higher_derivative_estimator(sq_count, lam, th_arr, 2, reps, rng.substream(12))
-    rows.append(_z_row("poisson-derivative", "second_derivative_count_squared",
-                       {"theta": th_arr, "reps": reps}, est2.mean, 2.0, est2.stderr, 0.0, cfg.zmax))
+def check_location_estimators(rng: RngStream, theta, reps, zmax) -> list[CheckResult]:
+    """Pivotal-location estimates of d/dtheta E g on the unit square for the
+    count, void and hit of B (streams 0-2); pivotal-point E N+ for the hit
+    (stream 3) against the pivotal-location one."""
+    params = {"theta": theta, "reps": reps}
+    slope = 0.25 * math.exp(-theta * 0.25)  # |d/dtheta P(no point in B)|
+    est = pert.derivative_location_estimator(_COUNT, _UNIT_SQUARE, theta, reps, rng.substream(0))
+    rows = [_z_row("poisson-derivative", "location_count", params, est.estimate, 1.0, est.stderr, 0.0, zmax)]
+    est = pert.derivative_location_estimator(void_indicator(_QUARTER), _UNIT_SQUARE, theta, reps,
+                                             rng.substream(1))
+    rows.append(_z_row("poisson-derivative", "location_void", params, est.estimate, -slope,
+                       est.stderr, 0.0, zmax))
+    hit = hit_indicator(_QUARTER)
+    loc = pert.derivative_location_estimator(hit, _UNIT_SQUARE, theta, reps, rng.substream(2))
+    rows.append(_z_row("poisson-derivative", "location_hit", params, loc.estimate, slope,
+                       loc.stderr, 0.0, zmax))
+    pnt = pert.derivative_point_estimator(hit, _UNIT_SQUARE, theta, reps, rng.substream(3))
+    rows.append(_z_row("poisson-derivative", "pivotal_points_vs_locations", params,
+                       pnt.estimate, loc.nplus, pnt.stderr, loc.nplus_stderr, zmax))
     return rows
 
 
+def check_perturbation_series(rng: RngStream, thetas, reps, kmax, zmax) -> list[CheckResult]:
+    """Perturbation series of P(no point in B) at (1 + theta) times the unit
+    square against exp(-(1 + theta)/4), thetas[j] on stream j; the gap may
+    use the truncation bound plus zmax standard errors."""
+    g = void_indicator(_QUARTER)
+    rows = []
+    for j, theta in enumerate(thetas):
+        res = pert.perturbation_series(g, _UNIT_SQUARE, _UNIT_SQUARE, theta, kmax=kmax, reps=reps,
+                                       rng=rng.substream(j))
+        target = math.exp(-0.25 * (1.0 + theta))
+        gap = abs(res.estimate - target)
+        slack = res.truncation_bound + zmax * res.stderr
+        rows.append(CheckResult("poisson-derivative", "series_void_probability",
+                                {"theta": theta, "kmax": kmax}, res.estimate, target,
+                                res.stderr, 0.0, gap, slack, gap <= slack))
+    return rows
+
+
+def check_count_derivatives(rng: RngStream, reps, zmax) -> list[CheckResult]:
+    """At theta = 0.8: d/dtheta P(at least n points in [0, x]) against
+    x^n / (n-1)! theta^(n-1) e^(-theta x) (stream 11), and the second
+    derivative of E N^2 on the unit square against 2 (stream 12)."""
+    n, x, theta = 3, 1.5, 0.8
+    atleast = hit_indicator(box_region([0.0], [x]), k=n)
+    est = pert.derivative_location_estimator(atleast, IntensityMeasure.interval(0.0, x), theta, reps,
+                                             rng.substream(11))
+    truth = x**n / math.factorial(n - 1) * theta ** (n - 1) * math.exp(-theta * x)
+    sq_count = Statistic(eval=lambda phi: float(len(phi)) ** 2, name="count_squared")
+    est2 = pert.higher_derivative_estimator(sq_count, _UNIT_SQUARE, theta, 2, reps, rng.substream(12))
+    return [_z_row("poisson-derivative", "erlang_arrival_derivative", {"n": n, "x": x, "theta": theta},
+                   est.estimate, truth, est.stderr, 0.0, zmax),
+            _z_row("poisson-derivative", "second_derivative_count_squared",
+                   {"theta": theta, "reps": reps}, est2.mean, 2.0, est2.stderr, 0.0, zmax)]
+
+
+def run_poisson_derivative(cfg: SuiteConfig) -> list[CheckResult]:
+    reps = int(cfg.suite_options("poisson-derivative").get("reps", cfg.reps))
+    rng = cfg.rng("poisson-derivative")
+    return (check_location_estimators(rng, 1.5, reps, cfg.zmax)
+            + check_perturbation_series(rng.substream(5), (0.25, 1.0), max(2000, reps // 4), 6, cfg.zmax)
+            + check_count_derivatives(rng, reps, cfg.zmax))
+
+
 # -- stable -------------------------------------------------------------------
+
+
+def check_half_index_law(rng: RngStream, nsamples, max_gap, xs, tol) -> list[CheckResult]:
+    """The alpha = 1/2 law: empirical CDF of ``nsamples`` draws (stream 0)
+    against erfc, and the CDF and density identities by quadrature at each x."""
+    params = stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0))
+    draws, _ = stb.sample_stable_many(params, nsamples, rng.substream(0))
+    gap = float(np.max(np.abs(np.arange(1, nsamples + 1) / nsamples
+                              - stb.positive_half_cdf(np.sort(draws[:, 0]), 1.0))))
+    rows = [CheckResult("stable", "golden_cdf_vs_erfc", {"samples": nsamples},
+                        gap, 0.0, 0.0, 0.0, gap, max_gap, gap <= max_gap)]
+    for x in xs:
+        rows.append(_gap_row("stable", "cdf_identity_quadrature", {"x": x},
+                             stb.dimone_residual(0.5, 1.0, x, tol=1e-7).residual, 0.0, tol))
+        rows.append(_gap_row("stable", "density_identity_quadrature", {"x": x},
+                             stb.alphadens1_residual(0.5, 1.0, x, tol=1e-7).residual, 0.0, tol))
+    return rows
+
+
+def check_stable_properties(rng: RngStream, alphas, thetas, nsamples, ks_floor, cs, tol,
+                            trunc_tol=1e-3, nterms=None) -> list[CheckResult]:
+    """KS checks on streams 0, 1, 2, ... in the order drawn: 2^(1/alpha) X_theta
+    against X_{2 theta} (only the first theta and ``nterms`` terms if alpha >= 1)
+    and, for alpha < 1, t^(1/alpha) X1 + (1-t)^(1/alpha) X2 against X0; then
+    Levy-measure homogeneity of the shells c < |z| <= 2c."""
+    def spectral(alpha, theta):
+        return (stb.SpectralMeasure.positive_half_line(theta) if alpha == 0.5
+                else stb.SpectralMeasure.symmetric_pair(theta))
+
+    def draw(params, idx, nt=None):
+        return stb.sample_stable_many(params, nsamples, rng.substream(idx), trunc_tol=trunc_tol,
+                                      nterms=nt)[0][:, 0]
+
+    rows, idx = [], 0
+    for alpha in alphas:
+        for theta in (thetas if alpha < 1.0 else thetas[:1]):
+            p1 = stb.StableParams(alpha, spectral(alpha, theta))
+            p2 = stb.StableParams(alpha, spectral(alpha, 2.0 * theta))
+            nt = nterms if alpha >= 1.0 else None
+            stat, p = ks_two_sample(2.0 ** (1.0 / alpha) * draw(p1, idx, nt), draw(p2, idx + 1, nt))
+            rows.append(_p_row("stable", "scaling_ks", {"alpha": alpha, "theta": theta}, stat, p, ks_floor))
+            idx += 2
+            if alpha >= 1.0:
+                continue
+            for t in (0.3, 0.5, 0.7):
+                combo = (t ** (1.0 / alpha) * draw(p1, idx)
+                         + (1.0 - t) ** (1.0 / alpha) * draw(p1, idx + 1))
+                stat, p = ks_two_sample(combo, draw(p1, idx + 2))
+                rows.append(_p_row("stable", "strict_stability_ks", {"alpha": alpha, "theta": theta, "t": t},
+                                   stat, p, ks_floor))
+                idx += 3
+
+    hom = stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(2.0, dim=2))
+
+    def shell(a_, b_):
+        return lambda z: 1.0 if a_ < float(np.linalg.norm(z)) <= b_ else 0.0
+
+    base = stb.levy_integral(hom, shell(1.0, 2.0), tol=1e-9, envelope=stb.RadialEnvelope(0.0, 2.0, 1.0))
+    for c in cs:
+        small_c = 1.5 / (c * c) if c < 1.0 else 0.0
+        val = stb.levy_integral(hom, shell(c, 2.0 * c), tol=1e-9,
+                                envelope=stb.RadialEnvelope(small_c, 2.0, 1.0))
+        rows.append(_gap_row("stable", "levy_measure_homogeneity", {"c": c}, val / base, c**-0.8, tol))
+    return rows
+
+
+_RADVEC_CASES = [  # (name, params, nterms)
+    ("positive_half", stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0)), None),
+    ("symmetric_1d", stb.StableParams(1.0, stb.SpectralMeasure.symmetric_pair(1.0)), 1000),
+    ("axis_2d", stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(1.0, dim=2)), 800),
+]
+
+
+def check_radius_density(rng: RngStream, reps, zmax) -> list[CheckResult]:
+    """Radius-density identity at r = 1 from ``reps`` samples, case j of
+    _RADVEC_CASES on stream j."""
+    rows = []
+    for j, (name, params, nt) in enumerate(_RADVEC_CASES):
+        res = stb.radvec_residual(params, 1.0, reps, rng.substream(j), nterms=nt)
+        rows.append(_z_row("stable", f"radius_density_identity_{name}", {"r": 1.0, "reps": reps},
+                           res.residual, 0.0, res.stderr, 0.0, zmax))
+    return rows
+
+
+def check_cdf_identity_mc(rng: RngStream, reps, zmax) -> list[CheckResult]:
+    """CDF identity at alpha = 0.7, x = 1 from ``reps`` LePage samples (stream 120)."""
+    res = stb.dimone_residual(0.7, 1.0, 1.0, method="monte_carlo", reps=reps, rng=rng.substream(120))
+    return [_z_row("stable", "cdf_identity_monte_carlo", {"alpha": 0.7, "x": 1.0},
+                   res.residual, 0.0, res.stderr, 0.0, zmax)]
 
 
 def run_stable(cfg: SuiteConfig) -> list[CheckResult]:
@@ -237,81 +399,11 @@ def run_stable(cfg: SuiteConfig) -> list[CheckResult]:
     nsamples = int(opts.get("samples", 10000))
     radvec_reps = int(opts.get("radvec_reps", 100_000))
     rng = cfg.rng("stable")
-    rows = []
-
-    pos = stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0))
-    draws, _ = stb.sample_stable_many(pos, nsamples, rng.substream(0))
-    xs = np.sort(draws[:, 0])
-    gap = float(np.max(np.abs(np.arange(1, nsamples + 1) / nsamples
-                              - stb.positive_half_cdf(xs, 1.0))))
-    rows.append(CheckResult("stable", "golden_cdf_vs_erfc", {"samples": nsamples},
-                            gap, 0.0, 0.0, 0.0, gap, cfg.golden_gap, gap <= cfg.golden_gap))
-
-    for x in (0.5, 1.0, 2.0, 5.0):
-        res = stb.dimone_residual(0.5, 1.0, x, tol=1e-7)
-        rows.append(_gap_row("stable", "cdf_identity_quadrature", {"x": x},
-                             res.residual, 0.0, cfg.tol_stable_quad))
-        res = stb.alphadens1_residual(0.5, 1.0, x, tol=1e-7)
-        rows.append(_gap_row("stable", "density_identity_quadrature", {"x": x},
-                             res.residual, 0.0, cfg.tol_stable_quad))
-
-    def spectral_for(alpha: float, theta: float):
-        if alpha < 1.0:
-            return stb.SpectralMeasure.positive_half_line(theta) if alpha == 0.5 \
-                else stb.SpectralMeasure.symmetric_pair(theta)
-        return stb.SpectralMeasure.symmetric_pair(theta)
-
-    idx = 10
-    for alpha in (0.5, 0.8, 1.5):
-        nt = 10_000 if alpha >= 1.0 else None
-        p1 = stb.StableParams(alpha, spectral_for(alpha, 1.0))
-        p2 = stb.StableParams(alpha, spectral_for(alpha, 2.0))
-        a, _ = stb.sample_stable_many(p1, nsamples, rng.substream(idx), nterms=nt)
-        b, _ = stb.sample_stable_many(p2, nsamples, rng.substream(idx + 1), nterms=nt)
-        stat, p = ks_two_sample(2.0 ** (1.0 / alpha) * a[:, 0], b[:, 0])
-        rows.append(_p_row("stable", "scaling_ks", {"alpha": alpha}, stat, p, cfg.ks_floor))
-        idx += 2
-        if alpha >= 1.0:
-            continue
-        for t in (0.3, 0.5, 0.7):
-            x1, _ = stb.sample_stable_many(p1, nsamples, rng.substream(idx))
-            x2, _ = stb.sample_stable_many(p1, nsamples, rng.substream(idx + 1))
-            x0, _ = stb.sample_stable_many(p1, nsamples, rng.substream(idx + 2))
-            combo = t ** (1.0 / alpha) * x1[:, 0] + (1.0 - t) ** (1.0 / alpha) * x2[:, 0]
-            stat, p = ks_two_sample(combo, x0[:, 0])
-            rows.append(_p_row("stable", "strict_stability_ks", {"alpha": alpha, "t": t},
-                               stat, p, cfg.ks_floor))
-            idx += 3
-
-    hom = stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(2.0, dim=2))
-
-    def shell(a_, b_):
-        return lambda z: 1.0 if a_ < float(np.linalg.norm(z)) <= b_ else 0.0
-
-    base = stb.levy_integral(hom, shell(1.0, 2.0), tol=1e-9,
-                             envelope=stb.RadialEnvelope(0.0, 2.0, 1.0))
-    for c in (0.5, 2.0, 4.0):
-        small_c = 1.5 / (c * c) if c < 1.0 else 0.0
-        val = stb.levy_integral(hom, shell(c, 2.0 * c), tol=1e-9,
-                                envelope=stb.RadialEnvelope(small_c, 2.0, 1.0))
-        rows.append(_gap_row("stable", "levy_measure_homogeneity", {"c": c},
-                             val / base, c**-0.8, cfg.tol_quadrature))
-
-    radvec_cases = [
-        ("positive_half", stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0)), None),
-        ("symmetric_1d", stb.StableParams(1.0, stb.SpectralMeasure.symmetric_pair(1.0)), 1000),
-        ("axis_2d", stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(1.0, dim=2)), 800),
-    ]
-    for j, (name, params, nt) in enumerate(radvec_cases):
-        res = stb.radvec_residual(params, 1.0, radvec_reps, rng.substream(100 + j), nterms=nt)
-        rows.append(_z_row("stable", f"radius_density_identity_{name}",
-                           {"r": 1.0, "reps": radvec_reps}, res.residual, 0.0, res.stderr, 0.0, cfg.zmax))
-
-    res = stb.dimone_residual(0.7, 1.0, 1.0, method="monte_carlo", reps=radvec_reps,
-                              rng=rng.substream(120))
-    rows.append(_z_row("stable", "cdf_identity_monte_carlo", {"alpha": 0.7, "x": 1.0},
-                       res.residual, 0.0, res.stderr, 0.0, cfg.zmax))
-    return rows
+    return (check_half_index_law(rng, nsamples, cfg.golden_gap, (0.5, 1.0, 2.0, 5.0), cfg.tol_stable_quad)
+            + check_stable_properties(rng.substream(10), (0.5, 0.8, 1.5), (1.0,), nsamples, cfg.ks_floor,
+                                      (0.5, 2.0, 4.0), cfg.tol_quadrature, nterms=10_000)
+            + check_radius_density(rng.substream(100), radvec_reps, cfg.zmax)
+            + check_cdf_identity_mc(rng, radvec_reps, cfg.zmax))
 
 
 # -- crofton ------------------------------------------------------------------
@@ -345,81 +437,104 @@ def parse_density(spec: str | None):
     raise ValueError(f"unknown density spec {spec!r}")
 
 
+_DISK = geo.Disk(np.array([0.0, 0.0]), 1.0)
+_SHAPES = {
+    "disk": _DISK,
+    "box": geo.Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])),
+    "polygon": geo.ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]])),
+    "segment": geo.Segment(np.array([0.0, 0.0]), np.array([2.0, 0.0])),
+}
+
+
+def check_steiner() -> list[CheckResult]:
+    """Patch quadrature of K_0.4 against the Steiner mass; the t-derivative of
+    the integral of 1 + x^2 over K_t against the boundary integral at t = 0.3."""
+    rows = [_gap_row("crofton", "steiner_mass_consistency", {"shape": name, "t": 0.4},
+                     geo.integrate_parallel(body, 0.4, lambda p: np.ones(p.shape[0])),
+                     geo.steiner_mass(body, 0.4), 1e-8)
+            for name, body in _SHAPES.items()]
+    for name in ("disk", "box", "polygon"):
+        chk = geo.steiner_derivative_check(_SHAPES[name], lambda p: 1.0 + p[:, 0] ** 2, 0.3, delta=1e-3)
+        rows.append(_gap_row("crofton", "volume_derivative_vs_boundary", {"shape": name, "t": 0.3},
+                             chk.fd_value, chk.boundary_value, 1e-5))
+    return rows
+
+
+def check_crofton_poisson(rng: RngStream, reps, const_reps, zmax) -> list[CheckResult]:
+    """Crofton derivative for the unit-intensity Poisson process on K_t: the
+    count on the unit disk at t = 0.5 (stream 0) and on the segment [0, 2] x {0}
+    at t = 0 (stream 1), each also requiring the boundary side within 1e-9
+    (disk) or 1e-12 (segment) of the perimeter of K_t; and a constant
+    statistic on the disk (stream 2), both of whose sides must be exactly 0."""
+    rows = []
+    for j, (check_id, body, t, rhs_tol) in enumerate((("poisson_count_disk", _DISK, 0.5, 1e-9),
+                                                      ("poisson_count_segment_t0", _SHAPES["segment"], 0.0, 1e-12))):
+        rep = geo.crofton_poisson_check(_COUNT, body, t, reps, rng.substream(j))
+        perimeter_t = geo.perimeter(body) + 2.0 * math.pi * t
+        rows.append(_crofton_row(check_id, {"t": t, "reps": reps}, rep, zmax,
+                                 abs(rep.rhs - perimeter_t) <= rhs_tol))
+    const = Statistic(eval=lambda phi: 2.5, bound=2.5, name="const")
+    rep = geo.crofton_poisson_check(const, _DISK, 0.5, const_reps, rng.substream(2))
+    rows.append(CheckResult("crofton", "poisson_constant_statistic", {"t": 0.5}, rep.lhs, rep.rhs,
+                            0.0, 0.0, max(abs(rep.lhs), abs(rep.rhs)), 0.0,
+                            rep.lhs == 0.0 and rep.rhs == 0.0))
+    return rows
+
+
+def check_crofton_binomial(rng: RngStream, cases, reps, zmax) -> list[CheckResult]:
+    """Crofton derivative for the m-point binomial process on the unit disk's
+    K_t, g = the count within 1/2 of the centre, case j = (m, t) on stream j;
+    each also requires the boundary side within zmax standard errors (+1e-12)
+    of its closed form -m / (2 (1+t)^3)."""
+    inner = ball_region([0.0, 0.0], 0.5)
+    rows = []
+    for j, (m, t) in enumerate(cases):
+        g = Statistic(eval=lambda phi: float(phi.count_in(inner)), bound=float(m), name="count_inner")
+        rep = geo.crofton_binomial_check(g, _DISK, t, m, reps, rng.substream(j))
+        truth = -m / (2.0 * (1.0 + t) ** 3)
+        rows.append(_crofton_row("binomial_count_disk", {"m": m, "t": t, "reps": reps}, rep, zmax,
+                                 abs(rep.rhs - truth) <= zmax * rep.rhs_stderr + 1e-12))
+    return rows
+
+
+def check_crofton_shape(rng: RngStream, shape: dict, density, t, m, reps, zmax) -> list[CheckResult]:
+    """Both Crofton checks on a configured planar shape and density: the
+    Poisson count at t (stream 50) and, for a body of positive area or t > 0,
+    the m-point binomial count in a central ball at max(t, 0.2) (stream 51)."""
+    body = parse_shape(shape)
+    h, sup = parse_density(density)
+    if sup is None:
+        # the checks below sample out to radius max(t, 0.2) + delta
+        # (delta <= 1e-2), so the envelope must hold on that box
+        box = geo.bounding_box(body, pad=max(t, 0.2) + 1e-2)
+        corners = np.array([[x, y] for x in box[0] for y in box[1]])
+        sup = float(np.max(h(corners)))
+    rep = geo.crofton_poisson_check(_COUNT, body, t, reps, rng.substream(50), h=h, sup_density=sup)
+    rows = [_crofton_row("poisson_count_configured_shape", {"t": t, "reps": reps, "shape": shape.get("kind")},
+                         rep, zmax)]
+    if geo.area(body) > 0 or t > 0:
+        bb = geo.bounding_box(body)
+        center = bb.mean(axis=1)
+        radius = 0.25 * float(np.min(bb[:, 1] - bb[:, 0])) + 0.1 * t
+        gb = Statistic(eval=lambda phi: float(phi.count_in(ball_region(center, radius))),
+                       bound=float(m), name="count_inner")
+        rep = geo.crofton_binomial_check(gb, body, max(t, 0.2), m, reps, rng.substream(51),
+                                         h=h, sup_density=sup)
+        rows.append(_crofton_row("binomial_count_configured_shape",
+                                 {"t": max(t, 0.2), "m": m, "shape": shape.get("kind")}, rep, zmax))
+    return rows
+
+
 def run_crofton(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("crofton")
     reps = int(opts.get("reps", min(cfg.reps, 10000)))
     rng = cfg.rng("crofton")
-    rows = []
-
-    shapes = {
-        "disk": geo.Disk(np.array([0.0, 0.0]), 1.0),
-        "box": geo.Box(np.array([0.0, 0.0]), np.array([1.0, 1.0])),
-        "polygon": geo.ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [1.0, 2.0], [-0.5, 1.0]])),
-        "segment": geo.Segment(np.array([0.0, 0.0]), np.array([2.0, 0.0])),
-    }
-    for name, body in shapes.items():
-        t = 0.4
-        patch = geo.integrate_parallel(body, t, lambda p: np.ones(p.shape[0]))
-        rows.append(_gap_row("crofton", "steiner_mass_consistency", {"shape": name, "t": t},
-                             patch, geo.steiner_mass(body, t), 1e-8))
-    for name in ("disk", "box", "polygon"):
-        body = shapes[name]
-        chk = geo.steiner_derivative_check(body, lambda p: 1.0 + p[:, 0] ** 2, 0.3, delta=1e-3)
-        rows.append(_gap_row("crofton", "volume_derivative_vs_boundary", {"shape": name, "t": 0.3},
-                             chk.fd_value, chk.boundary_value, 1e-5))
-
-    count = Statistic(eval=lambda phi: float(len(phi)), bound=1e9, name="count")
-    rep = geo.crofton_poisson_check(count, shapes["disk"], 0.5, reps, rng.substream(0))
-    rows.append(CheckResult("crofton", "poisson_count_disk", {"t": 0.5, "reps": reps},
-                            rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
-                            rep.z, cfg.zmax, abs(rep.z) <= cfg.zmax))
-    rep = geo.crofton_poisson_check(count, shapes["segment"], 0.0, reps, rng.substream(1))
-    rows.append(CheckResult("crofton", "poisson_count_segment_t0", {"reps": reps},
-                            rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
-                            rep.z, cfg.zmax, abs(rep.z) <= cfg.zmax))
-    const = Statistic(eval=lambda phi: 2.5, bound=2.5, name="const")
-    rep = geo.crofton_poisson_check(const, shapes["disk"], 0.5, max(100, reps // 50), rng.substream(2))
-    rows.append(_gap_row("crofton", "poisson_constant_statistic", {"t": 0.5},
-                         rep.lhs, rep.rhs, 0.0))
-
-    B = ball_region([0.0, 0.0], 0.5)
-    gB = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=1e9, name="count_inner")
-    for m in (1, 5):
-        rep = geo.crofton_binomial_check(gB, shapes["disk"], 0.2, m, reps, rng.substream(10 + m))
-        rows.append(CheckResult("crofton", "binomial_count_disk", {"m": m, "t": 0.2, "reps": reps},
-                                rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
-                                rep.z, cfg.zmax, abs(rep.z) <= cfg.zmax))
-
-    # user-configured shape block
+    rows = (check_steiner()
+            + check_crofton_poisson(rng, reps, max(100, reps // 50), cfg.zmax)
+            + check_crofton_binomial(rng.substream(10), [(1, 0.2), (5, 0.2)], reps, cfg.zmax))
     if "shape" in opts:
-        body = parse_shape(opts["shape"])
-        h, sup = parse_density(opts.get("h"))
-        t = float(opts.get("t", 0.5))
-        m = int(opts.get("m", 10))
-        if sup is None:
-            # the checks below sample out to radius max(t, 0.2) + delta
-            # (delta <= 1e-2), so the envelope must hold on that box
-            box = geo.bounding_box(body, pad=max(t, 0.2) + 1e-2)
-            corners = np.array([[x, y] for x in box[0] for y in box[1]])
-            sup = float(np.max(h(corners)))
-        rep = geo.crofton_poisson_check(count, body, t, reps, rng.substream(50),
-                                        h=h, sup_density=sup)
-        rows.append(CheckResult("crofton", "poisson_count_configured_shape",
-                                {"t": t, "reps": reps, "shape": opts["shape"].get("kind")},
-                                rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
-                                rep.z, cfg.zmax, abs(rep.z) <= cfg.zmax))
-        if geo.area(body) > 0 or t > 0:
-            bb = geo.bounding_box(body)
-            center = bb.mean(axis=1)
-            radius = 0.25 * float(np.min(bb[:, 1] - bb[:, 0])) + 0.1 * t
-            gb = Statistic(eval=lambda phi: float(phi.count_in(ball_region(center, radius))),
-                           bound=float(m), name="count_inner")
-            rep = geo.crofton_binomial_check(gb, body, max(t, 0.2), m, reps, rng.substream(51),
-                                             h=h, sup_density=sup)
-            rows.append(CheckResult("crofton", "binomial_count_configured_shape",
-                                    {"t": max(t, 0.2), "m": m, "shape": opts["shape"].get("kind")},
-                                    rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr,
-                                    rep.z, cfg.zmax, abs(rep.z) <= cfg.zmax))
+        rows += check_crofton_shape(rng, opts["shape"], opts.get("h"),
+                                    float(opts.get("t", 0.5)), int(opts.get("m", 10)), reps, cfg.zmax)
     return rows
 
 

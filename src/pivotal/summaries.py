@@ -18,13 +18,25 @@ class MCSummary:
     n: int
 
 
+def mean_stderr(vals) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1) / sqrt(n)."""
+    x = np.asarray(vals, dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    return float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(x.size))
+
+
+def zscore(gap: float, se: float) -> float:
+    """gap / se; 0 when both are 0 and inf when only se is 0."""
+    if se == 0.0:
+        return 0.0 if gap == 0.0 else math.inf
+    return gap / se
+
+
 def mc_summary(samples) -> MCSummary:
     """Sample mean, standard error and 95% normal CI."""
     x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    mean = float(np.mean(x))
-    stderr = float(np.std(x, ddof=1) / math.sqrt(x.size))
+    mean, stderr = mean_stderr(x)
     return MCSummary(mean, stderr, (mean - _Z95 * stderr, mean + _Z95 * stderr), x.size)
 
 

@@ -1,36 +1,20 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Monte Carlo criteria run at their stated replication counts and z thresholds
-under fixed seeds, so the whole module is deterministic.
+Criteria 1-12 call the check functions of ``pivotal.suites`` with the gate's
+cases, replication counts, bounds and streams, require every returned row to
+pass, and build their line from the rows; criterion 13 runs the command-line
+runner.  Monte Carlo criteria run at their stated replication counts and z
+thresholds under fixed seeds, so the whole module is deterministic.
 """
 
 import csv
 import json
-import math
 
 import numpy as np
-import pytest
 
-from pivotal import bernoulli as bn
-from pivotal import identities as idn
-from pivotal import stable as stb
+from pivotal import suites
 from pivotal.cli import run as cli_run
-from pivotal.geometry import Disk, Segment, crofton_binomial_check, crofton_poisson_check
-from pivotal.perturbation import (
-    derivative_location_estimator,
-    derivative_point_estimator,
-    perturbation_series,
-)
-from pivotal.point_process import (
-    IntensityMeasure,
-    Statistic,
-    ball_region,
-    box_region,
-    hit_indicator,
-    void_indicator,
-)
 from pivotal.rng import RngStream
-from pivotal.summaries import ks_two_sample
 
 SEED = 20260810
 
@@ -42,276 +26,108 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def gate(num: int, label: str, rows, detail: str) -> None:
+    """The criterion passes when every one of its rows passed."""
+    assert report(num, label, all(r.passed for r in rows), detail)
+
+
+def worst(rows, *check_ids) -> float:
+    return max(r.z_or_gap for r in rows if not check_ids or r.check_id in check_ids)
+
+
+def zs(rows) -> str:
+    return ", ".join(f"{r.z_or_gap:.2f}" for r in rows)
+
+
 def test_c01_russo_exactness():
-    rng = RngStream(SEED, 1)
-    thetas = np.arange(0.1, 0.95, 0.1)
-    worst = 0.0
-    for half, builder in enumerate((bn.random_monotone_dnf, bn.random_event)):
-        for i in range(100):
-            stream = rng.substream(half * 1000 + i)
-            m = int(stream.generator().integers(2, 13))
-            event = builder(m, stream.substream(1))
-            poly = bn.event_polynomial(event)
-            for th in thetas:
-                gap = abs(bn.russo_derivative(event, float(th)) - float(poly.derivative(th)))
-                worst = max(worst, gap)
-    ok = worst <= 1e-10
-    assert report(1, "signed pivotal expectation equals polynomial derivative", ok,
-                  f"worst gap {worst:.2e} over 200 events x 9 thetas")
+    rows = suites.check_russo_derivative(RngStream(SEED, 1), 100, 12, np.arange(0.1, 0.95, 0.1), 1e-10)
+    gate(1, "signed pivotal expectation equals polynomial derivative", rows,
+         f"worst gap {worst(rows):.2e} over 200 events x 9 thetas")
 
 
 def test_c02_binomial_identity():
-    worst = 0.0
-    for n in range(1, 31):
-        for k in range(1, n + 1):
-            for p in (0.1, 0.5, 0.9):
-                worst = max(worst, bn.identity_report_binomial(n, k, p).gap)
-    ok = worst <= 1e-10
-    assert report(2, "binomial tail equals incomplete-beta integral", ok,
-                  f"worst gap {worst:.2e} over all k <= n <= 30")
+    cases = [(n, k, p) for n in range(1, 31) for k in range(1, n + 1) for p in (0.1, 0.5, 0.9)]
+    rows = suites.check_binomial_identity(cases, 1e-10)
+    gate(2, "binomial tail equals incomplete-beta integral", rows,
+         f"worst gap {worst(rows):.2e} over all k <= n <= 30")
 
 
 def test_c03_negbin_identity():
-    worst = 0.0
-    worst_below = 0.0
-    structural = True
-    for r in range(1, 21):
-        for k in range(1, 21):
-            for p in (0.1, 0.5, 0.9):
-                rep = bn.identity_report_negbin(r, k, p)
-                worst = max(worst, rep.gap)
-                worst_below = max(worst_below, rep.gap_below_k)
-                overshoot = rep.nb_sum_through_k - rep.integral
-                structural &= abs(overshoot - bn.negbin_pmf(r, p, k)) <= 1e-10
-    canonical = bn.identity_report_negbin(1, 1, 0.5)
-    ok = (worst <= 1e-10 and worst_below <= 1e-10 and structural
-          and canonical.gap_through_k > 1e-10)
-    assert report(3, "negative-binomial integral matches the head sum below k; "
-                     "the sum through k overshoots by the k-th mass", ok,
-                  f"worst gaps {worst:.2e}/{worst_below:.2e}")
+    cases = [(r, k, p) for r in range(1, 21) for k in range(1, 21) for p in (0.1, 0.5, 0.9)]
+    rows = suites.check_negbin_identity(cases, 1e-10, overshoot_tol=1e-10)
+    gate(3, "negative-binomial integral matches the head sum below k; "
+            "the sum through k overshoots by the k-th mass", rows,
+         f"worst gaps {worst(rows, 'negbin_binomial_tail_vs_integral'):.2e}/"
+         f"{worst(rows, 'negbin_sum_below_k_vs_integral'):.2e}")
 
 
 def test_c04_poisson_erlang():
-    worst_p = 0.0
-    for theta in (0.5, 2.0, 7.0, 20.0):
-        for k in range(1, 31):
-            worst_p = max(worst_p, abs(idn.poisson_tail(theta, k)
-                                       - idn.poisson_tail_integral(theta, k)))
-    worst_e = 0.0
-    for n in (1, 2, 3, 5, 10, 20, 30):
-        for theta in (0.5, 2.0, 7.0, 20.0):
-            for x in (0.1, 1.0, 3.0, 10.0):
-                d, i, p = idn.erlang_cdf(n, theta, x)
-                worst_e = max(worst_e, abs(d - i), abs(d - p), abs(i - p))
-    ok = worst_p <= 1e-10 and worst_e <= 1e-10
-    assert report(4, "Poisson tail integral and Erlang three-way agreement", ok,
-                  f"worst gaps {worst_p:.2e}/{worst_e:.2e}")
+    thetas = (0.5, 2.0, 7.0, 20.0)
+    rows = suites.check_poisson_erlang([(theta, k) for theta in thetas for k in range(1, 31)],
+                                       [(n, theta, x) for n in (1, 2, 3, 5, 10, 20, 30) for theta in thetas
+                                        for x in (0.1, 1.0, 3.0, 10.0)], 1e-10)
+    gate(4, "Poisson tail integral and Erlang three-way agreement", rows,
+         f"worst gaps {worst(rows, 'poisson_tail_vs_integral'):.2e}/{worst(rows, 'erlang_three_way'):.2e}")
 
 
 def test_c05_compound_poisson():
-    rng = RngStream(SEED, 5)
-    worst_rel = 0.0
-    for i in range(50):
-        gen = rng.substream(i).generator()
-        q_raw = gen.random(6) * (gen.random(6) < 0.7)
-        if q_raw.sum() == 0:
-            q_raw[1] = 1.0
-        q = idn.LatticeDistribution(q_raw / q_raw.sum())
-        theta = float(gen.uniform(0.05, 5.0))
-        pan = idn.panjer_pmfs(theta, q, 50)
-        for k in range(51):
-            scale = max(abs(pan[k]), 1e-300)
-            worst_rel = max(worst_rel,
-                            abs(idn.cpois_pmf_direct(theta, q, k) - pan[k]) / scale,
-                            abs(idn.cpois_pmf_polyrec(theta, q, k) - pan[k]) / scale)
-    worst_ode = 0.0
-    for i in range(20):
-        gen = rng.substream(1000 + i).generator()
-        q_raw = gen.random(6) * (gen.random(6) < 0.7)
-        if q_raw.sum() == 0:
-            q_raw[1] = 1.0
-        q = idn.LatticeDistribution(q_raw / q_raw.sum())
-        theta = float(gen.uniform(0.1, 5.0))
-        x = float(gen.uniform(0.0, 8.0))
-        worst_ode = max(worst_ode, abs(idn.cpois_cdf_ode_residual(theta, q, x, 1e-3)))
-    ok = worst_rel <= 1e-12 and worst_ode <= 1e-5
-    assert report(5, "compound-Poisson mass: three routes agree; rate-equation residual", ok,
-                  f"worst relative {worst_rel:.2e}, worst residual {worst_ode:.2e}")
+    rows = suites.check_compound_poisson(RngStream(SEED, 5), nlaws=50, kmax=50, nrate=20,
+                                         tol_relative=1e-12, tol_ode=1e-5)
+    gate(5, "compound-Poisson mass: three routes agree; rate-equation residual", rows,
+         f"worst relative {worst(rows, 'cpois_direct_vs_panjer', 'cpois_polyrec_vs_panjer'):.2e}, "
+         f"worst residual {worst(rows, 'cpois_cdf_rate_equation'):.2e}")
 
 
 def test_c06_poisson_derivative_estimators():
-    rng = RngStream(SEED, 6)
-    reps = 100_000
-    theta = 1.5
-    lam = IntensityMeasure.unit_square()
-    B = box_region([0.0, 0.0], [0.5, 0.5])
-    pB = 0.25
-    zs = []
-
-    est = derivative_location_estimator(
-        Statistic(eval=lambda phi: float(len(phi)), name="count"), lam, theta, reps, rng.substream(0))
-    zs.append(0.0 if est.stderr == 0 else (est.estimate - 1.0) / est.stderr)
-    assert est.estimate == pytest.approx(1.0, abs=1e-9)  # difference is identically 1
-
-    est = derivative_location_estimator(void_indicator(B), lam, theta, reps, rng.substream(1))
-    zs.append((est.estimate + pB * math.exp(-theta * pB)) / est.stderr)
-
-    hit = hit_indicator(B)
-    loc = derivative_location_estimator(hit, lam, theta, reps, rng.substream(2))
-    zs.append((loc.estimate - pB * math.exp(-theta * pB)) / loc.stderr)
-
-    pnt = derivative_point_estimator(hit, lam, theta, reps, rng.substream(3))
-    zs.append((pnt.estimate - loc.nplus) / math.hypot(pnt.stderr, loc.nplus_stderr))
-
-    ok = all(abs(z) <= 4.0 for z in zs)
-    assert report(6, "pivotal-location and pivotal-point derivative estimators", ok,
-                  "z = " + ", ".join(f"{z:.2f}" for z in zs))
+    rows = suites.check_location_estimators(RngStream(SEED, 6), theta=1.5, reps=100_000, zmax=4.0)
+    gate(6, "pivotal-location and pivotal-point derivative estimators", rows, "z = " + zs(rows))
 
 
 def test_c07_perturbation_series():
-    rng = RngStream(SEED, 7)
-    lam = IntensityMeasure.unit_square()
-    nu = IntensityMeasure.unit_square()
-    g = void_indicator(box_region([0.0, 0.0], [0.5, 0.5]))
-    oks = []
-    details = []
-    for j, theta in enumerate((0.25, 0.5, 1.0)):
-        res = perturbation_series(g, lam, nu, theta, kmax=6, reps=10_000, rng=rng.substream(j))
-        target = math.exp(-0.25 * (1.0 + theta))
-        gap = abs(res.estimate - target)
-        slack = res.truncation_bound + 4.0 * res.stderr
-        oks.append(gap <= slack)
-        details.append(f"theta={theta}: gap {gap:.1e} <= {slack:.1e}")
-    assert report(7, "perturbation series hits the void probability", all(oks),
-                  "; ".join(details))
+    rows = suites.check_perturbation_series(RngStream(SEED, 7), (0.25, 0.5, 1.0), reps=10_000, kmax=6,
+                                            zmax=4.0)
+    gate(7, "perturbation series hits the void probability", rows,
+         "; ".join(f"theta={r.params['theta']}: gap {r.z_or_gap:.1e} <= {r.threshold:.1e}" for r in rows))
 
 
 def test_c08_stable_golden():
-    rng = RngStream(SEED, 8)
-    params = stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0))
-    draws, _ = stb.sample_stable_many(params, 10_000, rng.substream(0))
-    xs = np.sort(draws[:, 0])
-    sup_gap = float(np.max(np.abs(np.arange(1, 10_001) / 10_000
-                                  - stb.positive_half_cdf(xs, 1.0))))
-    worst_dim = max(abs(stb.dimone_residual(0.5, 1.0, x, tol=1e-7).residual)
-                    for x in (0.5, 1.0, 2.0, 5.0))
-    worst_dens = max(abs(stb.alphadens1_residual(0.5, 1.0, x, tol=1e-7).residual)
-                     for x in (0.5, 1.0, 2.0, 5.0))
-    ok = sup_gap <= 0.02 and worst_dim <= 1e-3 and worst_dens <= 1e-3
-    assert report(8, "half-index law: CDF golden check and identity residuals", ok,
-                  f"sup gap {sup_gap:.3f}, residuals {worst_dim:.1e}/{worst_dens:.1e}")
+    rows = suites.check_half_index_law(RngStream(SEED, 8), 10_000, 0.02, (0.5, 1.0, 2.0, 5.0), 1e-3)
+    gate(8, "half-index law: CDF golden check and identity residuals", rows,
+         f"sup gap {rows[0].z_or_gap:.3f}, residuals {worst(rows, 'cdf_identity_quadrature'):.1e}/"
+         f"{worst(rows, 'density_identity_quadrature'):.1e}")
 
 
 def test_c09_stable_property_suite():
     # truncation tolerance 3e-3 everywhere: two orders below what a
     # 10^4-sample KS statistic can resolve
-    rng = RngStream(SEED, 9)
-    pvals = {}
-    idx = 0
-
-    def spectral(alpha, theta):
-        return (stb.SpectralMeasure.positive_half_line(theta) if alpha == 0.5
-                else stb.SpectralMeasure.symmetric_pair(theta))
-
-    for alpha in (0.5, 0.8, 1.5):
-        for theta in (1.0, 2.0):
-            if alpha >= 1.0 and theta > 1.0:
-                continue  # one scaling pair suffices at the symmetric index
-            p1 = stb.StableParams(alpha, spectral(alpha, theta))
-            p2 = stb.StableParams(alpha, spectral(alpha, 2.0 * theta))
-            nt = 5000 if alpha >= 1.0 else None
-            a, _ = stb.sample_stable_many(p1, 10_000, rng.substream(idx), trunc_tol=3e-3, nterms=nt)
-            b, _ = stb.sample_stable_many(p2, 10_000, rng.substream(idx + 1), trunc_tol=3e-3, nterms=nt)
-            _, p = ks_two_sample(2.0 ** (1.0 / alpha) * a[:, 0], b[:, 0])
-            pvals[f"scale a={alpha} th={theta}"] = p
-            idx += 2
-            if alpha >= 1.0:
-                continue
-            for t in (0.3, 0.5, 0.7):
-                x1, _ = stb.sample_stable_many(p1, 10_000, rng.substream(idx), trunc_tol=3e-3)
-                x2, _ = stb.sample_stable_many(p1, 10_000, rng.substream(idx + 1), trunc_tol=3e-3)
-                x0, _ = stb.sample_stable_many(p1, 10_000, rng.substream(idx + 2), trunc_tol=3e-3)
-                combo = t ** (1 / alpha) * x1[:, 0] + (1 - t) ** (1 / alpha) * x2[:, 0]
-                _, p = ks_two_sample(combo, x0[:, 0])
-                pvals[f"strict a={alpha} th={theta} t={t}"] = p
-                idx += 3
-
-    hom = stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(2.0, dim=2))
-
-    def shell(a_, b_):
-        return lambda z: 1.0 if a_ < float(np.linalg.norm(z)) <= b_ else 0.0
-
-    base = stb.levy_integral(hom, shell(1.0, 2.0), tol=1e-9,
-                             envelope=stb.RadialEnvelope(0.0, 2.0, 1.0))
-    hom_gap = 0.0
-    for c in (0.5, 2.0, 4.0):
-        small = 1.5 / (c * c) if c < 1.0 else 0.0
-        val = stb.levy_integral(hom, shell(c, 2.0 * c), tol=1e-9,
-                                envelope=stb.RadialEnvelope(small, 2.0, 1.0))
-        hom_gap = max(hom_gap, abs(val / base - c**-0.8))
-
-    min_p = min(pvals.values())
-    ok = min_p > 0.01 and hom_gap <= 1e-6
-    worst = min(pvals, key=pvals.get)
-    assert report(9, "strict stability, mass scaling, and Levy-measure homogeneity", ok,
-                  f"min KS p {min_p:.3f} at [{worst}], homogeneity gap {hom_gap:.1e}")
+    rows = suites.check_stable_properties(RngStream(SEED, 9), (0.5, 0.8, 1.5), (1.0, 2.0), 10_000, 0.01,
+                                          (0.5, 2.0, 4.0), 1e-6, trunc_tol=3e-3, nterms=5000)
+    low = min((r for r in rows if r.check_id.endswith("_ks")), key=lambda r: r.z_or_gap)
+    p = low.params
+    where = (f"scale a={p['alpha']} th={p['theta']}" if low.check_id == "scaling_ks"
+             else f"strict a={p['alpha']} th={p['theta']} t={p['t']}")
+    gate(9, "strict stability, mass scaling, and Levy-measure homogeneity", rows,
+         f"min KS p {low.z_or_gap:.3f} at [{where}], "
+         f"homogeneity gap {worst(rows, 'levy_measure_homogeneity'):.1e}")
 
 
 def test_c10_radius_density_identity():
-    rng = RngStream(SEED, 10)
-    reps = 1_000_000
-    cases = [
-        ("positive half-line a=0.5",
-         stb.StableParams(0.5, stb.SpectralMeasure.positive_half_line(1.0)), None),
-        ("symmetric pair a=1",
-         stb.StableParams(1.0, stb.SpectralMeasure.symmetric_pair(1.0)), 1000),
-        ("planar four-atom a=0.8",
-         stb.StableParams(0.8, stb.SpectralMeasure.axis_symmetric(1.0, dim=2)), 800),
-    ]
-    zs = []
-    for j, (label, params, nterms) in enumerate(cases):
-        res = stb.radvec_residual(params, 1.0, reps, rng.substream(j), nterms=nterms)
-        zs.append(res.residual / res.stderr)
-    ok = all(abs(z) <= 4.0 for z in zs)
-    assert report(10, "radius-density identity at 10^6 samples", ok,
-                  "z = " + ", ".join(f"{z:.2f}" for z in zs))
+    rows = suites.check_radius_density(RngStream(SEED, 10), reps=1_000_000, zmax=4.0)
+    gate(10, "radius-density identity at 10^6 samples", rows, "z = " + zs(rows))
 
 
 def test_c11_crofton_poisson():
-    rng = RngStream(SEED, 11)
-    count = Statistic(eval=lambda phi: float(len(phi)), bound=1e9, name="count")
-    disk = Disk(np.array([0.0, 0.0]), 1.0)
-    seg = Segment(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
-
-    rep_d = crofton_poisson_check(count, disk, 0.5, 10_000, rng.substream(0))
-    ok_d = abs(rep_d.z) <= 4.0 and rep_d.rhs == pytest.approx(2.0 * math.pi * 1.5, abs=1e-9)
-
-    rep_s = crofton_poisson_check(count, seg, 0.0, 10_000, rng.substream(1))
-    ok_s = abs(rep_s.z) <= 4.0 and rep_s.rhs == pytest.approx(4.0, abs=1e-12)
-
-    const = Statistic(eval=lambda phi: 2.5, bound=2.5)
-    rep_c = crofton_poisson_check(const, disk, 0.5, 500, rng.substream(2))
-    ok_c = rep_c.lhs == 0.0 and rep_c.rhs == 0.0
-
-    ok = ok_d and ok_s and ok_c
-    assert report(11, "expanding-domain derivative, Poisson case: disk, segment, constant", ok,
-                  f"disk z {rep_d.z:.2f}; segment z {rep_s.z:.2f} (rhs {rep_s.rhs:.3f})")
+    rows = suites.check_crofton_poisson(RngStream(SEED, 11), reps=10_000, const_reps=500, zmax=4.0)
+    disk, seg, _ = rows
+    gate(11, "expanding-domain derivative, Poisson case: disk, segment, constant", rows,
+         f"disk z {disk.z_or_gap:.2f}; segment z {seg.z_or_gap:.2f} (rhs {seg.rhs:.3f})")
 
 
 def test_c12_crofton_binomial():
-    rng = RngStream(SEED, 12)
-    disk = Disk(np.array([0.0, 0.0]), 1.0)
-    B = ball_region([0.0, 0.0], 0.5)
-    details = []
-    ok = True
-    for j, (m, t) in enumerate([(m, t) for m in (1, 5, 20) for t in (0.2, 0.5)]):
-        g = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=float(m), name="inner")
-        rep = crofton_binomial_check(g, disk, t, m, 20_000, rng.substream(j))
-        truth = -m / (2.0 * (1.0 + t) ** 3)
-        ok &= abs(rep.z) <= 4.0
-        ok &= abs(rep.rhs - truth) <= 4.0 * rep.rhs_stderr + 1e-12
-        details.append(f"m={m},t={t}: z={rep.z:.2f}")
-    assert report(12, "expanding-domain derivative, binomial process", ok, "; ".join(details))
+    rows = suites.check_crofton_binomial(RngStream(SEED, 12), [(m, t) for m in (1, 5, 20) for t in (0.2, 0.5)],
+                                         reps=20_000, zmax=4.0)
+    gate(12, "expanding-domain derivative, binomial process", rows,
+         "; ".join(f"m={r.params['m']},t={r.params['t']}: z={r.z_or_gap:.2f}" for r in rows))
 
 
 def test_c13_cli_determinism(tmp_path):

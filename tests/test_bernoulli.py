@@ -140,6 +140,22 @@ class TestRussoDerivative:
                     float(poly.derivative(th)), abs=1e-10
                 )
 
+    def test_theta_array_equals_scalar_calls(self):
+        rng = RngStream(25)
+        thetas = np.array([0.0, 0.05, 0.3, 0.5, 0.71, 0.95, 1.0])
+        for i in range(30):
+            stream = rng.substream(i)
+            m = int(stream.generator().integers(2, 13))
+            ev = (bn.random_monotone_dnf if i % 2 else bn.random_event)(m, stream.substream(1))
+            plus, minus = bn.russo_pivotal_expectations(ev, thetas)
+            deriv = bn.russo_derivative(ev, thetas)
+            assert plus.shape == minus.shape == deriv.shape == thetas.shape
+            for j, th in enumerate(thetas):
+                assert (plus[j], minus[j]) == bn.russo_pivotal_expectations(ev, float(th))
+                assert deriv[j] == bn.russo_derivative(ev, float(th))
+        assert isinstance(bn.russo_derivative(ev, 0.3), float)
+        assert bn.russo_derivative(ev, thetas.reshape(7, 1)).shape == (7, 1)
+
     def test_monotone_events_have_no_minus_pivotals(self):
         rng = RngStream(24)
         for i in range(10):

@@ -63,6 +63,46 @@ class TestConfig:
             load_config(bad)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("payload", [
+        dict(BASE, russo={"event": 5}),  # misspelt key
+        dict(BASE, russo={"events": 0}),
+        dict(BASE, russo={"events": 2.5}),
+        dict(BASE, russo={"max_bits": 30}),
+        dict(BASE, russo={"thetas": [0.5, 1.5]}),
+        dict(BASE, stable={"radvec_reps": 50}),
+        dict(BASE, crofton={"shape": {"kind": "torus"}}),
+        dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0]}}),
+        dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0, 0], "radius": 1.0}}),
+        dict(BASE, crofton={"h": "affine:1,2"}),
+        dict(BASE, crofton={"t": -0.1}),
+        dict(BASE, crofon={"reps": 10}),  # unknown block
+        dict(BASE, russo=[8]),
+        dict(BASE, tolerances={"z": "four"}),
+        dict(BASE, reps=1),
+    ])
+    def test_rejected(self, tmp_path, payload):
+        with pytest.raises(ConfigError):
+            load_config(write_cfg(tmp_path, payload))
+
+    def test_every_key_accepted(self, tmp_path):
+        cfg, _ = load_config(write_cfg(tmp_path, dict(
+            BASE, identities={}, russo={"events": 3, "max_bits": 6, "thetas": [0.2, 0.8]},
+            **{"poisson-derivative": {"reps": 100}}, stable={"samples": 50, "radvec_reps": 100},
+            crofton={"reps": 20, "shape": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+                     "h": "affine:1,0.5,0", "t": 0.3, "m": 4})))
+        assert cfg.suite_options("crofton")["m"] == 4
+
+    def test_value_error_in_suite_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(cfg):
+            raise ValueError("not a config problem")
+
+        monkeypatch.setitem(cli.SUITES, "russo", broken)
+        cfg = write_cfg(tmp_path, {"seed": 1, "reps": 300, "suites": ["russo"]})
+        with pytest.raises(ValueError, match="not a config problem"):
+            run(cfg, tmp_path / "out", verbose=False)
+
+
 class TestShapeParsing:
     def test_all_kinds(self):
         parse_shape({"kind": "disk", "center": [0, 0], "radius": 1.0})
@@ -155,3 +195,44 @@ class TestRunner:
         err = capsys.readouterr().err
         assert err == "check error in suite russo: declared bound 1.0 violated: 5.0\n"
         assert not (tmp_path / "out" / "results.csv").exists()
+
+
+# the acceptance gate's criterion-13 config, and every (suite, check_id) the
+# runner wrote for it before the checks moved into shared check functions
+C13_CONFIG = {
+    "seed": 20260810, "reps": 1500, "suites": ["all"],
+    "russo": {"events": 8, "max_bits": 8},
+    "stable": {"samples": 2000, "radvec_reps": 10000},
+    "crofton": {"reps": 800, "shape": {"kind": "segment", "a": [0, 0], "b": [1.5, 0.5]},
+                "h": "const:1", "t": 0.4, "m": 6},
+}
+PINNED_CHECK_IDS = {
+    ("crofton", "binomial_count_configured_shape"), ("crofton", "binomial_count_disk"),
+    ("crofton", "poisson_constant_statistic"), ("crofton", "poisson_count_configured_shape"),
+    ("crofton", "poisson_count_disk"), ("crofton", "poisson_count_segment_t0"),
+    ("crofton", "steiner_mass_consistency"), ("crofton", "volume_derivative_vs_boundary"),
+    ("identities", "binomial_tail_vs_beta_integral"), ("identities", "cpois_cdf_rate_equation"),
+    ("identities", "cpois_direct_vs_panjer"), ("identities", "cpois_polyrec_vs_panjer"),
+    ("identities", "erlang_three_way"), ("identities", "negbin_binomial_tail_vs_integral"),
+    ("identities", "negbin_sum_below_k_vs_integral"), ("identities", "negbin_sum_through_k_overshoot"),
+    ("identities", "poisson_tail_vs_integral"),
+    ("poisson-derivative", "erlang_arrival_derivative"), ("poisson-derivative", "location_count"),
+    ("poisson-derivative", "location_hit"), ("poisson-derivative", "location_void"),
+    ("poisson-derivative", "pivotal_points_vs_locations"),
+    ("poisson-derivative", "second_derivative_count_squared"),
+    ("poisson-derivative", "series_void_probability"),
+    ("russo", "derivative_matches_polynomial_arbitrary"), ("russo", "derivative_matches_polynomial_monotone_dnf"),
+    ("russo", "negbin_boundary_pivotal_count_is_r"), ("russo", "threshold_below_boundary_pivotal_count"),
+    ("russo", "threshold_monotone_no_minus"),
+    ("stable", "cdf_identity_monte_carlo"), ("stable", "cdf_identity_quadrature"),
+    ("stable", "density_identity_quadrature"), ("stable", "golden_cdf_vs_erfc"),
+    ("stable", "levy_measure_homogeneity"), ("stable", "radius_density_identity_axis_2d"),
+    ("stable", "radius_density_identity_positive_half"), ("stable", "radius_density_identity_symmetric_1d"),
+    ("stable", "scaling_ks"), ("stable", "strict_stability_ks"),
+}
+
+
+def test_check_ids_pinned(tmp_path):
+    assert run(write_cfg(tmp_path, C13_CONFIG), tmp_path / "out", verbose=False) == 0
+    rows = list(csv.DictReader((tmp_path / "out" / "results.csv").open()))
+    assert PINNED_CHECK_IDS <= {(r["suite"], r["check_id"]) for r in rows}

@@ -88,6 +88,14 @@ class TestMasses:
                 patch = integrate_parallel(body, t, ones)
                 assert abs(patch - steiner_mass(body, t)) <= 1e-8
 
+    def test_any_patch_order(self):
+        # patch quadrature takes any number of nodes, not only the orders
+        # gauss_legendre accepts
+        ones = lambda p: np.ones(p.shape[0])
+        for npoints in (5, 12):
+            assert integrate_parallel(SQUARE, 0.3, ones, npoints) == pytest.approx(
+                steiner_mass(SQUARE, 0.3), abs=1e-12)
+
     def test_nonconstant_density(self):
         # h(x, y) = x + 2 over the unit square at t = 0: exact value 2.5
         val = parallel_mass(SQUARE, 0.0, h=lambda p: p[:, 0] + 2.0, tol=1e-10)

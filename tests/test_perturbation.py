@@ -267,8 +267,8 @@ class TestGoldenValues:
     def test_location_estimator(self):
         est = derivative_location_estimator(hit_indicator(B), SQUARE, 1.5, 200, RngStream(31))
         assert est == DerivativeEstimate(
-            estimate=0.195, stderr=0.028085923439997246, reps=200, nplus=0.195,
-            nplus_stderr=0.028085923439997246, nminus=0.0, nminus_stderr=0.0)
+            estimate=0.195, stderr=0.028085923439997242, reps=200, nplus=0.195,
+            nplus_stderr=0.028085923439997242, nminus=0.0, nminus_stderr=0.0)
 
     def test_location_estimator_rejection_sampling(self):
         # a disk (membership test) and a density: both reject proposals
@@ -302,9 +302,9 @@ class TestGoldenValues:
     def test_perturbation_series(self):
         res = perturbation_series(void_indicator(B), SQUARE, SQUARE, 0.5, kmax=3, reps=40, rng=RngStream(37))
         assert res == PerturbationSeriesResult(
-            estimate=0.6088541666666668, truncation_bound=0.05161516179237857, stderr=0.08043863145791734,
-            base=MCEstimate(mean=0.675, stderr=0.075, reps=40),
+            estimate=0.6088541666666668, truncation_bound=0.05161516179237857, stderr=0.08043863145791733,
+            base=MCEstimate(mean=0.675, stderr=0.07499999999999998, reps=40),
             terms=[SeriesTerm(order=1, weight=0.5, mean_difference=-0.15, stderr=0.05717718748968655),
-                   SeriesTerm(order=2, weight=0.125, mean_difference=0.075, stderr=0.042176369614348674),
+                   SeriesTerm(order=2, weight=0.125, mean_difference=0.075, stderr=0.04217636961434867),
                    SeriesTerm(order=3, weight=0.020833333333333332, mean_difference=-0.025,
                               stderr=0.024999999999999998)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pivotal.rng import RngStream
-from pivotal.summaries import empirical_cdf, ks_two_sample, mc_summary, smoothed_density
+from pivotal.summaries import empirical_cdf, ks_two_sample, mc_summary, mean_stderr, smoothed_density, zscore
 
 
 def test_mc_summary_against_numpy():
@@ -66,3 +66,24 @@ def test_ks_calibration_uniform():
         _, p = ks_two_sample(a, b)
         hits += p > 0.01
     assert hits >= 98
+
+
+class TestMeanStderr:
+    def test_matches_numpy(self):
+        x = RngStream(8).generator().normal(size=101)
+        assert mean_stderr(x) == (float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(101)))
+        s = mc_summary(x)
+        assert (s.mean, s.stderr) == mean_stderr(x)
+
+    def test_needs_two_values(self):
+        with pytest.raises(ValueError):
+            mean_stderr([1.0])
+        assert mean_stderr([1.0, 1.0]) == (1.0, 0.0)
+
+
+class TestZscore:
+    def test_cases(self):
+        assert zscore(1.0, 0.5) == 2.0
+        assert zscore(-1.0, 0.5) == -2.0
+        assert zscore(0.0, 0.0) == 0.0
+        assert zscore(1e-300, 0.0) == float("inf")
