@@ -16,15 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
-from .bernoulli import MAX_EXACT_BITS
-from .geometry import body_dim
 from .point_process import DeclarationError
 from .quadrature import QuadratureError
-from .suites import SUITES, CheckResult, SuiteConfig, parse_density, parse_shape
+from .stable import EnvelopeError
+from .suites import SUITES, CheckResult, SuiteConfig, number_in
 
 CSV_HEADER = ["suite", "check_id", "param_json", "lhs", "rhs",
               "lhs_stderr", "rhs_stderr", "z_or_gap", "threshold", "pass"]
@@ -46,33 +44,12 @@ EXIT_CODES = """exit codes:
   1  some check failed
   2  usage or configuration error
   3  a check could not be computed: a declared bound or envelope was broken
-     (DeclarationError) or a quadrature missed its tolerance (QuadratureError)"""
+     (DeclarationError, EnvelopeError) or a quadrature missed its tolerance
+     (QuadratureError)"""
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _number(value, lo=0.0, hi=math.inf) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
-
-
-def _count(lo, hi=math.inf):
-    return (lambda v: isinstance(v, int) and _number(v, lo, hi)), f"an integer in [{lo}, {hi}]"
-
-
-# the keys a suite block may set: key -> (is_valid(value), what the value must be)
-_SUITE_OPTIONS = {
-    "identities": {},
-    "russo": {"events": _count(1, 1000), "max_bits": _count(2, MAX_EXACT_BITS),
-              "thetas": (lambda v: isinstance(v, list) and len(v) > 0 and all(_number(x, 0, 1) for x in v),
-                         "a nonempty list of numbers in [0, 1]")},
-    "poisson-derivative": {"reps": _count(2)},
-    "stable": {"samples": _count(2), "radvec_reps": _count(100)},
-    "crofton": {"reps": _count(2), "m": _count(1), "t": (_number, "a nonnegative number"),
-                "shape": (lambda v: isinstance(v, dict) and body_dim(parse_shape(v)) == 2, "a planar shape"),
-                "h": (lambda v: isinstance(v, str) and parse_density(v) is not None, "a density spec")},
-}
 
 
 def load_config(path: str | Path, seed_override: int | None = None,
@@ -91,7 +68,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError("seed must be an integer")
 
     reps = raw.get("reps", 20000)
-    if not (isinstance(reps, int) and _number(reps, 2)):
+    if not (isinstance(reps, int) and number_in(reps, 2)):
         raise ConfigError("reps must be an integer >= 2")
 
     names = suites_override if suites_override else raw.get("suites", [])
@@ -107,28 +84,20 @@ def load_config(path: str | Path, seed_override: int | None = None,
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
 
-    options = {k: v for k, v in raw.items() if k not in ("seed", "reps", "suites", "tolerances")}
-    for suite, block in options.items():
-        if suite not in SUITES or not isinstance(block, dict):
-            raise ConfigError(f"config key {suite!r} is neither a setting nor a suite block")
-        for key, value in block.items():
-            if key not in _SUITE_OPTIONS[suite]:
-                raise ConfigError(f"unknown key {key!r} in block {suite!r}")
-            valid, expected = _SUITE_OPTIONS[suite][key]
-            try:
-                ok = valid(value)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{suite}.{key}: {exc}") from exc
-            if not ok:
-                raise ConfigError(f"{suite}.{key} must be {expected}")
-    cfg = SuiteConfig(seed=seed, reps=reps, options=options)
+    cfg = SuiteConfig(seed=seed, reps=reps,
+                      options={k: v for k, v in raw.items()
+                               if k not in ("seed", "reps", "suites", "tolerances")})
+    try:
+        cfg.validate_options()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
     for key, value in tolerances.items():
         if key not in _TOLERANCE_KEYS:
             raise ConfigError(f"unknown tolerance {key!r}")
-        if not _number(value):
+        if not number_in(value):
             raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
         setattr(cfg, _TOLERANCE_KEYS[key], float(value))
     return cfg, list(names)
@@ -172,7 +141,7 @@ def run(config_path: str | Path, out_dir: str | Path, seed: int | None = None,
     for name in names:
         try:
             suite_rows = SUITES[name](cfg)
-        except (DeclarationError, QuadratureError) as exc:
+        except (DeclarationError, EnvelopeError, QuadratureError) as exc:
             print(f"check error in suite {name}: {exc}", file=sys.stderr)
             return 3
         rows.extend(suite_rows)

@@ -6,7 +6,10 @@ one CheckResult row per case.  Its callers are the ``run_*`` suites of the
 command-line runner, with the config's values and streams derived from
 ``SuiteConfig.rng(suite)``, and the acceptance gate, with its own.  A row
 compares a gap with a tolerance, a z-score with a z threshold, or a KS
-p-value with a floor.
+p-value with a floor.  The keys of each suite's config block, with their
+defaults and valid values, are one table in ``OPTIONS``: ``run_*`` read
+their values through ``SuiteConfig.suite_options`` and the runner's
+``load_config`` validates a config against it.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ def _gap_row(suite, check_id, params, lhs, rhs, tol) -> CheckResult:
     return CheckResult(suite, check_id, params, lhs, rhs, 0.0, 0.0, gap, tol, gap <= tol)
 
 
-def _z_row(suite, check_id, params, lhs, rhs, lse, rse, zmax) -> CheckResult:
+def _z_row(suite, check_id, params, lhs, rhs, lse, rse, zmax, ok: bool = True) -> CheckResult:
+    """z row; ``ok``: a further condition the row needs to pass."""
     z = zscore(lhs - rhs, math.hypot(lse, rse))
-    return CheckResult(suite, check_id, params, lhs, rhs, lse, rse, z, zmax, abs(z) <= zmax)
+    return CheckResult(suite, check_id, params, lhs, rhs, lse, rse, z, zmax, abs(z) <= zmax and ok)
 
 
 def _p_row(suite, check_id, params, stat, pvalue, floor) -> CheckResult:
@@ -59,8 +63,16 @@ def _p_row(suite, check_id, params, stat, pvalue, floor) -> CheckResult:
 
 def _crofton_row(check_id, params, rep: geo.CroftonReport, zmax, rhs_ok: bool = True) -> CheckResult:
     """z row of a Crofton check; ``rhs_ok``: its boundary side matches a closed form."""
-    return CheckResult("crofton", check_id, params, rep.lhs, rep.rhs, rep.lhs_stderr,
-                       rep.rhs_stderr, rep.z, zmax, abs(rep.z) <= zmax and rhs_ok)
+    return _z_row("crofton", check_id, params, rep.lhs, rep.rhs, rep.lhs_stderr, rep.rhs_stderr, zmax, rhs_ok)
+
+
+def number_in(value, lo=0.0, hi=math.inf) -> bool:
+    """A real number, not a bool, in [lo, hi]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
+
+
+def _count(default, lo, hi=math.inf):
+    return default, (lambda v: isinstance(v, int) and number_in(v, lo, hi)), f"an integer in [{lo}, {hi}]"
 
 
 @dataclass
@@ -81,7 +93,31 @@ class SuiteConfig:
         return RngStream(self.seed, SUITE_INDEX[suite])
 
     def suite_options(self, suite: str) -> dict:
-        return self.options.get(suite, {})
+        """The suite's config block, each option it leaves unset at its default."""
+        block = self.options.get(suite, {})
+        return {key: block.get(key, default(self) if callable(default) else default)
+                for key, (default, _, _) in OPTIONS[suite].items()}
+
+    def validate_options(self) -> None:
+        """Raise ValueError unless each block names a suite and sets only that
+        suite's options, each to a valid value, and a configured Crofton shape
+        and density can be sampled."""
+        for suite, block in self.options.items():
+            if suite not in OPTIONS or not isinstance(block, dict):
+                raise ValueError(f"config key {suite!r} is neither a setting nor a suite block")
+            for key, value in block.items():
+                if key not in OPTIONS[suite]:
+                    raise ValueError(f"unknown key {key!r} in block {suite!r}")
+                _, valid, expected = OPTIONS[suite][key]
+                try:
+                    ok = valid(value)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(f"{suite}.{key}: {exc}") from exc
+                if not ok:
+                    raise ValueError(f"{suite}.{key} must be {expected}")
+        opts = self.suite_options("crofton")
+        if opts["shape"] is not None:
+            configured_shape(opts["shape"], opts["h"], float(opts["t"]))
 
 
 # -- identities ---------------------------------------------------------------
@@ -221,11 +257,21 @@ def check_threshold_pivotal_counts() -> list[CheckResult]:
     return rows
 
 
+# options of a suite's config block: key -> (default, is_valid(value), what the
+# value must be); a callable default is computed from the SuiteConfig
+_RUSSO_OPTIONS = {
+    "events": _count(30, 1, 1000),
+    "max_bits": _count(10, 2, bn.MAX_EXACT_BITS),
+    "thetas": ([0.1, 0.3, 0.5, 0.7, 0.9],
+               lambda v: isinstance(v, list) and len(v) > 0 and all(number_in(x, 0, 1) for x in v),
+               "a nonempty list of numbers in [0, 1]"),
+}
+
+
 def run_russo(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("russo")
-    return (check_russo_derivative(cfg.rng("russo"), int(opts.get("events", 30)),
-                                   int(opts.get("max_bits", 10)),
-                                   opts.get("thetas", [0.1, 0.3, 0.5, 0.7, 0.9]), cfg.tol_identity)
+    return (check_russo_derivative(cfg.rng("russo"), opts["events"], opts["max_bits"], opts["thetas"],
+                                   cfg.tol_identity)
             + check_threshold_pivotal_counts())
 
 
@@ -244,7 +290,9 @@ def check_location_estimators(rng: RngStream, theta, reps, zmax) -> list[CheckRe
     params = {"theta": theta, "reps": reps}
     slope = 0.25 * math.exp(-theta * 0.25)  # |d/dtheta P(no point in B)|
     est = pert.derivative_location_estimator(_COUNT, _UNIT_SQUARE, theta, reps, rng.substream(0))
-    rows = [_z_row("poisson-derivative", "location_count", params, est.estimate, 1.0, est.stderr, 0.0, zmax)]
+    # the count's difference is identically 1, so the estimate must be 1 to rounding
+    rows = [_z_row("poisson-derivative", "location_count", params, est.estimate, 1.0, est.stderr, 0.0, zmax,
+                   abs(est.estimate - 1.0) <= 1e-9)]
     est = pert.derivative_location_estimator(void_indicator(_QUARTER), _UNIT_SQUARE, theta, reps,
                                              rng.substream(1))
     rows.append(_z_row("poisson-derivative", "location_void", params, est.estimate, -slope,
@@ -294,8 +342,11 @@ def check_count_derivatives(rng: RngStream, reps, zmax) -> list[CheckResult]:
                    {"theta": theta, "reps": reps}, est2.mean, 2.0, est2.stderr, 0.0, zmax)]
 
 
+_POISSON_DERIVATIVE_OPTIONS = {"reps": _count(lambda cfg: cfg.reps, 2)}
+
+
 def run_poisson_derivative(cfg: SuiteConfig) -> list[CheckResult]:
-    reps = int(cfg.suite_options("poisson-derivative").get("reps", cfg.reps))
+    reps = cfg.suite_options("poisson-derivative")["reps"]
     rng = cfg.rng("poisson-derivative")
     return (check_location_estimators(rng, 1.5, reps, cfg.zmax)
             + check_perturbation_series(rng.substream(5), (0.25, 1.0), max(2000, reps // 4), 6, cfg.zmax)
@@ -394,10 +445,12 @@ def check_cdf_identity_mc(rng: RngStream, reps, zmax) -> list[CheckResult]:
                    res.residual, 0.0, res.stderr, 0.0, zmax)]
 
 
+_STABLE_OPTIONS = {"samples": _count(10000, 2), "radvec_reps": _count(100_000, 100)}
+
+
 def run_stable(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("stable")
-    nsamples = int(opts.get("samples", 10000))
-    radvec_reps = int(opts.get("radvec_reps", 100_000))
+    nsamples, radvec_reps = opts["samples"], opts["radvec_reps"]
     rng = cfg.rng("stable")
     return (check_half_index_law(rng, nsamples, cfg.golden_gap, (0.5, 1.0, 2.0, 5.0), cfg.tol_stable_quad)
             + check_stable_properties(rng.substream(10), (0.5, 0.8, 1.5), (1.0,), nsamples, cfg.ks_floor,
@@ -423,18 +476,40 @@ def parse_shape(spec: dict) -> geo.ConvexBody:
 
 
 def parse_density(spec: str | None):
-    """Density spec: 'const:<c>' or 'affine:<a>,<b>,<c>' meaning a + b*x + c*y."""
+    """Density spec: 'const:<c>' with c > 0, or 'affine:<a>,<b>,<c>' meaning
+    max(a + b*x + c*y, 0); returns h (None for 1) and sup h, None if affine."""
     if spec is None or spec == "const:1":
         return None, 1.0
-    if spec.startswith("const:"):
-        c = float(spec.split(":", 1)[1])
-        if c < 0:
-            raise ValueError("constant density must be nonnegative")
+    kind, _, args = spec.partition(":")
+    coeffs = [float(v) for v in args.split(",")]
+    if not all(math.isfinite(v) for v in coeffs):
+        raise ValueError(f"density {spec!r} has a coefficient that is not finite")
+    if kind == "const" and len(coeffs) == 1:
+        c = coeffs[0]
+        if c <= 0:
+            raise ValueError("constant density must be positive")
         return (lambda pts: np.full(pts.shape[0], c)), c
-    if spec.startswith("affine:"):
-        a, b, c = (float(v) for v in spec.split(":", 1)[1].split(","))
+    if kind == "affine" and len(coeffs) == 3:
+        a, b, c = coeffs
         return (lambda pts: np.maximum(a + b * pts[:, 0] + c * pts[:, 1], 0.0)), None
     raise ValueError(f"unknown density spec {spec!r}")
+
+
+def configured_shape(shape: dict, density: str | None, t: float):
+    """The configured body, its density h and an envelope of h on every set
+    the Crofton checks sample: out to radius max(t, 0.2) + delta (delta <=
+    1e-2).  Raises ValueError if h has no mass on K_{max(t, 0.2) - delta},
+    the smallest set the binomial check samples when it runs."""
+    body = parse_shape(shape)
+    h, sup = parse_density(density)
+    if sup is None:
+        tb = max(t, 0.2)
+        box = geo.bounding_box(body, pad=tb + 1e-2)
+        corners = np.array([[x, y] for x in box[0] for y in box[1]])
+        sup = float(np.max(h(corners)))
+        if (geo.area(body) > 0 or t > 0) and not geo.integrate_parallel(body, tb - 1e-2, h) > 0:
+            raise ValueError(f"density {density!r} has no mass on K_{tb - 1e-2:g}")
+    return body, h, sup
 
 
 _DISK = geo.Disk(np.array([0.0, 0.0]), 1.0)
@@ -501,14 +576,7 @@ def check_crofton_shape(rng: RngStream, shape: dict, density, t, m, reps, zmax) 
     """Both Crofton checks on a configured planar shape and density: the
     Poisson count at t (stream 50) and, for a body of positive area or t > 0,
     the m-point binomial count in a central ball at max(t, 0.2) (stream 51)."""
-    body = parse_shape(shape)
-    h, sup = parse_density(density)
-    if sup is None:
-        # the checks below sample out to radius max(t, 0.2) + delta
-        # (delta <= 1e-2), so the envelope must hold on that box
-        box = geo.bounding_box(body, pad=max(t, 0.2) + 1e-2)
-        corners = np.array([[x, y] for x in box[0] for y in box[1]])
-        sup = float(np.max(h(corners)))
+    body, h, sup = configured_shape(shape, density, t)
     rep = geo.crofton_poisson_check(_COUNT, body, t, reps, rng.substream(50), h=h, sup_density=sup)
     rows = [_crofton_row("poisson_count_configured_shape", {"t": t, "reps": reps, "shape": shape.get("kind")},
                          rep, zmax)]
@@ -525,16 +593,24 @@ def check_crofton_shape(rng: RngStream, shape: dict, density, t, m, reps, zmax) 
     return rows
 
 
+_CROFTON_OPTIONS = {
+    "reps": _count(lambda cfg: min(cfg.reps, 10000), 2),
+    "m": _count(10, 1),
+    "t": (0.5, number_in, "a nonnegative number"),
+    "shape": (None, lambda v: isinstance(v, dict) and geo.body_dim(parse_shape(v)) == 2, "a planar shape"),
+    "h": (None, lambda v: isinstance(v, str) and parse_density(v) is not None, "a density spec"),
+}
+
+
 def run_crofton(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("crofton")
-    reps = int(opts.get("reps", min(cfg.reps, 10000)))
+    reps = opts["reps"]
     rng = cfg.rng("crofton")
     rows = (check_steiner()
             + check_crofton_poisson(rng, reps, max(100, reps // 50), cfg.zmax)
             + check_crofton_binomial(rng.substream(10), [(1, 0.2), (5, 0.2)], reps, cfg.zmax))
-    if "shape" in opts:
-        rows += check_crofton_shape(rng, opts["shape"], opts.get("h"),
-                                    float(opts.get("t", 0.5)), int(opts.get("m", 10)), reps, cfg.zmax)
+    if opts["shape"] is not None:
+        rows += check_crofton_shape(rng, opts["shape"], opts["h"], float(opts["t"]), opts["m"], reps, cfg.zmax)
     return rows
 
 
@@ -545,3 +621,5 @@ SUITES: dict[str, Callable[[SuiteConfig], list[CheckResult]]] = {
     "stable": run_stable,
     "crofton": run_crofton,
 }
+OPTIONS = {"identities": {}, "russo": _RUSSO_OPTIONS, "poisson-derivative": _POISSON_DERIVATIVE_OPTIONS,
+           "stable": _STABLE_OPTIONS, "crofton": _CROFTON_OPTIONS}

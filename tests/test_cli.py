@@ -8,6 +8,7 @@ from pivotal import cli
 from pivotal.cli import CSV_HEADER, ConfigError, load_config, run, write_reports
 from pivotal.point_process import DeclarationError
 from pivotal.quadrature import QuadratureError
+from pivotal.stable import EnvelopeError
 from pivotal.suites import CheckResult, parse_density, parse_shape
 
 
@@ -18,6 +19,7 @@ def write_cfg(tmp_path: Path, payload: dict) -> Path:
 
 
 BASE = {"seed": 4242, "reps": 500, "suites": ["identities"]}
+DISK = {"kind": "disk", "center": [0, 0], "radius": 1.0}
 
 
 class TestConfig:
@@ -75,6 +77,13 @@ class TestConfigValidation:
         dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0]}}),
         dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0, 0], "radius": 1.0}}),
         dict(BASE, crofton={"h": "affine:1,2"}),
+        dict(BASE, crofton={"shape": DISK, "h": "const:0"}),
+        dict(BASE, crofton={"shape": DISK, "h": "const:nan"}),
+        dict(BASE, crofton={"shape": DISK, "h": "affine:1,inf,0"}),
+        dict(BASE, crofton={"shape": DISK, "h": "affine:-1,0,0"}),  # zero everywhere
+        # positive only near the corners of the padded bounding box, outside
+        # every disk the binomial check samples
+        dict(BASE, crofton={"shape": DISK, "h": "affine:-2.9,1,1", "t": 0.5}),
         dict(BASE, crofton={"t": -0.1}),
         dict(BASE, crofon={"reps": 10}),  # unknown block
         dict(BASE, russo=[8]),
@@ -184,7 +193,7 @@ class TestRunner:
         assert main(["--help"]) == 0
         assert "3  a check could not be computed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("error", [DeclarationError, QuadratureError])
+    @pytest.mark.parametrize("error", [DeclarationError, EnvelopeError, QuadratureError])
     def test_check_error_in_suite_is_exit_3(self, tmp_path, monkeypatch, capsys, error):
         def broken(cfg):
             raise error("declared bound 1.0 violated: 5.0")
@@ -196,43 +205,3 @@ class TestRunner:
         assert err == "check error in suite russo: declared bound 1.0 violated: 5.0\n"
         assert not (tmp_path / "out" / "results.csv").exists()
 
-
-# the acceptance gate's criterion-13 config, and every (suite, check_id) the
-# runner wrote for it before the checks moved into shared check functions
-C13_CONFIG = {
-    "seed": 20260810, "reps": 1500, "suites": ["all"],
-    "russo": {"events": 8, "max_bits": 8},
-    "stable": {"samples": 2000, "radvec_reps": 10000},
-    "crofton": {"reps": 800, "shape": {"kind": "segment", "a": [0, 0], "b": [1.5, 0.5]},
-                "h": "const:1", "t": 0.4, "m": 6},
-}
-PINNED_CHECK_IDS = {
-    ("crofton", "binomial_count_configured_shape"), ("crofton", "binomial_count_disk"),
-    ("crofton", "poisson_constant_statistic"), ("crofton", "poisson_count_configured_shape"),
-    ("crofton", "poisson_count_disk"), ("crofton", "poisson_count_segment_t0"),
-    ("crofton", "steiner_mass_consistency"), ("crofton", "volume_derivative_vs_boundary"),
-    ("identities", "binomial_tail_vs_beta_integral"), ("identities", "cpois_cdf_rate_equation"),
-    ("identities", "cpois_direct_vs_panjer"), ("identities", "cpois_polyrec_vs_panjer"),
-    ("identities", "erlang_three_way"), ("identities", "negbin_binomial_tail_vs_integral"),
-    ("identities", "negbin_sum_below_k_vs_integral"), ("identities", "negbin_sum_through_k_overshoot"),
-    ("identities", "poisson_tail_vs_integral"),
-    ("poisson-derivative", "erlang_arrival_derivative"), ("poisson-derivative", "location_count"),
-    ("poisson-derivative", "location_hit"), ("poisson-derivative", "location_void"),
-    ("poisson-derivative", "pivotal_points_vs_locations"),
-    ("poisson-derivative", "second_derivative_count_squared"),
-    ("poisson-derivative", "series_void_probability"),
-    ("russo", "derivative_matches_polynomial_arbitrary"), ("russo", "derivative_matches_polynomial_monotone_dnf"),
-    ("russo", "negbin_boundary_pivotal_count_is_r"), ("russo", "threshold_below_boundary_pivotal_count"),
-    ("russo", "threshold_monotone_no_minus"),
-    ("stable", "cdf_identity_monte_carlo"), ("stable", "cdf_identity_quadrature"),
-    ("stable", "density_identity_quadrature"), ("stable", "golden_cdf_vs_erfc"),
-    ("stable", "levy_measure_homogeneity"), ("stable", "radius_density_identity_axis_2d"),
-    ("stable", "radius_density_identity_positive_half"), ("stable", "radius_density_identity_symmetric_1d"),
-    ("stable", "scaling_ks"), ("stable", "strict_stability_ks"),
-}
-
-
-def test_check_ids_pinned(tmp_path):
-    assert run(write_cfg(tmp_path, C13_CONFIG), tmp_path / "out", verbose=False) == 0
-    rows = list(csv.DictReader((tmp_path / "out" / "results.csv").open()))
-    assert PINNED_CHECK_IDS <= {(r["suite"], r["check_id"]) for r in rows}
