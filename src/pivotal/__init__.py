@@ -5,6 +5,7 @@ from .rng import RngStream, mix64
 from .quadrature import QuadratureError, adaptive_simpson, gauss_legendre, power_singular_integral
 from .summaries import empirical_cdf, ks_two_sample, mc_summary, smoothed_density
 from .point_process import (
+    CountFunctional,
     DeclarationError,
     IntensityMeasure,
     PointConfiguration,

@@ -5,7 +5,19 @@ Supported shapes: disk and axis-aligned box (dimension 2 or 3), strictly
 convex ccw polygon and segment (dimension 2).  All offset boundaries are
 parameterized exactly (lines, circular arcs, sphere), and integrals over
 parallel sets are assembled from smooth patches so no indicator function is
-ever fed to a quadrature rule.
+ever fed to a quadrature rule.  Integrands take an (n, dim) point array and
+return n values; any other shape raises TypeError.
+
+The Crofton checks draw their replicates from the block engine of
+:mod:`pivotal.point_process`: side s is ``rng.substream(s)`` and block b of
+side s draws from ``rng.substream(s).substream(b)``, the replicate count per
+block fixed by the mass (or m) and ``_BLOCK_POINTS``, counts before points.
+``crofton_poisson_check`` samples K_{t+delta} on side 0 and K_t on side 1;
+``crofton_binomial_check`` samples K_{t+delta} on side 0, K_{t-delta} on
+side 1 and K_t on side 2.  A ``CountFunctional`` is evaluated a block at a
+time, with the region memberships of the fixed boundary nodes computed once
+per check; any other ``Statistic`` configuration by configuration, with the
+same values for the same function.
 """
 
 from __future__ import annotations
@@ -16,9 +28,18 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .point_process import IntensityMeasure, PointConfiguration, Statistic, sample_binomial, sample_poisson
+from .point_process import (
+    CountFunctional,
+    IntensityMeasure,
+    PointConfiguration,
+    ReplicateBlock,
+    Statistic,
+    binomial_blocks,
+    poisson_blocks,
+    replicate_values,
+)
 from .quadrature import QuadratureError, _gl_nodes
-from .rng import RngStream, _rekey
+from .rng import RngStream
 from .summaries import mean_stderr, zscore
 
 
@@ -295,14 +316,20 @@ def _parallel_patches(body: ConvexBody, t: float, n: int):
     return patches
 
 
+def _eval_points(f, pts: np.ndarray) -> np.ndarray:
+    """``f`` on the (n, dim) node array; its values must have shape (n,)."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise TypeError(f"integrand must map points of shape {pts.shape} to values of shape "
+                        f"({pts.shape[0]},), got shape {vals.shape}")
+    return vals
+
+
 def integrate_parallel(body: ConvexBody, t: float, f, npoints: int = 32) -> float:
     """Integral of ``f`` over the parallel set via smooth-patch Gauss-Legendre."""
     total = 0.0
     for pts, wts in _parallel_patches(body, t, npoints):
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != (pts.shape[0],):
-            vals = np.array([float(f(p[None, :])) for p in pts])
-        total += float(np.dot(wts, vals))
+        total += float(np.dot(wts, _eval_points(f, pts)))
     return total
 
 
@@ -394,10 +421,7 @@ def boundary_integral(body: ConvexBody, t: float, f, npoints: int = 32) -> float
     if t == 0 and isinstance(body, Segment):
         raise ValueError("segment at t = 0: endpoint boundary has measure zero")
     pts, wts = boundary_nodes(body, t, npoints)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        vals = np.array([float(f(p[None, :])) for p in pts])
-    return float(np.dot(wts, vals))
+    return float(np.dot(wts, _eval_points(f, pts)))
 
 
 @dataclass(frozen=True)
@@ -434,6 +458,43 @@ def intensity_on_parallel_set(body: ConvexBody, t: float, h=None,
         dim=2, bounds=bounding_box(body, pad=t), scale=scale, density=dens,
         sup_density=sup_density, contains=region, base_mass=base,
     )
+
+
+def _restricted_values(g: Statistic, blk: ReplicateBlock, region) -> np.ndarray:
+    """g at each replicate of the block restricted to ``region``."""
+    if isinstance(g, CountFunctional):
+        return g.values(g.counts(blk, keep=region(blk.points)))
+    return np.array([g.value(blk.configuration(i).restrict(region)) for i in range(blk.reps)], dtype=float)
+
+
+class _BoundaryNodes:
+    """Boundary quadrature nodes with weights w * h, and, for a CountFunctional,
+    their region memberships (computed once per check)."""
+
+    def __init__(self, g: Statistic, pts: np.ndarray, wts: np.ndarray, hval):
+        self.g, self.pts = g, pts
+        self.wh = wts * np.asarray(hval(pts), dtype=float)
+        self.mem = g.memberships(pts) if isinstance(g, CountFunctional) else None
+
+    def added_sums(self, blk: ReplicateBlock, drop_last: bool) -> np.ndarray:
+        """For each replicate xi: the sum over nodes p of w_p h(p) (g(xi' + delta_p) - g(xi)),
+        where xi' is xi, or xi without its last point if ``drop_last``; summed in node order."""
+        g, acc = self.g, np.zeros(blk.reps)
+        if isinstance(g, CountFunctional):
+            counts = g.counts(blk)
+            base = g.values(counts)
+            if drop_last:
+                counts = counts - g.memberships(blk.points[blk.offsets[1:] - 1])
+            for w, mem in zip(self.wh, self.mem):
+                acc += w * (g.values(counts + mem) - base)
+            return acc
+        for i in range(blk.reps):
+            xi = blk.configuration(i)
+            base = g.value(xi)
+            kept = PointConfiguration._wrap(xi.dim, xi.points[:-1]) if drop_last else xi
+            for p, w in zip(self.pts, self.wh):
+                acc[i] += w * (g.value(kept.add_atom(p)) - base)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -483,12 +544,10 @@ def crofton_poisson_check(
     mu_plus = intensity_on_parallel_set(body, t + delta, h, sup_density)
     region_minus = parallel_region(body, tminus)
 
-    lhs_rng = rng.substream(0)
-    vals = np.empty(reps)
-    gen = rng.generator()
-    for i in range(reps):
-        eta = sample_poisson(mu_plus, _rekey(gen, lhs_rng.substream(i)))
-        vals[i] = (g.value(eta) - g.value(eta.restrict(region_minus))) / denom
+    vals = np.concatenate([
+        (replicate_values(g, blk) - _restricted_values(g, blk, region_minus)) / denom
+        for blk in poisson_blocks(mu_plus, reps, rng.substream(0))
+    ])
     lhs, lhs_se = mean_stderr(vals)
 
     hval = (lambda pts: np.ones(pts.shape[0])) if h is None else h
@@ -500,19 +559,11 @@ def crofton_poisson_check(
         rhs = 2.0 * float(np.dot(wts * np.asarray(hval(pts), dtype=float), dvals))
         rhs_se = 0.0
     else:
-        pts, wts = boundary_nodes(body, t, npoints)
-        wh = wts * np.asarray(hval(pts), dtype=float)
+        nodes = _BoundaryNodes(g, *boundary_nodes(body, t, npoints), hval)
         mu_t = intensity_on_parallel_set(body, t, h, sup_density)
         pool = inner_reps if inner_reps is not None else min(reps, 5000)
-        rhs_rng = rng.substream(1)
-        cvals = np.empty(pool)
-        for j in range(pool):
-            eta = sample_poisson(mu_t, _rekey(gen, rhs_rng.substream(j)))
-            base = g.value(eta)
-            acc = 0.0
-            for p, w in zip(pts, wh):
-                acc += w * (g.value(eta.add_atom(p)) - base)
-            cvals[j] = acc
+        cvals = np.concatenate([nodes.added_sums(blk, drop_last=False)
+                                for blk in poisson_blocks(mu_t, pool, rng.substream(1))])
         rhs, rhs_se = mean_stderr(cvals)
 
     z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
@@ -552,36 +603,22 @@ def crofton_binomial_check(
     else:
         tminus, denom = 0.0, delta
 
-    gen = rng.generator()
-
-    def mean_g_at(radius: float, stream: RngStream) -> tuple[float, float]:
+    def mean_g_at(radius: float, side: int) -> tuple[float, float]:
         mu = intensity_on_parallel_set(body, radius, h, sup_density)
-        vals = np.empty(reps)
-        for i in range(reps):
-            vals[i] = g.value(sample_binomial(mu, m, _rekey(gen, stream.substream(i))))
-        return mean_stderr(vals)
+        return mean_stderr(np.concatenate([replicate_values(g, blk)
+                                           for blk in binomial_blocks(mu, m, reps, rng.substream(side))]))
 
-    up, up_se = mean_g_at(t + delta, rng.substream(0))
-    down, down_se = mean_g_at(tminus, rng.substream(1))
+    up, up_se = mean_g_at(t + delta, 0)
+    down, down_se = mean_g_at(tminus, 1)
     lhs = (up - down) / denom
     lhs_se = math.hypot(up_se, down_se) / denom
 
     mu_t = intensity_on_parallel_set(body, t, h, sup_density)
     mass_t = mu_t.mass()
-    pts, wts = boundary_nodes(body, t, npoints)
     hval = (lambda p: np.ones(p.shape[0])) if h is None else h
-    wh = wts * np.asarray(hval(pts), dtype=float)
-    pool = min(reps, 5000)
-    rhs_rng = rng.substream(2)
-    cvals = np.empty(pool)
-    for j in range(pool):
-        xi_m = sample_binomial(mu_t, m, _rekey(gen, rhs_rng.substream(j)))
-        xi_m1 = PointConfiguration._wrap(2, xi_m.points[: m - 1])
-        base = g.value(xi_m)
-        acc = 0.0
-        for p, w in zip(pts, wh):
-            acc += w * (g.value(xi_m1.add_atom(p)) - base)
-        cvals[j] = acc
+    nodes = _BoundaryNodes(g, *boundary_nodes(body, t, npoints), hval)
+    cvals = np.concatenate([nodes.added_sums(blk, drop_last=True)
+                            for blk in binomial_blocks(mu_t, m, min(reps, 5000), rng.substream(2))])
     rhs, rhs_se = mean_stderr(cvals)
     rhs *= m / mass_t
     rhs_se *= m / mass_t

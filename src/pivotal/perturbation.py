@@ -1,10 +1,19 @@
 """Perturbation series and Monte Carlo derivative estimators for Poisson functionals.
 
-Every estimator derives one child stream per replicate from the supplied
-:class:`~pivotal.rng.RngStream` and aggregates replicate values with NumPy's
-fixed-order pairwise summation, so results depend only on the master seed and
-the replicate count.  Each loop draws from one generator, rekeyed to every
-child stream in turn (see :mod:`pivotal.rng`).
+Every estimator draws its replicates from the block engine of
+:mod:`pivotal.point_process`: side s of an estimator is the stream
+``rng.substream(s)``, and block b of side s draws from
+``rng.substream(s).substream(b)`` (replicate count per block fixed by the
+mass and ``_BLOCK_POINTS``; added points, then counts, then points).
+``expectation_mc``, the location, point and higher-order estimators use side
+0 only; order k of ``perturbation_series`` uses side k, with the base term
+at side 0.  Replicate values are aggregated with NumPy's fixed-order pairwise
+summation, so results depend only on the master seed and the replicate count.
+
+A ``CountFunctional`` is evaluated a block at a time, its differences in
+closed form from region memberships; any other ``Statistic`` is evaluated
+configuration by configuration on views of the same blocks, with the same
+values for the same function.
 """
 
 from __future__ import annotations
@@ -15,14 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .point_process import (
+    CountFunctional,
     IntensityMeasure,
+    ReplicateBlock,
     Statistic,
     iterated_difference,
-    sample_binomial,
-    sample_poisson,
+    poisson_blocks,
+    replicate_values,
     total_mass,
 )
-from .rng import RngStream, _rekey
+from .rng import RngStream
 from .summaries import mean_stderr
 
 
@@ -37,12 +48,19 @@ def expectation_mc(g: Statistic, mu: IntensityMeasure, reps: int, rng: RngStream
     """Plain Monte Carlo estimate of E g(eta) for a Poisson process with mean measure mu."""
     if reps < 2:
         raise ValueError("need reps >= 2")
-    vals = np.empty(reps)
-    gen = rng.generator()
-    for i in range(reps):
-        vals[i] = g.value(sample_poisson(mu, _rekey(gen, rng.substream(i))))
+    vals = np.concatenate([replicate_values(g, blk) for blk in poisson_blocks(mu, reps, rng.substream(0))])
     mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)
+
+
+def _iterated_differences(g: Statistic, blk: ReplicateBlock) -> np.ndarray:
+    """The iterated difference of g at each replicate, over its added points."""
+    if isinstance(g, CountFunctional):
+        reps, k, dim = blk.added.shape
+        added = g.memberships(blk.added.reshape(reps * k, dim)).reshape(reps, k, len(g.regions))
+        return g.iterated_differences(g.counts(blk), added)
+    return np.array([iterated_difference(g, blk.configuration(i), blk.added[i]) for i in range(blk.reps)],
+                    dtype=float)
 
 
 @dataclass(frozen=True)
@@ -101,20 +119,13 @@ def perturbation_series(
         raise ValueError("kmax must be nonnegative")
 
     nu_mass = total_mass(nu)
-    base = expectation_mc(g, lam, reps, rng.substream(0))
+    base = expectation_mc(g, lam, reps, rng)
     terms: list[SeriesTerm] = []
     estimate = base.mean
     var = base.stderr**2
     for k in range(1, kmax + 1):
-        sub = rng.substream(k)
-        vals = np.empty(reps)
-        gen = sub.generator()
-        for i in range(reps):
-            stream = sub.substream(i)
-            zs = sample_binomial(nu, k, _rekey(gen, stream)).points
-            eta = sample_poisson(lam, _rekey(gen, stream.substream(1)))
-            vals[i] = iterated_difference(g, eta, zs)
-        mean, se = mean_stderr(vals)
+        blocks = poisson_blocks(lam, reps, rng.substream(k), added=(nu, k))
+        mean, se = mean_stderr(np.concatenate([_iterated_differences(g, blk) for blk in blocks]))
         weight = theta**k / math.factorial(k) * nu_mass**k
         terms.append(SeriesTerm(k, weight, mean, se))
         estimate += weight * mean
@@ -151,22 +162,23 @@ def derivative_location_estimator(
     if reps < 2:
         raise ValueError("need reps >= 2")
     lam_mass = total_mass(lam)
-    scaled = lam.scaled(theta)
-    vals = np.empty(reps)
-    plus = np.empty(reps) if g.is_event else None
-    gen = rng.generator()
-    for i in range(reps):
-        stream = rng.substream(i)
-        z = sample_binomial(lam, 1, _rekey(gen, stream)).points[0]
-        eta = sample_poisson(scaled, _rekey(gen, stream.substream(1)))
-        before = g.value(eta)
-        after = g.value(eta.add_atom(z))
-        vals[i] = lam_mass * (after - before)
-        if plus is not None:
-            plus[i] = lam_mass * (1.0 if (after == 1.0 and before == 0.0) else 0.0)
+    before, after = [], []
+    for blk in poisson_blocks(lam.scaled(theta), reps, rng.substream(0), added=(lam, 1)):
+        if isinstance(g, CountFunctional):
+            counts = g.counts(blk)
+            before.append(g.values(counts))
+            after.append(g.values(counts + g.memberships(blk.added[:, 0])))
+        else:
+            etas = [blk.configuration(i) for i in range(blk.reps)]
+            before.append(np.array([g.value(eta) for eta in etas], dtype=float))
+            after.append(np.array([g.value(eta.add_atom(z)) for eta, z in zip(etas, blk.added[:, 0])],
+                                  dtype=float))
+    before, after = np.concatenate(before), np.concatenate(after)
+    vals = lam_mass * (after - before)
     mean, se = mean_stderr(vals)
-    if plus is None:
+    if not g.is_event:
         return DerivativeEstimate(mean, se, reps)
+    plus = lam_mass * np.where((after == 1.0) & (before == 0.0), 1.0, 0.0)
     minus = plus - vals  # N- contribution = N+ - signed value
     pm, pse = mean_stderr(plus)
     mm, mse = mean_stderr(minus)
@@ -199,24 +211,38 @@ def derivative_point_estimator(
         raise ValueError("theta must be positive")
     if not g.is_event:
         raise ValueError("pivotal-point estimation applies to event statistics")
-    scaled = lam.scaled(theta)
-    removed = np.empty(reps)
-    added = np.empty(reps)
-    gen = rng.generator()
-    for i in range(reps):
-        eta = sample_poisson(scaled, _rekey(gen, rng.substream(i)))
-        r = a = 0.0
+    removed, added = [], []
+    for blk in poisson_blocks(lam.scaled(theta), reps, rng.substream(0)):
+        r, a = _pivotal_point_counts(g, blk)
+        removed.append(r / theta)
+        added.append(a / theta)
+    rm, rse = mean_stderr(np.concatenate(removed))
+    am, ase = mean_stderr(np.concatenate(added))
+    return PivotalPointEstimate(rm, rse, am, ase, reps)
+
+
+def _pivotal_point_counts(g: Statistic, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
+    """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
+    and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
+    if isinstance(g, CountFunctional):
+        mem = g.memberships(blk.points)
+        counts = g.counts(blk)
+        owner = np.repeat(np.arange(blk.reps), np.diff(blk.offsets))
+        held = g.values(counts)[owner] == 1.0
+        around = counts[owner]
+        r = np.bincount(owner, weights=held & (g.values(around - mem) == 0.0), minlength=blk.reps)
+        a = np.bincount(owner, weights=held & (g.values(around + mem) == 0.0), minlength=blk.reps)
+        return r, a
+    r, a = np.zeros(blk.reps), np.zeros(blk.reps)
+    for i in range(blk.reps):
+        eta = blk.configuration(i)
         if g.value(eta) == 1.0:
             for j in range(len(eta)):
                 if g.value(eta.without_index(j)) == 0.0:
-                    r += 1.0
+                    r[i] += 1.0
                 if g.value(eta.add_atom(eta.points[j])) == 0.0:
-                    a += 1.0
-        removed[i] = r / theta
-        added[i] = a / theta
-    rm, rse = mean_stderr(removed)
-    am, ase = mean_stderr(added)
-    return PivotalPointEstimate(rm, rse, am, ase, reps)
+                    a[i] += 1.0
+    return r, a
 
 
 def higher_derivative_estimator(
@@ -228,13 +254,7 @@ def higher_derivative_estimator(
     if not 1 <= k <= 10:
         raise ValueError("need 1 <= k <= 10")
     lam_mass = total_mass(lam)
-    scaled = lam.scaled(theta)
-    vals = np.empty(reps)
-    gen = rng.generator()
-    for i in range(reps):
-        stream = rng.substream(i)
-        zs = sample_binomial(lam, k, _rekey(gen, stream)).points
-        eta = sample_poisson(scaled, _rekey(gen, stream.substream(1)))
-        vals[i] = lam_mass**k * iterated_difference(g, eta, zs)
+    blocks = poisson_blocks(lam.scaled(theta), reps, rng.substream(0), added=(lam, k))
+    vals = lam_mass**k * np.concatenate([_iterated_differences(g, blk) for blk in blocks])
     mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)

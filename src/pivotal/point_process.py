@@ -3,14 +3,37 @@
 Configurations are finite counting measures on R^dim stored as point lists
 (atoms with multiplicity by repetition).  ``dim == 0`` models a one-point
 ground space, where a configuration is just a counter.
+
+Replicate engine: ``poisson_blocks`` and ``binomial_blocks`` draw the
+configurations of ``reps`` replicates in blocks of consecutive replicates,
+computing the mass once per call.  A block's replicate count is fixed by the
+mean number of points per replicate n (the mass, or m, plus the k added
+points) as ``max(1, _BLOCK_POINTS // (2 n + 1))``; only the last block is
+shorter.  Block b draws from ``rng.substream(b)``, in this order: the k added
+points of every replicate (i.i.d. from the normalized added measure), the
+replicate counts (one Poisson draw per replicate; binomial counts are m and
+draw nothing), then the configuration points of all its replicates, in
+replicate order, by rejection from the bounding box.  A block of two or more
+replicates holds on average at most ``_BLOCK_POINTS / 2`` configuration
+points and at most ``_BLOCK_POINTS / 2`` added points; its Poisson total
+exceeds ``_BLOCK_POINTS`` with probability below e^-3000 (Chernoff: the mean
+is at most half the limit, and the limit is 2^14).  Only a block of one
+replicate, of mean above ``_BLOCK_POINTS / 4``, can hold more, and it holds
+the one configuration a replicate loop would hold anyway.  So memory stays
+bounded whatever the replicate count.
+
+A ``CountFunctional`` is a statistic g(phi) = f(phi(B_1), ..., phi(B_r)) of
+the point counts in a few regions.  Its values, add-point, remove-point,
+restriction and iterated differences on a whole block follow in closed form
+from the region memberships of the points, with no configuration rebuilt.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,6 +42,8 @@ from .rng import RngStream
 
 MAX_ITERATED_DIFFERENCE = 20
 _MAX_REJECTED_PROPOSALS = 1_000_000
+_BLOCK_POINTS = 1 << 14  # most configuration points a replicate block holds
+_MASS_TOL = 1e-9  # the default quadrature tolerance of total_mass, whose result is cached
 
 
 class DeclarationError(RuntimeError):
@@ -168,11 +193,10 @@ class IntensityMeasure:
     # -- operations --------------------------------------------------------
 
     def scaled(self, factor: float) -> "IntensityMeasure":
-        return IntensityMeasure(
-            dim=self.dim, bounds=self.bounds, scale=self.scale * factor,
-            density=self.density, sup_density=self.sup_density,
-            contains=self.contains, base_mass=self.base_mass,
-        )
+        out = replace(self, scale=self.scale * factor)
+        if "_unit_mass" in self.__dict__:  # the unscaled integral carries over
+            out.__dict__["_unit_mass"] = self.__dict__["_unit_mass"]
+        return out
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
         vals = np.ones(pts.shape[0]) if self.density is None else np.asarray(self.density(pts), dtype=float)
@@ -180,18 +204,31 @@ class IntensityMeasure:
             vals = np.where(np.asarray(self.contains(pts), dtype=bool), vals, 0.0)
         return vals
 
-    def mass(self, tol: float = 1e-9) -> float:
+    def mass(self, tol: float = _MASS_TOL) -> float:
         return total_mass(self, tol)
 
+    @functools.cached_property
+    def _unit_mass(self) -> float:
+        """The unscaled quadrature mass at the default tolerance, integrated once."""
+        return _integrate_density(self, _MASS_TOL)
 
-def total_mass(mu: IntensityMeasure, tol: float = 1e-9) -> float:
-    """theta * integral of h over the region, exactly for known shapes else by quadrature."""
+
+def total_mass(mu: IntensityMeasure, tol: float = _MASS_TOL) -> float:
+    """theta * integral of h over the region, exactly for known shapes else by quadrature.
+
+    The quadrature at the default ``tol`` runs once per measure (and is
+    shared by its ``scaled`` copies); any other ``tol`` integrates again.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if mu.base_mass is not None:
         return mu.scale * mu.base_mass
     if mu.dim == 0:
         return mu.scale  # singleton with default unit weight
+    return mu.scale * (mu._unit_mass if tol == _MASS_TOL else _integrate_density(mu, tol))
+
+
+def _integrate_density(mu: IntensityMeasure, tol: float) -> float:
     lo, hi = mu.bounds[:, 0], mu.bounds[:, 1]
     if mu.dim == 1:
         val = adaptive_simpson(lambda x: mu.density_at(x[:, None]), lo[0], hi[0], tol=tol)
@@ -208,7 +245,7 @@ def total_mass(mu: IntensityMeasure, tol: float = 1e-9) -> float:
         )
     else:
         raise NotImplementedError("quadrature mass only for dim <= 2; supply base_mass")
-    return mu.scale * val
+    return val
 
 
 def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -270,6 +307,61 @@ def sample_binomial(mu: IntensityMeasure, m: int, rng: RngStream) -> PointConfig
     return PointConfiguration._wrap(mu.dim, _sample_points(mu, m, gen))
 
 
+def poisson_blocks(mu: IntensityMeasure, reps: int, rng: RngStream,
+                   added: tuple[IntensityMeasure, int] | None = None) -> Iterator["ReplicateBlock"]:
+    """Poisson processes with intensity measure ``mu`` for ``reps`` replicates,
+    in the blocks and draw order of the module docstring; ``added = (nu, k)``
+    also gives each replicate k i.i.d. points from nu / mass(nu)."""
+    mass = total_mass(mu)
+    if not math.isfinite(mass):
+        raise ValueError("total mass must be finite")
+    if added is not None and added[1] and total_mass(added[0]) <= 0:
+        raise ValueError("added points need positive total mass")
+
+    def counts(gen: np.random.Generator, r: int) -> np.ndarray:
+        return gen.poisson(mass, r) if mass > 0 else np.zeros(r, dtype=np.int64)
+
+    return _blocks(mu, reps, rng, mass, counts, added or (mu, 0))
+
+
+def binomial_blocks(mu: IntensityMeasure, m: int, reps: int, rng: RngStream) -> Iterator["ReplicateBlock"]:
+    """``m`` i.i.d. points from mu / mass(mu) for each of ``reps`` replicates,
+    in the blocks and draw order of the module docstring."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if m and total_mass(mu) <= 0:
+        raise ValueError("binomial sampling needs positive total mass")
+    return _blocks(mu, reps, rng, m, lambda gen, r: np.full(r, m, dtype=np.int64), (mu, 0))
+
+
+def _blocks(mu, reps, rng, mean_count, draw_counts, added) -> Iterator["ReplicateBlock"]:
+    nu, k = added
+    size = max(1, int(_BLOCK_POINTS // (2.0 * (mean_count + k) + 1.0)))
+    for b, first in enumerate(range(0, reps, size)):
+        r = min(size, reps - first)
+        gen = rng.substream(b).generator()
+        extra = _sample_points(nu, r * k, gen).reshape(r, k, mu.dim)
+        offsets = np.concatenate(([0], np.cumsum(draw_counts(gen, r))))
+        yield ReplicateBlock(_sample_points(mu, int(offsets[-1]), gen), offsets, extra)
+
+
+@dataclass(frozen=True)
+class ReplicateBlock:
+    """Configurations of consecutive replicates, concatenated (ragged)."""
+
+    points: np.ndarray  # (n, dim)
+    offsets: np.ndarray  # (reps + 1,): replicate i is points[offsets[i]:offsets[i + 1]]
+    added: np.ndarray  # (reps, k, dim): the points added to each replicate
+
+    @property
+    def reps(self) -> int:
+        return self.offsets.size - 1
+
+    def configuration(self, i: int) -> PointConfiguration:
+        """Replicate i as a configuration viewing the block's points."""
+        return PointConfiguration._wrap(self.points.shape[1], self.points[self.offsets[i] : self.offsets[i + 1]])
+
+
 @dataclass(frozen=True)
 class Statistic:
     """A functional of point configurations, with optional boundedness metadata."""
@@ -285,37 +377,102 @@ class Statistic:
             raise DeclarationError(f"declared bound {self.bound} violated: {v}")
         return v
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.bound is not None
+
+class CountFunctional(Statistic):
+    """g(phi) = f(phi(B_1), ..., phi(B_r)), a function of the point counts in r regions.
+
+    ``regions`` are membership tests mapping an (n, dim) point array to n
+    booleans, or None for the whole space.  ``f`` is vectorised: it maps an
+    (N, r) integer array of counts, one row per configuration, to N values.
+    Every batch of values is checked for that shape (TypeError) and against
+    the declared ``bound`` (DeclarationError).  ``eval`` evaluates one
+    configuration through the same ``f``, so wrapping it in a plain
+    ``Statistic`` gives the per-configuration path with the same values.
+    """
+
+    def __init__(self, regions, f: Callable[[np.ndarray], np.ndarray], bound: float | None = None,
+                 is_event: bool = False, name: str = ""):
+        regions = tuple(regions)
+
+        def count_value(phi: PointConfiguration) -> float:
+            return f(_memberships(regions, phi.points).sum(axis=0, keepdims=True))[0]
+
+        super().__init__(count_value, bound, is_event, name)
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "f", f)
+
+    def memberships(self, pts: np.ndarray) -> np.ndarray:
+        """(n, r) 0/1 integer array: point i lies in region j."""
+        return _memberships(self.regions, pts)
+
+    def counts(self, block: ReplicateBlock, keep: np.ndarray | None = None) -> np.ndarray:
+        """(reps, r) region counts of the block's replicates, of the points where ``keep`` holds if given."""
+        mem = self.memberships(block.points)
+        if keep is not None:
+            mem *= np.asarray(keep, dtype=bool)[:, None]
+        cum = np.zeros((mem.shape[0] + 1, mem.shape[1]), dtype=np.int64)
+        np.cumsum(mem, axis=0, out=cum[1:])
+        return cum[block.offsets[1:]] - cum[block.offsets[:-1]]
+
+    def values(self, counts: np.ndarray) -> np.ndarray:
+        """f on an (N, r) array of counts, checked."""
+        v = np.asarray(self.f(counts), dtype=float)
+        if v.shape != (counts.shape[0],):
+            raise TypeError(f"f must map counts of shape {counts.shape} to values of shape "
+                            f"({counts.shape[0]},), got shape {v.shape}")
+        if self.bound is not None:
+            bad = ~(np.abs(v) <= self.bound + 1e-12)
+            if bad.any():
+                raise DeclarationError(f"declared bound {self.bound} violated: {float(v[bad][0])}")
+        return v
+
+    def iterated_differences(self, counts: np.ndarray, added: np.ndarray) -> np.ndarray:
+        """k-fold iterated differences of g at each row of ``counts`` (N, r), adding
+        points with memberships ``added`` (N, k, r): the sum over subsets S of the
+        k points of (-1)^(k-|S|) f(C + sum over S of M_i), in the subset order of
+        ``iterated_difference``, so the two agree value for value."""
+        signs, masks = _subsets(added.shape[1])
+        total = np.zeros(counts.shape[0])
+        for sign, sel in zip(signs, masks):
+            total += sign * self.values(counts + added[:, sel].sum(axis=1))
+        return total
 
 
-def count_statistic() -> Statistic:
-    return Statistic(eval=lambda phi: float(len(phi)), name="count")
+def replicate_values(g: Statistic, blk: ReplicateBlock) -> np.ndarray:
+    """g at each replicate of the block: a block at a time for a CountFunctional,
+    else configuration by configuration."""
+    if isinstance(g, CountFunctional):
+        return g.values(g.counts(blk))
+    return np.array([g.value(blk.configuration(i)) for i in range(blk.reps)], dtype=float)
 
 
-def capped_count_statistic(cap: float) -> Statistic:
-    return Statistic(eval=lambda phi: float(min(len(phi), cap)), bound=cap, name=f"count^{cap}")
+def _memberships(regions: tuple, pts: np.ndarray) -> np.ndarray:
+    out = np.ones((pts.shape[0], len(regions)), dtype=np.int64)
+    if pts.shape[0]:
+        for j, region in enumerate(regions):
+            if region is not None:
+                out[:, j] = np.asarray(region(pts), dtype=bool)
+    return out
 
 
-def void_indicator(region, name: str = "void") -> Statistic:
-    return Statistic(
-        eval=lambda phi: 1.0 if phi.count_in(region) == 0 else 0.0,
-        bound=1.0, is_event=True, name=name,
-    )
+def count_statistic() -> CountFunctional:
+    return CountFunctional([None], lambda c: c[:, 0].astype(float), name="count")
 
 
-def hit_indicator(region, k: int = 1, name: str = "at_least") -> Statistic:
-    return Statistic(
-        eval=lambda phi: 1.0 if phi.count_in(region) >= k else 0.0,
-        bound=1.0, is_event=True, name=f"{name}_{k}",
-    )
+def void_indicator(region, name: str = "void") -> CountFunctional:
+    return CountFunctional([region], lambda c: (c[:, 0] == 0).astype(float),
+                           bound=1.0, is_event=True, name=name)
 
 
-def count_event(k: int) -> Statistic:
+def hit_indicator(region, k: int = 1, name: str = "at_least") -> CountFunctional:
+    return CountFunctional([region], lambda c: (c[:, 0] >= k).astype(float),
+                           bound=1.0, is_event=True, name=f"{name}_{k}")
+
+
+def count_event(k: int) -> CountFunctional:
     """Indicator of {total count >= k} (useful on the singleton ground space)."""
-    return Statistic(eval=lambda phi: 1.0 if len(phi) >= k else 0.0,
-                     bound=1.0, is_event=True, name=f"count>={k}")
+    return CountFunctional([None], lambda c: (c[:, 0] >= k).astype(float),
+                           bound=1.0, is_event=True, name=f"count>={k}")
 
 
 def box_region(lo, hi) -> Callable[[np.ndarray], np.ndarray]:

@@ -17,14 +17,6 @@ Derivation contract (stable, part of the public interface):
 ``mix64(a, .)`` is a bijection of the 64-bit integers for fixed ``a``, so
 substream derivation is injective in ``j`` and nested derivations do not
 collide for distinct index paths.
-
-Replicate loops build one generator per loop and, for each replicate stream,
-reset it with :func:`_rekey` to exactly the fresh state of that stream's
-``generator()``: same key, zero counter, empty buffer, no cached 32-bit half.
-The draws are the ones a new generator would give; only the cost of
-constructing a ``Philox`` (which first draws OS entropy for a seed that the
-key then overrides) is saved.  A generator passed in by a caller is never
-rekeyed.
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_ZEROS = (0, 0, 0, 0)
 
 
 def mix64(a: int, b: int) -> int:
@@ -65,16 +56,3 @@ class RngStream:
         """Derive a child stream; distinct indices give independent streams."""
         return RngStream(mix64(self.master_seed & _MASK64, self.stream_index & _MASK64), index)
 
-
-def _rekey(gen: np.random.Generator, stream: RngStream) -> np.random.Generator:
-    """Reset the Philox-backed ``gen`` to the fresh state of ``stream.generator()``."""
-    key = (stream.master_seed & _MASK64, stream.stream_index & _MASK64)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen

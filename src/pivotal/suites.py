@@ -25,7 +25,7 @@ from . import geometry as geo
 from . import identities as idn
 from . import perturbation as pert
 from . import stable as stb
-from .point_process import IntensityMeasure, Statistic, ball_region, box_region, hit_indicator, void_indicator
+from .point_process import CountFunctional, IntensityMeasure, ball_region, box_region, hit_indicator, void_indicator
 from .rng import RngStream
 from .summaries import ks_two_sample, zscore
 
@@ -279,7 +279,7 @@ def run_russo(cfg: SuiteConfig) -> list[CheckResult]:
 
 _UNIT_SQUARE = IntensityMeasure.unit_square()
 # the count is unbounded; the bound only gets it past the Crofton checks' guard
-_COUNT = Statistic(eval=lambda phi: float(len(phi)), bound=1e9, name="count")
+_COUNT = CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1e9, name="count")
 _QUARTER = box_region([0.0, 0.0], [0.5, 0.5])  # B = [0, 1/2]^2, of measure 1/4
 
 
@@ -334,7 +334,7 @@ def check_count_derivatives(rng: RngStream, reps, zmax) -> list[CheckResult]:
     est = pert.derivative_location_estimator(atleast, IntensityMeasure.interval(0.0, x), theta, reps,
                                              rng.substream(11))
     truth = x**n / math.factorial(n - 1) * theta ** (n - 1) * math.exp(-theta * x)
-    sq_count = Statistic(eval=lambda phi: float(len(phi)) ** 2, name="count_squared")
+    sq_count = CountFunctional([None], lambda c: c[:, 0].astype(float) ** 2, name="count_squared")
     est2 = pert.higher_derivative_estimator(sq_count, _UNIT_SQUARE, theta, 2, reps, rng.substream(12))
     return [_z_row("poisson-derivative", "erlang_arrival_derivative", {"n": n, "x": x, "theta": theta},
                    est.estimate, truth, est.stderr, 0.0, zmax),
@@ -548,7 +548,7 @@ def check_crofton_poisson(rng: RngStream, reps, const_reps, zmax) -> list[CheckR
         perimeter_t = geo.perimeter(body) + 2.0 * math.pi * t
         rows.append(_crofton_row(check_id, {"t": t, "reps": reps}, rep, zmax,
                                  abs(rep.rhs - perimeter_t) <= rhs_tol))
-    const = Statistic(eval=lambda phi: 2.5, bound=2.5, name="const")
+    const = CountFunctional([], lambda c: np.full(c.shape[0], 2.5), bound=2.5, name="const")
     rep = geo.crofton_poisson_check(const, _DISK, 0.5, const_reps, rng.substream(2))
     rows.append(CheckResult("crofton", "poisson_constant_statistic", {"t": 0.5}, rep.lhs, rep.rhs,
                             0.0, 0.0, max(abs(rep.lhs), abs(rep.rhs)), 0.0,
@@ -564,7 +564,7 @@ def check_crofton_binomial(rng: RngStream, cases, reps, zmax) -> list[CheckResul
     inner = ball_region([0.0, 0.0], 0.5)
     rows = []
     for j, (m, t) in enumerate(cases):
-        g = Statistic(eval=lambda phi: float(phi.count_in(inner)), bound=float(m), name="count_inner")
+        g = CountFunctional([inner], lambda c: c[:, 0].astype(float), bound=float(m), name="count_inner")
         rep = geo.crofton_binomial_check(g, _DISK, t, m, reps, rng.substream(j))
         truth = -m / (2.0 * (1.0 + t) ** 3)
         rows.append(_crofton_row("binomial_count_disk", {"m": m, "t": t, "reps": reps}, rep, zmax,
@@ -584,8 +584,8 @@ def check_crofton_shape(rng: RngStream, shape: dict, density, t, m, reps, zmax) 
         bb = geo.bounding_box(body)
         center = bb.mean(axis=1)
         radius = 0.25 * float(np.min(bb[:, 1] - bb[:, 0])) + 0.1 * t
-        gb = Statistic(eval=lambda phi: float(phi.count_in(ball_region(center, radius))),
-                       bound=float(m), name="count_inner")
+        gb = CountFunctional([ball_region(center, radius)], lambda c: c[:, 0].astype(float),
+                             bound=float(m), name="count_inner")
         rep = geo.crofton_binomial_check(gb, body, max(t, 0.2), m, reps, rng.substream(51),
                                          h=h, sup_density=sup)
         rows.append(_crofton_row("binomial_count_configured_shape",

@@ -23,7 +23,7 @@ from pivotal.geometry import (
     steiner_derivative_check,
     steiner_mass,
 )
-from pivotal.point_process import Statistic, ball_region
+from pivotal.point_process import CountFunctional, Statistic, ball_region
 from pivotal.rng import RngStream
 
 DISK = Disk(np.array([0.0, 0.0]), 1.0)
@@ -96,6 +96,11 @@ class TestMasses:
             assert integrate_parallel(SQUARE, 0.3, ones, npoints) == pytest.approx(
                 steiner_mass(SQUARE, 0.3), abs=1e-12)
 
+    def test_scalar_integrand_raises(self):
+        # a function of one point is not retried point by point
+        with pytest.raises(TypeError, match="shape"):
+            integrate_parallel(DISK, 0.3, lambda p: 1.0)
+
     def test_nonconstant_density(self):
         # h(x, y) = x + 2 over the unit square at t = 0: exact value 2.5
         val = parallel_mass(SQUARE, 0.0, h=lambda p: p[:, 0] + 2.0, tol=1e-10)
@@ -139,6 +144,10 @@ class TestBoundary:
                 assert boundary_integral(body, t, ones) == pytest.approx(
                     perimeter(body) + 2.0 * math.pi * t, abs=1e-10
                 )
+
+    def test_scalar_integrand_raises(self):
+        with pytest.raises(TypeError, match="shape"):
+            boundary_integral(DISK, 0.3, lambda p: 1.0)
 
     def test_segment_bare_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -222,17 +231,17 @@ class TestCroftonPoisson:
     def test_golden_values(self):
         rep = crofton_poisson_check(COUNT, DISK, 0.5, 60, RngStream(38), inner_reps=20)
         assert rep == CroftonReport(
-            lhs=9.166666666666666, lhs_stderr=2.785065768900227, rhs=9.42477796076938,
-            rhs_stderr=4.07524207927e-16, z=-0.09267691161370198, delta=0.01, reps=60)
+            lhs=10.0, lhs_stderr=2.6037782196164776, rhs=9.42477796076938,
+            rhs_stderr=4.07524207927e-16, z=0.22091821603582956, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, SEG, 0.0, 60, RngStream(39))
         assert rep == CroftonReport(
-            lhs=3.3333333333333335, lhs_stderr=2.3369624723103315, rhs=3.9999999999999996,
-            rhs_stderr=0.0, z=-0.2852705914475368, delta=0.01, reps=60)
+            lhs=1.6666666666666667, lhs_stderr=1.6666666666666665, rhs=3.9999999999999996,
+            rhs_stderr=0.0, z=-1.4, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, DISK, 0.4, 60, RngStream(40), h=lambda p: 1.0 + 0.5 * p[:, 0] ** 2,
                                     sup_density=2.0, inner_reps=20)
         assert rep == CroftonReport(
-            lhs=7.5, lhs_stderr=2.6105500859804294, rhs=13.106724550776624,
-            rhs_stderr=4.07524207927e-16, z=-2.1477176710329, delta=0.01, reps=60)
+            lhs=10.0, lhs_stderr=3.0991159665316332, rhs=13.106724550776624,
+            rhs_stderr=4.07524207927e-16, z=-1.0024550821354083, delta=0.01, reps=60)
 
 
 class TestCroftonBinomial:
@@ -276,12 +285,45 @@ class TestCroftonBinomial:
         B = ball_region([0.0, 0.0], 0.5)
         g1 = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=1.0)
         assert crofton_binomial_check(g1, DISK, 0.2, 1, 40, RngStream(42)) == CroftonReport(
-            lhs=3.749999999999999, lhs_stderr=3.8760854559127638, rhs=-0.3750000000000001,
-            rhs_stderr=0.1114444785302161, z=1.0637784185285262, delta=0.01, reps=40)
+            lhs=1.2499999999999998, lhs_stderr=4.174671797325463, rhs=-0.29166666666666674,
+            rhs_stderr=0.10140571807407933, z=0.36918160791132915, delta=0.01, reps=40)
         g5 = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=5.0)
         assert crofton_binomial_check(g5, DISK, 0.2, 5, 40, RngStream(46)) == CroftonReport(
-            lhs=12.5, lhs_stderr=9.883131186586668, rhs=-0.6250000000000001,
-            rhs_stderr=0.351469746786239, z=1.327181440461517, delta=0.01, reps=40)
+            lhs=13.749999999999995, lhs_stderr=10.680004681646915, rhs=-1.0416666666666667,
+            rhs_stderr=0.4413117425710018, z=1.3838060223186968, delta=0.01, reps=40)
+
+
+def _as_generic(g: CountFunctional) -> Statistic:
+    """The same f, evaluated configuration by configuration."""
+    return Statistic(eval=g.eval, bound=g.bound, is_event=g.is_event, name=g.name)
+
+
+# the suites' Crofton statistics: count, count in a ball, constant
+CROFTON_FUNCTIONALS = {
+    "count": CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1e9),
+    "count_in_ball": CountFunctional([ball_region([0.0, 0.0], 0.5)], lambda c: c[:, 0].astype(float), bound=20.0),
+    "const": CountFunctional([], lambda c: np.full(c.shape[0], 2.5), bound=2.5),
+    "hit_two": CountFunctional([ball_region([0.3, 0.0], 0.6)], lambda c: (c[:, 0] >= 2).astype(float), bound=1.0),
+}
+
+
+@pytest.mark.parametrize("name", CROFTON_FUNCTIONALS)
+class TestCroftonVectorisedPath:
+    """Both Crofton checks give equal reports on the block path of a
+    CountFunctional and on the per-configuration path of the same f."""
+
+    def test_poisson(self, name):
+        g = CROFTON_FUNCTIONALS[name]
+        h = lambda p: 1.0 + 0.5 * p[:, 0] ** 2
+        for body, t, kw in ((DISK, 0.5, {}), (SEG, 0.0, {}), (PENT, 0.3, {"h": h, "sup_density": 8.0})):
+            assert crofton_poisson_check(g, body, t, 80, RngStream(103), inner_reps=30, **kw) == \
+                crofton_poisson_check(_as_generic(g), body, t, 80, RngStream(103), inner_reps=30, **kw)
+
+    def test_binomial(self, name):
+        g = CROFTON_FUNCTIONALS[name]
+        for m, t in ((1, 0.2), (5, 0.5)):
+            assert crofton_binomial_check(g, DISK, t, m, 60, RngStream(104)) == \
+                crofton_binomial_check(_as_generic(g), DISK, t, m, 60, RngStream(104))
 
 
 class TestIntensityOnParallelSet:

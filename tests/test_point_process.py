@@ -9,16 +9,19 @@ import pytest
 from scipy import stats
 
 from pivotal.point_process import (
+    CountFunctional,
     DeclarationError,
     IntensityMeasure,
     PointConfiguration,
     Statistic,
     ball_region,
+    binomial_blocks,
     box_region,
     count_statistic,
     difference,
     hit_indicator,
     iterated_difference,
+    poisson_blocks,
     sample_binomial,
     sample_poisson,
     total_mass,
@@ -47,6 +50,28 @@ class TestTotalMass:
 
     def test_scale_applies(self):
         assert total_mass(IntensityMeasure.unit_square(scale=3.5)) == 3.5
+
+    def test_quadrature_runs_once_per_measure(self, monkeypatch):
+        # the mass of a density without a closed form is integrated once and
+        # shared by scaled copies; a non-default tolerance integrates again
+        outer = []
+        real = point_process.adaptive_simpson
+
+        def counting(f, a, b, **kw):
+            if (a, b) == (-1.0, 0.5):
+                outer.append(kw.get("tol"))
+            return real(f, a, b, **kw)
+
+        monkeypatch.setattr(point_process, "adaptive_simpson", counting)
+        mu = IntensityMeasure.box([[-1.0, 0.5], [0.0, 2.0]], density=lambda p: 1.0 + 0.5 * p[:, 0] * p[:, 1],
+                                  sup_density=2.0)
+        for i in range(50):
+            sample_poisson(mu, RngStream(20, i))
+        assert len(outer) == 1
+        assert mu.scaled(3.0).mass() == 3.0 * mu.mass()
+        assert len(outer) == 1
+        assert total_mass(mu, tol=1e-6) == pytest.approx(mu.mass(), abs=1e-6)
+        assert len(outer) == 2
 
 
 class TestPoissonSampler:
@@ -263,6 +288,108 @@ class TestDifferenceOperators:
         g = count_statistic()
         with pytest.raises(ValueError):
             iterated_difference(g, PointConfiguration.empty(1), np.zeros((21, 1)))
+
+
+def _as_generic(g: CountFunctional) -> Statistic:
+    """The same f, evaluated configuration by configuration."""
+    return Statistic(eval=g.eval, bound=g.bound, is_event=g.is_event, name=g.name)
+
+
+class TestCountFunctional:
+    # two regions and a nonlinear f, so no difference vanishes identically
+    TWO = CountFunctional([box_region([0.0, 0.0], [0.5, 0.5]), None],
+                          lambda c: np.sin(c[:, 0]) + 0.25 * c[:, 1] ** 2 - (c[:, 1] >= 3))
+
+    def test_value_is_f_of_counts(self):
+        phi = PointConfiguration.of(2, [[0.1, 0.2], [0.7, 0.7], [0.4, 0.1]])
+        assert self.TWO.value(phi) == math.sin(2) + 0.25 * 9 - 1
+        assert count_statistic().value(phi) == 3.0
+        assert hit_indicator(box_region([0.0, 0.0], [0.5, 0.5]), k=3).value(phi) == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_closed_form_equals_iterated_difference(self, k):
+        gen = RngStream(21, k).generator()
+        reps = 30
+        pts = gen.random((reps, 4, 2))
+        zs = gen.random((reps, k, 2))
+        for g in (self.TWO, hit_indicator(ball_region([0.5, 0.5], 0.4), k=2)):
+            counts = np.array([g.memberships(p).sum(axis=0) for p in pts])
+            added = g.memberships(zs.reshape(-1, 2)).reshape(reps, k, -1)
+            closed = g.iterated_differences(counts, added)
+            assert closed.tolist() == [iterated_difference(g, PointConfiguration.of(2, p), z)
+                                       for p, z in zip(pts, zs)]
+
+    def test_broken_bound_raises_on_a_batch(self):
+        g = CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1.0)
+        blk = next(poisson_blocks(IntensityMeasure.unit_square(scale=3.0), 100, RngStream(22)))
+        with pytest.raises(DeclarationError):
+            g.values(g.counts(blk))
+
+    def test_wrongly_shaped_f_raises(self):
+        g = CountFunctional([None], lambda c: 1.0)
+        with pytest.raises(TypeError, match="shape"):
+            g.values(np.zeros((4, 1), dtype=np.int64))
+
+
+class TestReplicateBlocks:
+    def test_blocks_cover_the_replicates(self):
+        lam = IntensityMeasure.unit_square()
+        for mu, mean in ((IntensityMeasure.unit_square(scale=200.0), 201.0),
+                         (IntensityMeasure.unit_square(scale=0.3), 1.3)):
+            blocks = list(poisson_blocks(mu, 6000, RngStream(23), added=(lam, 1)))
+            size = int(point_process._BLOCK_POINTS // (2 * mean + 1))
+            assert [b.reps for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert sum(b.reps for b in blocks) == 6000
+            for b in blocks:
+                assert b.points.shape == (b.offsets[-1], 2) and b.added.shape == (b.reps, 1, 2)
+                assert b.offsets[0] == 0 and np.all(np.diff(b.offsets) >= 0)
+
+    def test_no_block_exceeds_the_limit(self):
+        dense = IntensityMeasure.unit_square(scale=200.0)
+        disk = IntensityMeasure.disk([0.0, 0.0], 1.5, scale=30.0)
+        for blocks in (poisson_blocks(dense, 6000, RngStream(24), added=(dense, 6)),
+                       poisson_blocks(disk, 3000, RngStream(25)),
+                       binomial_blocks(disk, 20, 20_000, RngStream(26))):
+            for b in blocks:
+                assert b.points.shape[0] <= point_process._BLOCK_POINTS
+                assert b.added.size <= point_process._BLOCK_POINTS
+
+    def test_block_draw_order(self):
+        # block b of the stream: added points, then the counts, then the points
+        mu = IntensityMeasure.unit_square(scale=4.0)
+        nu = IntensityMeasure.box([[0.0, 2.0], [0.0, 1.0]])
+        size = point_process._BLOCK_POINTS // 13
+        blocks = list(poisson_blocks(mu, size + 5, RngStream(27), added=(nu, 2)))
+        assert [b.reps for b in blocks] == [size, 5]
+        for b, blk in enumerate(blocks):
+            gen = RngStream(27).substream(b).generator()
+            extra = point_process._sample_points(nu, blk.reps * 2, gen)
+            counts = gen.poisson(4.0, blk.reps)
+            pts = point_process._sample_points(mu, int(counts.sum()), gen)
+            assert np.array_equal(blk.added.reshape(-1, 2), extra)
+            assert np.array_equal(np.diff(blk.offsets), counts)
+            assert np.array_equal(blk.points, pts)
+
+    def test_binomial_blocks(self):
+        mu = IntensityMeasure.disk([0.0, 0.0], 1.0)
+        blocks = list(binomial_blocks(mu, 5, 100, RngStream(28)))
+        assert sum(b.reps for b in blocks) == 100
+        for b in blocks:
+            assert np.array_equal(np.diff(b.offsets), np.full(b.reps, 5))
+            assert np.all(np.linalg.norm(b.points, axis=1) <= 1.0)
+        with pytest.raises(ValueError):
+            binomial_blocks(IntensityMeasure.unit_square(scale=0.0), 3, 10, RngStream(28))
+
+    def test_density_above_envelope_raises(self):
+        mu = IntensityMeasure.interval(0.0, 1.0, scale=50.0, density=lambda p: 3.0 * p[:, 0] ** 2)
+        with pytest.raises(DeclarationError):
+            list(poisson_blocks(mu, 100, RngStream(29)))
+
+    def test_singleton_blocks(self):
+        mu = IntensityMeasure.singleton(scale=2.0)
+        blk = next(poisson_blocks(mu, 50, RngStream(30), added=(mu, 3)))
+        assert blk.points.shape == (blk.offsets[-1], 0) and blk.added.shape == (50, 3, 0)
+        assert blk.configuration(7).count == blk.offsets[8] - blk.offsets[7]
 
 
 class TestConfiguration:
