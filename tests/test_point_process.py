@@ -290,11 +290,6 @@ class TestDifferenceOperators:
             iterated_difference(g, PointConfiguration.empty(1), np.zeros((21, 1)))
 
 
-def _as_generic(g: CountFunctional) -> Statistic:
-    """The same f, evaluated configuration by configuration."""
-    return Statistic(eval=g.eval, bound=g.bound, is_event=g.is_event, name=g.name)
-
-
 class TestCountFunctional:
     # two regions and a nonlinear f, so no difference vanishes identically
     TWO = CountFunctional([box_region([0.0, 0.0], [0.5, 0.5]), None],

@@ -1,7 +1,6 @@
 """Stream derivation contract: injective, reproducible, bit-exact."""
 
 import numpy as np
-import pytest
 
 from pivotal.rng import RngStream, mix64
 
