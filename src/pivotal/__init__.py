@@ -56,7 +56,6 @@ from .stable import (
     dimone_residual,
     levy_integral,
     radvec_residual,
-    sample_stable,
     sample_stable_many,
 )
 from .geometry import (

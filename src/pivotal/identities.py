@@ -105,7 +105,11 @@ def _gamma_kernel_quadrature(shape: float, rate: float, upper: float, integrand,
 
 
 def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
-    """Integral of the Erlang-type kernel t^(k-1) e^-t / (k-1)! over [0, theta]."""
+    """Integral of the Erlang-type kernel t^(k-1) e^-t / (k-1)! over [0, theta].
+
+    ``tol`` is relative to the kernel's peak on [0, theta], at
+    t = min(theta, k - 1), so a tail far below 1 keeps its relative accuracy.
+    """
     if theta < 0 or k < 1:
         raise ValueError("need theta >= 0 and k >= 1")
     if theta == 0.0:
@@ -115,7 +119,8 @@ def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(xlogy(k - 1, t) - t - lg)  # xlogy(0, 0) = 0: value 1 at t = 0 for k = 1
 
-    return _gamma_kernel_quadrature(float(k), 1.0, theta, integrand, tol)
+    peak = float(integrand(np.array([min(theta, k - 1.0)]))[0])
+    return _gamma_kernel_quadrature(float(k), 1.0, theta, integrand, tol * peak)
 
 
 def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[float, float, float]:

@@ -1,31 +1,36 @@
 """Strictly alpha-stable laws: LePage series sampling, Levy-measure quadrature,
 and residuals of the integro-differential identities the densities satisfy.
 
-Sampling convention: the arrival times are jump times of a rate-theta Poisson
-process on the half line, where theta is the total spectral mass, and the
-directions are i.i.d. from the normalized spectral measure.  With this
-convention scaling the spectral mass by c scales samples by c^(1/alpha)
-exactly (a time change of the arrival process), truncation level included.
+Sampling convention: the LePage series is a Poisson process on the half line
+whose points carry i.i.d. directions from the normalized spectral measure; by
+the marking theorem the points of atom u_j form independent Poisson processes
+of rate w_j (the atom's weight).  The sampler draws each atom's arrival series
+on its own: sample = sum_j u_j [sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) - c_j],
+with Gamma_{j,k} the arrival times of a rate-w_j process.  Scaling the
+spectral mass by c scales samples by c^(1/alpha) exactly (a time change of
+every arrival process), truncation level included.
 
-Truncation: the series is cut at N terms chosen so that the discarded tail's
-dispersion bound theta^(1/alpha) * sqrt(S2(N)) falls below a tolerance, where
-S2(N) = sum_{k>N} Gamma(k - 2/alpha)/Gamma(k) has the exact closed form
-Gamma(N+1-2/alpha) / ((2/alpha - 1) Gamma(N)) (telescoping).  For alpha < 1
-the tail mean theta^(1/alpha) * S1(N) * mean_direction (same closed form with
-exponent 1/alpha) is added back deterministically, so only the zero-mean
-fluctuation is lost.  For alpha >= 1 the spectral measure must be centered,
-the tail mean vanishes, and N is capped (default 10^5) with the achieved
-dispersion bound reported.
+Truncation: for a series length N atom j keeps N_j = max(nmin, ceil(p_j N))
+terms, p_j = w_j / theta, nmin = ceil(2/alpha) + 3, and subtracts the
+compensator of its Poisson integral up to its last kept arrival
+Gamma = Gamma_{j,N_j}: c_j = w_j Gamma^(1-1/alpha) / (1 - 1/alpha) for
+alpha != 1 and w_j log Gamma for alpha = 1.  What is lost is then a zero-mean
+martingale remainder whose root mean square is exactly
+sqrt(sum_j w_j^(2/alpha) S2(N_j)), where S2(n) = sum_{k>n}
+Gamma(k - 2/alpha)/Gamma(k) has the closed form
+Gamma(n+1-2/alpha) / ((2/alpha - 1) Gamma(n)) (telescoping).  N is the
+shortest length whose bound falls below a tolerance; the same formula covers
+alpha < 1, alpha = 1 and alpha > 1.  For alpha >= 1 the spectral measure must
+be centered and N is capped (default 10^5) with the achieved bound reported.
 
 Draw contract: ``sample_stable_many`` splits the samples into blocks of
-``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.  A block
-takes all its exponential inter-arrival times first (row by row, N per
-sample), then, when the spectral measure has more than one atom, one uniform
-u per term; the term goes to atom j, the number of cumulative atom
-probabilities <= u, capped at natoms - 1.  The kernel works through a block
-in row chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's generators fill
-arrays sequentially, so the chunking does not change the draws, only the
-order in which the terms are summed.
+``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.  Within
+a block the atoms are drawn in order, atom j as a row-major (block, N_j)
+array of exponential inter-arrival times of mean 1/w_j, so a one-atom law
+draws (block, N) exponentials.  The kernel takes each atom's array in row
+chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's generators fill arrays
+sequentially, so the chunking does not change the draws, only the order in
+which the terms are summed.
 """
 
 from __future__ import annotations
@@ -121,14 +126,6 @@ class StableParams:
         return self.spectral.dim
 
 
-def tail_mean_sum(nterms: int, alpha: float) -> float:
-    """sum_{k>N} Gamma(k - 1/alpha)/Gamma(k), exactly (alpha < 1)."""
-    beta = 1.0 / alpha
-    if beta <= 1.0:
-        return math.inf
-    return math.exp(gammaln(nterms + 1 - beta) - gammaln(nterms)) / (beta - 1.0)
-
-
 def tail_meansq_sum(nterms: int, alpha: float) -> float:
     """sum_{k>N} Gamma(k - 2/alpha)/Gamma(k), exactly."""
     beta = 2.0 / alpha
@@ -138,9 +135,8 @@ def tail_meansq_sum(nterms: int, alpha: float) -> float:
 @dataclass(frozen=True)
 class TruncationPlan:
     nterms: int
+    atom_terms: tuple[int, ...]  # N_j, one per spectral atom
     tail_std_bound: float
-    tail_mean_norm: float
-    compensation: np.ndarray | None
     capped: bool
 
 
@@ -150,16 +146,23 @@ def truncation_plan(
     nterms: int | None = None,
     cap: int = 100_000,
 ) -> TruncationPlan:
-    """Pick the series length and tail compensation for the requested tolerance."""
+    """Pick the series length and its split over the atoms for the requested tolerance.
+
+    A given ``nterms`` is kept (raised to nmin), so passing a plan's
+    ``nterms`` back gives the same plan.
+    """
     if trunc_tol <= 0:
         raise ValueError("trunc_tol must be positive")
     alpha = params.alpha
-    theta = params.spectral.total_mass
-    scale = theta ** (1.0 / alpha)
+    spec = params.spectral
     nmin = int(math.ceil(2.0 / alpha)) + 3
+    atom_scale = spec.weights ** (2.0 / alpha)
+
+    def split(n: int) -> tuple[int, ...]:
+        return tuple(max(nmin, math.ceil(p * n)) for p in spec.probabilities)
 
     def std_bound(n: int) -> float:
-        return scale * math.sqrt(tail_meansq_sum(n, alpha))
+        return math.sqrt(sum(c * tail_meansq_sum(nj, alpha) for c, nj in zip(atom_scale, split(n))))
 
     capped = False
     if nterms is None:
@@ -178,56 +181,36 @@ def truncation_plan(
             nterms = lo
     else:
         nterms = max(nterms, nmin)
-
-    comp = None
-    mean_norm = 0.0
-    if alpha < 1.0:
-        mean_dir = params.spectral.mean_direction
-        norm = float(np.linalg.norm(mean_dir))
-        if norm > 0.0:
-            comp = scale * tail_mean_sum(nterms, alpha) * mean_dir
-            mean_norm = float(np.linalg.norm(comp))
-    return TruncationPlan(nterms, std_bound(nterms), mean_norm, comp, capped)
+    return TruncationPlan(nterms, split(nterms), std_bound(nterms), capped)
 
 
-def _sample_batch(params: StableParams, nbatch: int, nterms: int,
-                  comp: np.ndarray | None, gen: np.random.Generator) -> np.ndarray:
+def _sample_batch(params: StableParams, nbatch: int, atom_terms: tuple[int, ...],
+                  gen: np.random.Generator) -> np.ndarray:
     spec = params.spectral
-    scale = 1.0 / spec.total_mass
     alpha = params.alpha
-    natoms = spec.weights.size
-    cuts = np.cumsum(spec.probabilities)[:-1]
-    rows = max(1, _CHUNK_ELEMENTS // nterms)
-    # the uniforms follow all of the block's exponentials in the stream, so a
-    # multi-atom block draws its exponentials up front; one atom draws no
-    # uniforms and takes its exponentials chunk by chunk
-    gam = gen.exponential(scale=scale, size=(nbatch, nterms)) if natoms > 1 else None
-    sums = np.empty((nbatch, natoms))
-    for r0 in range(0, nbatch, rows):
-        r1 = min(r0 + rows, nbatch)
-        g = gen.exponential(scale=scale, size=(r1 - r0, nterms)) if gam is None else gam[r0:r1]
-        np.cumsum(g, axis=1, out=g)
-        if alpha == 1.0:
-            np.reciprocal(g, out=g)
-        elif alpha == 0.5:
-            np.multiply(g, g, out=g)
-            np.reciprocal(g, out=g)
-        else:
-            np.power(g, -1.0 / alpha, out=g)
-        if natoms == 1:
-            g.sum(axis=1, out=sums[r0:r1, 0])
-            continue
-        # term k goes to the atom counting the cut points <= u_k
-        u = gen.random(g.shape)
-        key = np.repeat(np.arange(0, (r1 - r0) * natoms, natoms), nterms)
-        for c in cuts:
-            key += (u >= c).ravel()
-        sums[r0:r1] = np.bincount(key, weights=g.ravel(),
-                                  minlength=(r1 - r0) * natoms).reshape(-1, natoms)
-    out = sums @ spec.directions
-    if comp is not None:
-        out += comp
-    return out
+    sums = np.empty((nbatch, len(atom_terms)))
+    last = np.empty_like(sums)  # each atom's last kept arrival time
+    for j, (w, n) in enumerate(zip(spec.weights, atom_terms)):
+        rows = max(1, _CHUNK_ELEMENTS // n)
+        for r0 in range(0, nbatch, rows):
+            r1 = min(r0 + rows, nbatch)
+            g = gen.exponential(scale=1.0 / w, size=(r1 - r0, n))
+            np.cumsum(g, axis=1, out=g)
+            last[r0:r1, j] = g[:, -1]
+            if alpha == 1.0:
+                np.reciprocal(g, out=g)
+            elif alpha == 0.5:
+                np.multiply(g, g, out=g)
+                np.reciprocal(g, out=g)
+            else:
+                np.power(g, -1.0 / alpha, out=g)
+            g.sum(axis=1, out=sums[r0:r1, j])
+    # subtract each atom's compensator up to its last kept arrival
+    if alpha == 1.0:
+        sums -= spec.weights * np.log(last)
+    else:
+        sums -= spec.weights * last ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)
+    return sums @ spec.directions
 
 
 def sample_stable_many(
@@ -246,16 +229,10 @@ def sample_stable_many(
     while got < nsamples:
         take = min(batch, nsamples - got)
         gen = rng.substream(index).generator()
-        out[got : got + take] = _sample_batch(params, take, plan.nterms, plan.compensation, gen)
+        out[got : got + take] = _sample_batch(params, take, plan.atom_terms, gen)
         got += take
         index += 1
     return out, plan
-
-
-def sample_stable(params: StableParams, rng: RngStream,
-                  trunc_tol: float = 1e-3, nterms: int | None = None) -> np.ndarray:
-    samples, _ = sample_stable_many(params, 1, rng, trunc_tol=trunc_tol, nterms=nterms)
-    return samples[0]
 
 
 # -- Levy measure quadrature --------------------------------------------------

@@ -52,6 +52,13 @@ class TestPoissonTail:
         want = stats.poisson.sf(k - 1, theta)
         assert poisson_tail(theta, k) == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("theta, k", [(0.5, 30), (2.0, 30), (20.0, 3), (20.0, 30)])
+    def test_integral_relative_accuracy(self, theta, k):
+        # the quadrature tolerance is relative to the kernel's peak on
+        # [0, theta]; an absolute one swamps a tail of 2e-42
+        want = stats.poisson.sf(k - 1, theta)
+        assert poisson_tail_integral(theta, k) == pytest.approx(want, rel=1e-9, abs=0.0)
+
 
 class TestErlang:
     def test_n1_closed_form(self):

@@ -17,9 +17,7 @@ from pivotal.stable import (
     positive_half_cdf,
     positive_half_pdf,
     radvec_residual,
-    sample_stable,
     sample_stable_many,
-    tail_mean_sum,
     tail_meansq_sum,
     truncation_plan,
 )
@@ -64,8 +62,7 @@ class TestTailSums:
             assert partial + remainder == pytest.approx(closed, rel=1e-9)
 
     def test_wrappers(self):
-        # alpha=0.5: mean-sum has beta=2 giving 1/(N-1); mean-square beta=4
-        assert tail_mean_sum(11, 0.5) == pytest.approx(0.1, rel=1e-12)
+        # alpha=0.5: mean-square beta=4
         assert tail_meansq_sum(10, 0.5) == pytest.approx(
             math.exp(gammaln(7.0) - gammaln(10.0)) / 3.0, rel=1e-12
         )
@@ -86,14 +83,37 @@ class TestTailSums:
         plan = truncation_plan(params, trunc_tol=1e-6, cap=1000)
         assert plan.capped and plan.nterms == 1000
 
+    @pytest.mark.parametrize("alpha, weights", [(0.5, [0.3, 1.1, 0.6]), (1.2, [1.2, 1.0, 1.0])])
+    def test_plan_splits_over_atoms(self, alpha, weights):
+        dirs = np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]])
+        params = StableParams(alpha, SpectralMeasure(dirs, np.array(weights)))
+        plan = truncation_plan(params, nterms=400)
+        nmin = math.ceil(2.0 / alpha) + 3
+        w = np.array(weights)
+        assert plan.atom_terms == tuple(max(nmin, math.ceil(p * 400)) for p in w / w.sum())
+        want = math.sqrt(sum(wj ** (2.0 / alpha) * tail_meansq_sum(nj, alpha)
+                             for wj, nj in zip(w, plan.atom_terms)))
+        assert plan.tail_std_bound == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, spec", [
+        (0.8, SpectralMeasure.symmetric_pair(1.0)),
+        (0.8, SpectralMeasure.axis_symmetric(1.0, dim=2)),
+        (0.5, SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]), np.array([0.3, 1.1, 0.6]))),
+    ])
+    def test_plan_is_reproduced_from_its_length(self, alpha, spec):
+        # estimators pass a plan's nterms back for every block
+        params = StableParams(alpha, spec)
+        plan = truncation_plan(params, trunc_tol=3e-3)
+        assert truncation_plan(params, nterms=plan.nterms) == plan
+
 
 class TestSampler:
     def test_positive_law_is_positive(self):
         params = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))
         draws, _ = sample_stable_many(params, 500, RngStream(71))
         assert np.all(draws > 0.0)
-        single = sample_stable(params, RngStream(72))
-        assert single.shape == (1,) and single[0] > 0
+        single, _ = sample_stable_many(params, 1, RngStream(72))
+        assert single.shape == (1, 1) and single[0, 0] > 0
 
     def test_partial_sums_increase_with_terms(self):
         # for a positive law every series term is positive, so the raw
@@ -115,7 +135,7 @@ class TestSampler:
         xs = np.sort(draws[:, 0])
         gap = np.max(np.abs(np.arange(1, 10_001) / 10_000 - positive_half_cdf(xs, 1.0)))
         assert gap <= 0.02
-        assert plan.compensation is not None  # non-symmetric law gets its tail mean back
+        assert plan.atom_terms == (plan.nterms,)
 
     def test_scaling_law(self):
         for alpha, symmetric in [(0.5, False), (1.5, True)]:
@@ -151,44 +171,93 @@ class TestSampler:
         assert gap <= 0.025
 
 
-def _reference_samples(params, nsamples, rng, nterms):
-    """The per-atom loop the LePage kernel replaced, on the same blocks and draws.
+def _merged_samples(params, nsamples, rng, nterms):
+    """The merged LePage series, as a law oracle for the per-atom kernel.
 
-    Also returns each sample's sum of |terms| (plus the compensation), which
+    One arrival process of rate theta; each term picks its atom by a uniform
+    mark.  For alpha < 1 the discarded tail's mean theta^(1/alpha) S1(N) times
+    the mean direction is added back; a centered law needs no compensation.
+    """
+    spec = params.spectral
+    alpha = params.alpha
+    theta = spec.total_mass
+    gen = rng.generator()
+    gam = np.cumsum(gen.exponential(scale=1.0 / theta, size=(nsamples, nterms)), axis=1)
+    coef = gam ** (-1.0 / alpha)
+    which = np.minimum(np.searchsorted(np.cumsum(spec.probabilities), gen.random(gam.shape), side="right"),
+                       spec.weights.size - 1)
+    x = np.zeros((nsamples, spec.dim))
+    for i, u in enumerate(spec.directions):
+        x += np.where(which == i, coef, 0.0).sum(axis=1)[:, None] * u
+    if alpha < 1.0:
+        beta = 1.0 / alpha
+        s1 = math.exp(gammaln(nterms + 1 - beta) - gammaln(nterms)) / (beta - 1.0)
+        x += theta**beta * s1 * spec.mean_direction
+    return x
+
+
+def _per_atom_reference(params, nsamples, rng, nterms):
+    """The per-atom draw contract, atom by atom on whole blocks.
+
+    Also returns each sample's sum of |terms| and |compensators|, which
     bounds the rounding that a different summation order can introduce.
     """
     plan = truncation_plan(params, nterms=nterms)
     spec = params.spectral
-    natoms = spec.weights.size
+    alpha = params.alpha
     batch = max(1, min(nsamples, stable._BATCH_ELEMENTS // plan.nterms))
-    comp = 0.0 if plan.compensation is None else plan.compensation
     out, scale = [], []
     for index, got in enumerate(range(0, nsamples, batch)):
         take = min(batch, nsamples - got)
         gen = rng.substream(index).generator()
-        gam = np.cumsum(gen.exponential(scale=1.0 / spec.total_mass, size=(take, plan.nterms)), axis=1)
-        if params.alpha == 1.0:
-            coef = 1.0 / gam
-        elif params.alpha == 0.5:
-            coef = 1.0 / (gam * gam)
-        else:
-            coef = gam ** (-1.0 / params.alpha)
         x = np.zeros((take, spec.dim))
-        if natoms == 1:
-            x += coef.sum(axis=1)[:, None] * spec.directions[0]
-        else:
-            cum = np.cumsum(spec.probabilities)
-            which = np.searchsorted(cum, gen.random((take, plan.nterms)), side="right")
-            which = np.minimum(which, natoms - 1)
-            for i in range(natoms):
-                x += np.where(which == i, coef, 0.0).sum(axis=1)[:, None] * spec.directions[i]
-        out.append(x + comp)
-        scale.append(coef.sum(axis=1) + np.linalg.norm(comp))
+        size = np.zeros(take)
+        for w, u, n in zip(spec.weights, spec.directions, plan.atom_terms):
+            gam = np.cumsum(gen.exponential(scale=1.0 / w, size=(take, n)), axis=1)
+            last = gam[:, -1]
+            if alpha == 1.0:
+                comp = w * np.log(last)
+            else:
+                comp = w * last ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)
+            coef = gam ** (-1.0 / alpha)
+            x += (coef.sum(axis=1) - comp)[:, None] * u
+            size += coef.sum(axis=1) + np.abs(comp)
+        out.append(x)
+        scale.append(size)
     return np.concatenate(out), np.concatenate(scale)
+
+
+class _ExponentialsOnly:
+    """A generator that hands out exponentials and nothing else; it records
+    the number of values drawn."""
+
+    def __init__(self, seed):
+        self.gen = RngStream(seed).generator()
+        self.drawn = 0
+
+    def exponential(self, scale, size):
+        self.drawn += math.prod(size)
+        return self.gen.exponential(scale=scale, size=size)
+
+
+class _Prefix:
+    """A generator whose inter-arrival rows are the first columns of rows of
+    ``width`` exponentials: a series of any length up to ``width`` is then a
+    prefix of the same arrivals."""
+
+    def __init__(self, seed, width):
+        self.gen = RngStream(seed).generator()
+        self.width = width
+
+    def exponential(self, scale, size):
+        rows, n = size
+        return self.gen.exponential(scale=scale, size=(rows, self.width))[:, :n].copy()
 
 
 UNCENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
                               np.array([0.3, 1.1, 0.6]))
+CENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]]),
+                            np.array([1.2, 1.0, 1.0]))
 
 
 class TestLepageKernel:
@@ -202,16 +271,17 @@ class TestLepageKernel:
         (1.5, SpectralMeasure.axis_symmetric(1.0, dim=2), 500),
         (0.5, UNCENTRED_3, 200),
         (0.8, UNCENTRED_3, 600),
+        (1.2, CENTRED_3, 600),
     ]
 
     @pytest.mark.parametrize("alpha, spec, nterms", CASES)
     def test_matches_per_atom_reference(self, monkeypatch, alpha, spec, nterms):
-        # a small block size gives several blocks, each of several chunks
-        # ending in a partial one
+        # a small block size gives several blocks, each atom in several
+        # chunks ending in a partial one
         monkeypatch.setattr(stable, "_BATCH_ELEMENTS", 300_000)
         params = StableParams(alpha, spec)
         got, _ = sample_stable_many(params, 1500, RngStream(86, 3), nterms=nterms)
-        want, scale = _reference_samples(params, 1500, RngStream(86, 3), nterms)
+        want, scale = _per_atom_reference(params, 1500, RngStream(86, 3), nterms)
         # only the summation order differs: rounding stays within a few
         # nterms * eps of the sum of |terms|
         assert np.all(np.abs(got - want) <= 1e-12 * scale[:, None])
@@ -223,6 +293,44 @@ class TestLepageKernel:
         monkeypatch.setattr(stable, "_CHUNK_ELEMENTS", 3)  # one row per chunk
         rows, _ = sample_stable_many(params, 400, RngStream(87), nterms=nterms)
         assert np.array_equal(whole, rows)
+
+    def test_kernel_draws_only_the_exponentials(self):
+        params = StableParams(0.8, UNCENTRED_3)
+        plan = truncation_plan(params, nterms=300)
+        gen = _ExponentialsOnly(88)
+        stable._sample_batch(params, 250, plan.atom_terms, gen)
+        assert gen.drawn == 250 * sum(plan.atom_terms)
+
+    @pytest.mark.parametrize("alpha, spec, nterms, seed", [
+        (0.5, UNCENTRED_3, 300, 1),
+        (0.8, UNCENTRED_3, 1000, 2),
+        (1.0, CENTRED_3, 1000, 3),
+        (1.2, CENTRED_3, 1000, 4),
+        (1.5, CENTRED_3, 1000, 5),
+    ])
+    def test_law_matches_merged_series(self, alpha, spec, nterms, seed):
+        # both coordinates, each at p > 0.005 (0.01 over the two)
+        params = StableParams(alpha, spec)
+        got, _ = sample_stable_many(params, 4000, RngStream(89, seed), nterms=nterms)
+        want = _merged_samples(params, 4000, RngStream(90, seed), nterms)
+        for axis in range(2):
+            _, p = ks_two_sample(got[:, axis], want[:, axis])
+            assert p > 0.005
+
+
+class TestTruncationBound:
+    @pytest.mark.parametrize("alpha, nterms", [(0.5, None), (0.8, 50)])
+    def test_rms_gap_to_a_long_continuation_meets_the_bound(self, alpha, nterms):
+        # the N-term sample and an M-term sample of the same arrivals differ
+        # by a martingale increment of RMS sqrt(bound(N)^2 - bound(M)^2)
+        params = StableParams(alpha, SpectralMeasure.positive_half_line(1.0))
+        short = truncation_plan(params, nterms=nterms)
+        long = truncation_plan(params, nterms=1500)
+        a = stable._sample_batch(params, 10_000, short.atom_terms, _Prefix(91, 1500))
+        b = stable._sample_batch(params, 10_000, long.atom_terms, _Prefix(91, 1500))
+        rms = math.sqrt(float(np.mean((a - b) ** 2)))
+        assert rms <= 1.15 * short.tail_std_bound
+        assert rms >= 0.85 * math.sqrt(short.tail_std_bound**2 - long.tail_std_bound**2)
 
 
 class TestLevyIntegral:
