@@ -23,6 +23,11 @@ from pivotal.stable import (
 )
 from pivotal.summaries import ks_two_sample
 
+UNCENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
+                              np.array([0.3, 1.1, 0.6]))
+CENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]]),
+                            np.array([1.2, 1.0, 1.0]))
+
 
 class TestSpectralMeasure:
     def test_unit_norm_required(self):
@@ -83,13 +88,11 @@ class TestTailSums:
         plan = truncation_plan(params, trunc_tol=1e-6, cap=1000)
         assert plan.capped and plan.nterms == 1000
 
-    @pytest.mark.parametrize("alpha, weights", [(0.5, [0.3, 1.1, 0.6]), (1.2, [1.2, 1.0, 1.0])])
-    def test_plan_splits_over_atoms(self, alpha, weights):
-        dirs = np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]])
-        params = StableParams(alpha, SpectralMeasure(dirs, np.array(weights)))
-        plan = truncation_plan(params, nterms=400)
+    @pytest.mark.parametrize("alpha, spec", [(0.5, UNCENTRED_3), (1.2, CENTRED_3)])
+    def test_plan_splits_over_atoms(self, alpha, spec):
+        plan = truncation_plan(StableParams(alpha, spec), nterms=400)
         nmin = math.ceil(2.0 / alpha) + 3
-        w = np.array(weights)
+        w = spec.weights
         assert plan.atom_terms == tuple(max(nmin, math.ceil(p * 400)) for p in w / w.sum())
         want = math.sqrt(sum(wj ** (2.0 / alpha) * tail_meansq_sum(nj, alpha)
                              for wj, nj in zip(w, plan.atom_terms)))
@@ -98,7 +101,7 @@ class TestTailSums:
     @pytest.mark.parametrize("alpha, spec", [
         (0.8, SpectralMeasure.symmetric_pair(1.0)),
         (0.8, SpectralMeasure.axis_symmetric(1.0, dim=2)),
-        (0.5, SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]), np.array([0.3, 1.1, 0.6]))),
+        (0.5, UNCENTRED_3),
     ])
     def test_plan_is_reproduced_from_its_length(self, alpha, spec):
         # estimators pass a plan's nterms back for every block
@@ -252,12 +255,6 @@ class _Prefix:
     def exponential(self, scale, size):
         rows, n = size
         return self.gen.exponential(scale=scale, size=(rows, self.width))[:, :n].copy()
-
-
-UNCENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
-                              np.array([0.3, 1.1, 0.6]))
-CENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [-0.6, 0.8], [-0.6, -0.8]]),
-                            np.array([1.2, 1.0, 1.0]))
 
 
 class TestLepageKernel:
