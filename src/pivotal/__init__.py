@@ -3,7 +3,7 @@ with two-route numerical verification of the identities they imply."""
 
 from .rng import RngStream, mix64
 from .quadrature import QuadratureError, adaptive_simpson, gauss_legendre, power_singular_integral
-from .summaries import empirical_cdf, ks_two_sample, mc_summary, smoothed_density
+from .summaries import ks_two_sample, mc_summary
 from .point_process import (
     CountFunctional,
     DeclarationError,

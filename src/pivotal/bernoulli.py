@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlog1py, xlogy
 
 from .quadrature import adaptive_simpson
 from .rng import RngStream
@@ -198,14 +197,6 @@ def threshold_event(m: int, k: int) -> BooleanEvent:
     return BooleanEvent(m, lambda bits: bits.sum(axis=1) >= k, monotone=True)
 
 
-def all_ones_event(m: int) -> BooleanEvent:
-    return BooleanEvent(m, lambda bits: bits.sum(axis=1) == m, monotone=True)
-
-
-def full_event(m: int) -> BooleanEvent:
-    return BooleanEvent(m, lambda bits: np.ones(bits.shape[0], dtype=bool), monotone=True)
-
-
 def dnf_event(m: int, clauses: list[tuple[int, ...]]) -> BooleanEvent:
     """Monotone DNF: OR over clauses of AND over the clause's coordinates."""
     frozen = [np.asarray(c, dtype=int) for c in clauses]
@@ -264,8 +255,19 @@ def negbin_pmf(r: int, p: float, j: int) -> float:
 
 def _beta_kernel(a: int, b: int, log_prefactor: float):
     """t -> exp(log_prefactor) * t^a * (1-t)^b on node arrays, with 0^0 = 1;
-    the prefactor stays in the exponent, so large a + b cannot overflow."""
-    return lambda t: np.exp(log_prefactor + xlogy(a, t) + xlog1py(b, -t))
+    the prefactor stays in the exponent, so large a + b cannot overflow.
+    A power enters only when its exponent is nonzero, and t = 0 or 1 under a
+    positive one gives exp(-inf) = 0."""
+
+    def kernel(t: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            log = a * np.log(t) if a else np.zeros(np.shape(t))
+            if b:
+                log += b * np.log1p(-t)
+        log += log_prefactor
+        return np.exp(log)
+
+    return kernel
 
 
 @dataclass(frozen=True)

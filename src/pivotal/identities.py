@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .quadrature import adaptive_simpson
 
@@ -51,15 +50,6 @@ class LatticeDistribution:
         return float(self.probs[j]) if 0 <= j < self.probs.size else 0.0
 
 
-def poisson_pmf(theta: float, k) -> np.ndarray | float:
-    """Poisson mass via log-gamma (stable up to theta ~ 700)."""
-    k = np.asarray(k)
-    if theta == 0.0:
-        return np.where(k == 0, 1.0, 0.0) if k.ndim else (1.0 if k == 0 else 0.0)
-    out = np.exp(k * math.log(theta) - theta - gammaln(k + 1.0))
-    return out if out.ndim else float(out)
-
-
 def poisson_tail(theta: float, k: int) -> float:
     """P(Poisson(theta) >= k), summed from the mass next to k in log space.
 
@@ -91,6 +81,15 @@ def poisson_tail(theta: float, k: int) -> float:
     return 1.0 - math.exp((k - 1) * math.log(theta) - theta - math.lgamma(k)) * acc
 
 
+def _xlogy(x: int, t: np.ndarray) -> np.ndarray:
+    """x log t on a node array, 0 where x = 0 (so 0^0 = 1); log 0 = -inf, so
+    t^x at t = 0 comes out as exp(-inf) = 0 without a warning."""
+    if x == 0:
+        return np.zeros(np.shape(t))
+    with np.errstate(divide="ignore"):
+        return x * np.log(t)
+
+
 def _gamma_kernel_quadrature(shape: float, rate: float, upper: float, integrand, tol: float) -> float:
     """Adaptive quadrature of a gamma-shaped kernel on [0, upper], pre-split
     around the kernel's mode so a narrow bump cannot hide between the initial
@@ -117,7 +116,7 @@ def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
     lg = math.lgamma(k)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(xlogy(k - 1, t) - t - lg)  # xlogy(0, 0) = 0: value 1 at t = 0 for k = 1
+        return np.exp(_xlogy(k - 1, t) - t - lg)  # value 1 at t = 0 for k = 1
 
     peak = float(integrand(np.array([min(theta, k - 1.0)]))[0])
     return _gamma_kernel_quadrature(float(k), 1.0, theta, integrand, tol * peak)
@@ -133,12 +132,12 @@ def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[floa
     lg = math.lgamma(n)
 
     def density(y: np.ndarray) -> np.ndarray:
-        return np.exp(n * math.log(theta) + xlogy(n - 1, y) - theta * y - lg)
+        return np.exp(n * math.log(theta) + _xlogy(n - 1, y) - theta * y - lg)
 
     direct = _gamma_kernel_quadrature(float(n), theta, x, density, tol)
 
     def kernel(t: np.ndarray) -> np.ndarray:
-        return np.exp(n * math.log(x) + xlogy(n - 1, t) - t * x - lg)
+        return np.exp(n * math.log(x) + _xlogy(n - 1, t) - t * x - lg)
 
     via_integral = _gamma_kernel_quadrature(float(n), x, theta, kernel, tol)
     via_poisson = poisson_tail(theta * x, n)

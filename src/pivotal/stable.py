@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln
-
 from .quadrature import _gl_nodes, adaptive_simpson, power_singular_integral
 from .rng import RngStream
 from .summaries import mean_stderr
@@ -126,10 +124,32 @@ class StableParams:
         return self.spectral.dim
 
 
+# B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of log Gamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _log_gamma_ratio(x: float, s: float) -> float:
+    """log(Gamma(x + s) / Gamma(x)) for x, x + s > 0, without the cancellation
+    of lgamma(x + s) - lgamma(x), two numbers near x log x.
+
+    Gamma(z + 1) = z Gamma(z) shifts both arguments to at least 30, where the
+    difference of the two Stirling series is summed term by term; the first
+    dropped term is below 1e-19 there.
+    """
+    factor = 1.0
+    while min(x, x + s) < 30.0:
+        factor *= x / (x + s)
+        x += 1.0
+    series = sum(c * ((x + s) ** (1 - 2 * k) - x ** (1 - 2 * k)) for k, c in enumerate(_STIRLING, 1))
+    return s * math.log(x) + (x + s - 0.5) * math.log1p(s / x) - s + series + math.log(factor)
+
+
 def tail_meansq_sum(nterms: int, alpha: float) -> float:
     """sum_{k>N} Gamma(k - 2/alpha)/Gamma(k), exactly."""
     beta = 2.0 / alpha
-    return math.exp(gammaln(nterms + 1 - beta) - gammaln(nterms)) / (beta - 1.0)
+    if nterms + 1 - beta <= 0:
+        raise ValueError("need nterms > 2/alpha - 1")
+    return math.exp(_log_gamma_ratio(nterms, 1.0 - beta)) / (beta - 1.0)
 
 
 @dataclass(frozen=True)
@@ -319,12 +339,16 @@ def levy_location_scale(theta: float) -> float:
     return math.pi * theta * theta / 2.0
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # elementwise; keeps the relative accuracy of the tail
+
+
 def positive_half_cdf(x, theta: float):
-    """Distribution function of the alpha=1/2 positive law."""
+    """Distribution function of the alpha=1/2 positive law, erfc(sqrt(c / (2x)))."""
     c = levy_location_scale(theta)
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = np.where(x > 0, erfc(np.sqrt(c / (2.0 * np.maximum(x, 1e-300)))), 0.0)
+    pos = x > 0
+    z = np.sqrt(c / (2.0 * np.where(pos, x, 1.0)))
+    out = np.where(pos, np.asarray(_erfc(z), dtype=float), 0.0)
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo summaries: means with errors, empirical CDFs, KS two-sample test."""
+"""Monte Carlo summaries: means with errors, z-scores, KS two-sample test."""
 
 from __future__ import annotations
 
@@ -38,33 +38,6 @@ def mc_summary(samples) -> MCSummary:
     x = np.asarray(samples, dtype=float)
     mean, stderr = mean_stderr(x)
     return MCSummary(mean, stderr, (mean - _Z95 * stderr, mean + _Z95 * stderr), x.size)
-
-
-class EmpiricalCdf:
-    """Right-continuous empirical distribution function."""
-
-    def __init__(self, samples):
-        x = np.asarray(samples, dtype=float)
-        if x.size < 2:
-            raise ValueError("need at least 2 samples")
-        self.sorted = np.sort(x)
-        self.n = x.size
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.sorted, np.asarray(x, dtype=float), side="right")
-        return idx / self.n
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(samples)
-
-
-def smoothed_density(samples, x: float, bandwidth: float) -> float:
-    """Central difference of the empirical CDF: [F(x+h) - F(x-h)] / (2h)."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    cdf = samples if isinstance(samples, EmpiricalCdf) else EmpiricalCdf(samples)
-    return float(cdf(x + bandwidth) - cdf(x - bandwidth)) / (2.0 * bandwidth)
 
 
 def kolmogorov_sf(t: float, terms: int = 101) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -40,7 +42,7 @@ class TestPivotalCounts:
         assert brute_pivotal_counts(ev, x) == (r, 0)
 
     def test_full_space_nothing_pivotal(self):
-        ev = bn.full_event(4)
+        ev = bn.threshold_event(4, 0)
         for v in range(16):
             x = np.array([(v >> i) & 1 for i in range(4)], dtype=np.uint8)
             assert bn.pivotal_counts(ev, x) == (0, 0)
@@ -71,12 +73,12 @@ class TestPivotalCounts:
 
 class TestEventProbability:
     def test_full_space(self):
-        ev = bn.full_event(3)
+        ev = bn.threshold_event(3, 0)
         for th in (0.0, 0.3, 1.0):
             assert bn.event_probability(ev, th) == pytest.approx(1.0, abs=1e-14)
 
     def test_all_ones(self):
-        assert bn.event_probability(bn.all_ones_event(3), 0.5) == pytest.approx(0.125, abs=1e-15)
+        assert bn.event_probability(bn.threshold_event(3, 3), 0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_two_trials_at_least_one(self):
         assert bn.event_probability(bn.threshold_event(2, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
@@ -88,7 +90,7 @@ class TestEventProbability:
 
     def test_too_many_bits(self):
         with pytest.raises(ValueError):
-            bn.event_probability(bn.full_event(25), 0.5)
+            bn.event_probability(bn.threshold_event(25, 0), 0.5)
 
     def test_scalar_indicator_raises(self):
         # no row-by-row retry: the error names the expected shape
@@ -120,12 +122,12 @@ class TestRussoDerivative:
 
     def test_all_ones_derivative(self):
         for m in (2, 4, 6):
-            ev = bn.all_ones_event(m)
+            ev = bn.threshold_event(m, m)
             for th in (0.2, 0.7):
                 assert bn.russo_derivative(ev, th) == pytest.approx(m * th ** (m - 1), abs=1e-13)
 
     def test_full_space_constant(self):
-        assert bn.russo_derivative(bn.full_event(5), 0.4) == 0.0
+        assert bn.russo_derivative(bn.threshold_event(5, 0), 0.4) == 0.0
 
     def test_matches_polynomial_derivative(self):
         rng = RngStream(23)
@@ -215,6 +217,17 @@ class TestIdentityReports:
             rep = bn.identity_report_binomial(5, k, 1.0)
             assert rep.tail == 1.0
             assert rep.integral == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (2, 0), (2, 3)])
+    def test_beta_kernel_at_endpoints(self, a, b):
+        # 0^0 = 1 and 0^a = 0, without a divide-by-zero warning
+        t = np.array([0.0, 0.25, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bn._beta_kernel(a, b, 0.5)(t)
+        want = np.exp(0.5 + special.xlogy(a, t) + special.xlog1py(b, -t))
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert got.shape == t.shape
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from pivotal import identities
 from pivotal.identities import (
     LatticeDistribution,
     cpois_cdf,
@@ -13,7 +15,6 @@ from pivotal.identities import (
     cpois_pmf_polyrec,
     erlang_cdf,
     panjer_pmfs,
-    poisson_pmf,
     poisson_tail,
     poisson_tail_integral,
 )
@@ -78,11 +79,33 @@ class TestErlang:
             assert abs(i - p) <= 1e-10
 
 
+class TestGammaKernel:
+    @pytest.mark.parametrize("x", [0, 1, 4])
+    def test_xlogy_at_endpoints(self, x):
+        t = np.array([0.0, 0.5, 1.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = identities._xlogy(x, t)
+        np.testing.assert_array_equal(got, special.xlogy(x, t))
+        assert got.shape == t.shape
+
+    def test_kernels_at_zero_without_warnings(self):
+        # the kernels start at t = 0: value 1 for exponent 0, else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert poisson_tail_integral(0.5, 1) == pytest.approx(-math.expm1(-0.5), rel=1e-12, abs=0.0)
+            assert poisson_tail_integral(2.0, 4) == pytest.approx(stats.poisson.sf(3, 2.0), rel=1e-12, abs=0.0)
+            for v in erlang_cdf(1, 2.0, 1.0):
+                assert v == pytest.approx(-math.expm1(-2.0), rel=1e-11, abs=0.0)
+            for v in erlang_cdf(3, 2.0, 1.0):
+                assert v == pytest.approx(stats.gamma.cdf(1.0, 3, scale=0.5), rel=1e-11, abs=0.0)
+
+
 class TestCompoundPoissonPmf:
     def test_direct_reduces_to_poisson(self):
         q = LatticeDistribution.delta(1)
         for k in (0, 1, 4):
-            assert cpois_pmf_direct(2.0, q, k) == pytest.approx(float(poisson_pmf(2.0, k)), abs=1e-14)
+            assert cpois_pmf_direct(2.0, q, k) == pytest.approx(stats.poisson.pmf(k, 2.0), abs=1e-14)
 
     def test_mass_at_zero(self):
         q = LatticeDistribution.from_dict({0: 0.25, 1: 0.5, 2: 0.25})
@@ -100,7 +123,7 @@ class TestCompoundPoissonPmf:
     def test_panjer_poisson_case(self):
         q = LatticeDistribution.delta(1)
         p = panjer_pmfs(3.0, q, 20)
-        np.testing.assert_allclose(p, poisson_pmf(3.0, np.arange(21)), rtol=1e-13)
+        np.testing.assert_allclose(p, stats.poisson.pmf(np.arange(21), 3.0), rtol=1e-13)
 
     def test_polyrec_monomials(self):
         # jump size 1: the rescaled masses integrate to theta^k / k!

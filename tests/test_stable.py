@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammaln
 
 from pivotal import stable
@@ -72,6 +74,36 @@ class TestTailSums:
             math.exp(gammaln(7.0) - gammaln(10.0)) / 3.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0 / 3.0])
+    @pytest.mark.parametrize("n", [10, 10**3, 10**5, 10**6])
+    def test_meansq_sum_exact_rationals(self, alpha, n):
+        # beta = 2/alpha an integer: Gamma(n+1-beta)/Gamma(n) = 1/((n-1)...(n-beta+1));
+        # a difference of two log-gammas near n log n loses ~1e-10 here
+        beta = round(2.0 / alpha)
+        denom = (beta - 1) * math.prod(range(n - beta + 1, n))
+        assert tail_meansq_sum(n, alpha) == pytest.approx(float(Fraction(1, denom)), rel=1e-13, abs=0.0)
+
+    def test_meansq_sum_needs_positive_arguments(self):
+        with pytest.raises(ValueError):
+            tail_meansq_sum(3, 0.5)
+
+    @pytest.mark.parametrize("alpha, spec, tol, nterms, want, atoms", [
+        (0.5, SpectralMeasure.positive_half_line(1.0), 1e-3, None, 72, (72,)),
+        (0.5, SpectralMeasure.positive_half_line(2.0), 1e-3, None, 177, (177,)),
+        (0.5, SpectralMeasure.positive_half_line(1.0), 3e-3, None, 36, (36,)),
+        (0.5, SpectralMeasure.positive_half_line(2.0), 3e-3, None, 86, (86,)),
+        (0.8, SpectralMeasure.symmetric_pair(1.0), 3e-3, None, 1767, (884, 884)),
+        (0.8, SpectralMeasure.symmetric_pair(2.0), 3e-3, None, 5603, (2802, 2802)),
+        (0.7, SpectralMeasure.positive_half_line(1.0), 1e-3, None, 1221, (1221,)),
+        (1.5, SpectralMeasure.symmetric_pair(1.0), 3e-3, 5000, 5000, (2500, 2500)),
+        (1.0, SpectralMeasure.symmetric_pair(1.0), 1e-3, 1000, 1000, (500, 500)),
+        (0.8, SpectralMeasure.axis_symmetric(1.0, dim=2), 1e-3, 800, 800, (200,) * 4),
+    ])
+    def test_pinned_plans(self, alpha, spec, tol, nterms, want, atoms):
+        # the series lengths of the benchmark workloads and the gates
+        plan = truncation_plan(StableParams(alpha, spec), trunc_tol=tol, nterms=nterms)
+        assert (plan.nterms, plan.atom_terms) == (want, atoms)
+
     def test_plan_monotone(self):
         params = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))
         bounds = [truncation_plan(params, nterms=n).tail_std_bound for n in (10, 30, 100, 300)]
@@ -131,6 +163,24 @@ class TestSampler:
         a, _ = sample_stable_many(params, 300, RngStream(74, 5))
         b, _ = sample_stable_many(params, 300, RngStream(74, 5))
         assert np.array_equal(a, b)
+
+    def test_half_cdf_matches_levy(self):
+        # erfc(z) has condition number ~2 z^2 in its argument, whose rounding
+        # alone moves the deep tail (cdf ~1e-290 near x = 1e-3) by ~1e-13;
+        # scipy flushes the subnormal range to 0
+        for theta in (1.0, 2.0):
+            c = math.pi * theta * theta / 2.0
+            x = np.logspace(-3, 6, 2000)
+            want = stats.levy.cdf(x, scale=c)
+            got = positive_half_cdf(x, theta)
+            normal = want >= np.finfo(float).tiny
+            cond = 1.0 + c / x[normal]  # 1 + 2 z^2, z = sqrt(c / (2x))
+            assert np.all(np.abs(got[normal] - want[normal]) <= 1e-14 * cond * want[normal])
+            assert np.all(got[~normal] < np.finfo(float).tiny)
+            body = want > 1e-3
+            np.testing.assert_allclose(got[body], want[body], rtol=1e-14, atol=0.0)
+        assert positive_half_cdf(0.0, 1.0) == 0.0 and positive_half_cdf(-1.0, 1.0) == 0.0
+        assert isinstance(positive_half_cdf(2.0, 1.0), float)
 
     def test_golden_cdf(self):
         params = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pivotal.rng import RngStream
-from pivotal.summaries import empirical_cdf, ks_two_sample, mc_summary, mean_stderr, smoothed_density, zscore
+from pivotal.summaries import ks_two_sample, mc_summary, mean_stderr, zscore
 
 
 def test_mc_summary_against_numpy():
@@ -23,22 +23,6 @@ def test_constant_samples_zero_stderr():
 def test_too_few_samples():
     with pytest.raises(ValueError):
         mc_summary([1.0])
-
-
-def test_empirical_cdf_steps():
-    cdf = empirical_cdf([1.0, 2.0, 2.0, 4.0])
-    assert cdf(0.5) == 0.0
-    assert cdf(1.0) == 0.25
-    assert cdf(2.0) == 0.75
-    assert cdf(10.0) == 1.0
-    np.testing.assert_allclose(cdf(np.array([1.5, 3.0])), [0.25, 0.75])
-
-
-def test_smoothed_density_uniform():
-    rng = np.random.default_rng(9)
-    x = rng.random(200_000)
-    val = smoothed_density(x, 0.5, bandwidth=0.05)
-    assert val == pytest.approx(1.0, abs=0.05)
 
 
 def test_ks_identical_sets():
