@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
 from .quadrature import _gl_nodes, adaptive_simpson, power_singular_integral
 from .rng import RngStream
 from .summaries import mean_stderr
