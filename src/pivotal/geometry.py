@@ -14,10 +14,7 @@ side s draws from ``rng.substream(s).substream(b)``, the replicate count per
 block fixed by the mass (or m) and ``_BLOCK_POINTS``, counts before points.
 ``crofton_poisson_check`` samples K_{t+delta} on side 0 and K_t on side 1;
 ``crofton_binomial_check`` samples K_{t+delta} on side 0, K_{t-delta} on
-side 1 and K_t on side 2.  A ``CountFunctional`` is evaluated a block at a
-time, with the region memberships of the fixed boundary nodes computed once
-per check; any other ``Statistic`` configuration by configuration, with the
-same values for the same function.
+side 1 and K_t on side 2.
 """
 
 from __future__ import annotations
@@ -29,14 +26,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .point_process import (
-    CountFunctional,
     IntensityMeasure,
     PointConfiguration,
-    ReplicateBlock,
     Statistic,
     binomial_blocks,
     poisson_blocks,
-    replicate_values,
+    total_mass,
 )
 from .quadrature import QuadratureError, _gl_nodes
 from .rng import RngStream
@@ -460,41 +455,19 @@ def intensity_on_parallel_set(body: ConvexBody, t: float, h=None,
     )
 
 
-def _restricted_values(g: Statistic, blk: ReplicateBlock, region) -> np.ndarray:
-    """g at each replicate of the block restricted to ``region``."""
-    if isinstance(g, CountFunctional):
-        return g.values(g.counts(blk, keep=region(blk.points)))
-    return np.array([g.value(blk.configuration(i).restrict(region)) for i in range(blk.reps)], dtype=float)
+def _finite_difference(t: float, delta: float) -> tuple[float, float, float]:
+    """delta, clipped to t/2 for t > 0; the lower radius; the denominator
+    (central difference for t > 0, one-sided at t = 0)."""
+    if t > 0:
+        delta = min(delta, t / 2.0)
+        return delta, t - delta, 2.0 * delta
+    return delta, 0.0, delta
 
 
-class _BoundaryNodes:
-    """Boundary quadrature nodes with weights w * h, and, for a CountFunctional,
-    their region memberships (computed once per check)."""
-
-    def __init__(self, g: Statistic, pts: np.ndarray, wts: np.ndarray, hval):
-        self.g, self.pts = g, pts
-        self.wh = wts * np.asarray(hval(pts), dtype=float)
-        self.mem = g.memberships(pts) if isinstance(g, CountFunctional) else None
-
-    def added_sums(self, blk: ReplicateBlock, drop_last: bool) -> np.ndarray:
-        """For each replicate xi: the sum over nodes p of w_p h(p) (g(xi' + delta_p) - g(xi)),
-        where xi' is xi, or xi without its last point if ``drop_last``; summed in node order."""
-        g, acc = self.g, np.zeros(blk.reps)
-        if isinstance(g, CountFunctional):
-            counts = g.counts(blk)
-            base = g.values(counts)
-            if drop_last:
-                counts = counts - g.memberships(blk.points[blk.offsets[1:] - 1])
-            for w, mem in zip(self.wh, self.mem):
-                acc += w * (g.values(counts + mem) - base)
-            return acc
-        for i in range(blk.reps):
-            xi = blk.configuration(i)
-            base = g.value(xi)
-            kept = PointConfiguration._wrap(xi.dim, xi.points[:-1]) if drop_last else xi
-            for p, w in zip(self.pts, self.wh):
-                acc[i] += w * (g.value(kept.add_atom(p)) - base)
-        return acc
+def _weighted(nodes: tuple[np.ndarray, np.ndarray], h) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes, with their weights times the density h (1 if None)."""
+    pts, wts = nodes
+    return pts, wts if h is None else wts * np.asarray(h(pts), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -536,33 +509,28 @@ def crofton_poisson_check(
         raise ValueError("need reps >= 2 and inner_reps >= 2")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t > 0:
-        delta = min(delta, t / 2.0)
-        tminus, denom = t - delta, 2.0 * delta
-    else:
-        tminus, denom = 0.0, delta
+    delta, tminus, denom = _finite_difference(t, delta)
     mu_plus = intensity_on_parallel_set(body, t + delta, h, sup_density)
     region_minus = parallel_region(body, tminus)
 
     vals = np.concatenate([
-        (replicate_values(g, blk) - _restricted_values(g, blk, region_minus)) / denom
+        (g.replicate_values(blk) - g.replicate_values(blk.restricted(region_minus(blk.points)))) / denom
         for blk in poisson_blocks(mu_plus, reps, rng.substream(0))
     ])
     lhs, lhs_se = mean_stderr(vals)
 
-    hval = (lambda pts: np.ones(pts.shape[0])) if h is None else h
     if isinstance(body, Segment) and t == 0.0:
-        pts, wts = segment_nodes(body, npoints)
+        pts, wh = _weighted(segment_nodes(body, npoints), h)
         empty = PointConfiguration.empty(2)
         g0 = g.value(empty)
         dvals = np.array([g.value(empty.add_atom(p)) - g0 for p in pts])
-        rhs = 2.0 * float(np.dot(wts * np.asarray(hval(pts), dtype=float), dvals))
+        rhs = 2.0 * float(np.dot(wh, dvals))
         rhs_se = 0.0
     else:
-        nodes = _BoundaryNodes(g, *boundary_nodes(body, t, npoints), hval)
+        pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
         mu_t = intensity_on_parallel_set(body, t, h, sup_density)
         pool = inner_reps if inner_reps is not None else min(reps, 5000)
-        cvals = np.concatenate([nodes.added_sums(blk, drop_last=False)
+        cvals = np.concatenate([g.node_differences(blk, pts, wh)
                                 for blk in poisson_blocks(mu_t, pool, rng.substream(1))])
         rhs, rhs_se = mean_stderr(cvals)
 
@@ -597,15 +565,11 @@ def crofton_binomial_check(
         raise ValueError("need m >= 1")
     if area(body) <= 0 and t == 0.0:
         raise ValueError("binomial process needs positive mass at the base radius")
-    if t > 0:
-        delta = min(delta, t / 2.0)
-        tminus, denom = t - delta, 2.0 * delta
-    else:
-        tminus, denom = 0.0, delta
+    delta, tminus, denom = _finite_difference(t, delta)
 
     def mean_g_at(radius: float, side: int) -> tuple[float, float]:
         mu = intensity_on_parallel_set(body, radius, h, sup_density)
-        return mean_stderr(np.concatenate([replicate_values(g, blk)
+        return mean_stderr(np.concatenate([g.replicate_values(blk)
                                            for blk in binomial_blocks(mu, m, reps, rng.substream(side))]))
 
     up, up_se = mean_g_at(t + delta, 0)
@@ -614,10 +578,16 @@ def crofton_binomial_check(
     lhs_se = math.hypot(up_se, down_se) / denom
 
     mu_t = intensity_on_parallel_set(body, t, h, sup_density)
-    mass_t = mu_t.mass()
-    hval = (lambda p: np.ones(p.shape[0])) if h is None else h
-    nodes = _BoundaryNodes(g, *boundary_nodes(body, t, npoints), hval)
-    cvals = np.concatenate([nodes.added_sums(blk, drop_last=True)
+    mass_t = total_mass(mu_t)
+    pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
+
+    def boundary_sums(blk) -> np.ndarray:
+        # each replicate's first m - 1 points against the whole replicate
+        keep = np.ones(blk.points.shape[0], dtype=bool)
+        keep[blk.offsets[1:] - 1] = False
+        return g.node_differences(blk.restricted(keep), pts, wh, base=g.replicate_values(blk))
+
+    cvals = np.concatenate([boundary_sums(blk)
                             for blk in binomial_blocks(mu_t, m, min(reps, 5000), rng.substream(2))])
     rhs, rhs_se = mean_stderr(cvals)
     rhs *= m / mass_t

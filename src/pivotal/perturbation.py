@@ -9,11 +9,6 @@ mass and ``_BLOCK_POINTS``; added points, then counts, then points).
 0 only; order k of ``perturbation_series`` uses side k, with the base term
 at side 0.  Replicate values are aggregated with NumPy's fixed-order pairwise
 summation, so results depend only on the master seed and the replicate count.
-
-A ``CountFunctional`` is evaluated a block at a time, its differences in
-closed form from region memberships; any other ``Statistic`` is evaluated
-configuration by configuration on views of the same blocks, with the same
-values for the same function.
 """
 
 from __future__ import annotations
@@ -23,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .point_process import (
-    CountFunctional,
-    IntensityMeasure,
-    ReplicateBlock,
-    Statistic,
-    iterated_difference,
-    poisson_blocks,
-    replicate_values,
-    total_mass,
-)
+from .point_process import MAX_ITERATED_DIFFERENCE, IntensityMeasure, Statistic, poisson_blocks, total_mass
 from .rng import RngStream
 from .summaries import mean_stderr
 
@@ -48,19 +34,16 @@ def expectation_mc(g: Statistic, mu: IntensityMeasure, reps: int, rng: RngStream
     """Plain Monte Carlo estimate of E g(eta) for a Poisson process with mean measure mu."""
     if reps < 2:
         raise ValueError("need reps >= 2")
-    vals = np.concatenate([replicate_values(g, blk) for blk in poisson_blocks(mu, reps, rng.substream(0))])
+    vals = np.concatenate([g.replicate_values(blk) for blk in poisson_blocks(mu, reps, rng.substream(0))])
     mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)
 
 
-def _iterated_differences(g: Statistic, blk: ReplicateBlock) -> np.ndarray:
-    """The iterated difference of g at each replicate, over its added points."""
-    if isinstance(g, CountFunctional):
-        reps, k, dim = blk.added.shape
-        added = g.memberships(blk.added.reshape(reps * k, dim)).reshape(reps, k, len(g.regions))
-        return g.iterated_differences(g.counts(blk), added)
-    return np.array([iterated_difference(g, blk.configuration(i), blk.added[i]) for i in range(blk.reps)],
-                    dtype=float)
+def _differences(g: Statistic, mu: IntensityMeasure, nu: IntensityMeasure, k: int, reps: int,
+                 rng: RngStream) -> np.ndarray:
+    """The k-fold difference of g at ``reps`` Poisson(mu) replicates, over k
+    points drawn i.i.d. from nu / mass(nu) for each."""
+    return np.concatenate([g.differences(blk) for blk in poisson_blocks(mu, reps, rng, added=(nu, k))])
 
 
 @dataclass(frozen=True)
@@ -115,8 +98,8 @@ def perturbation_series(
             raise ValueError("negative theta requires a certified bound on dnu/dlam")
         if abs(theta) * nu_over_lambda_bound > 1.0 + 1e-12:
             raise ValueError("lam + theta*nu is not a measure under the certified ratio bound")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
+    if not 0 <= kmax <= MAX_ITERATED_DIFFERENCE:  # before any order is estimated
+        raise ValueError(f"kmax must lie in [0, {MAX_ITERATED_DIFFERENCE}]")
 
     nu_mass = total_mass(nu)
     base = expectation_mc(g, lam, reps, rng)
@@ -124,8 +107,7 @@ def perturbation_series(
     estimate = base.mean
     var = base.stderr**2
     for k in range(1, kmax + 1):
-        blocks = poisson_blocks(lam, reps, rng.substream(k), added=(nu, k))
-        mean, se = mean_stderr(np.concatenate([_iterated_differences(g, blk) for blk in blocks]))
+        mean, se = mean_stderr(_differences(g, lam, nu, k, reps, rng.substream(k)))
         weight = theta**k / math.factorial(k) * nu_mass**k
         terms.append(SeriesTerm(k, weight, mean, se))
         estimate += weight * mean
@@ -156,29 +138,20 @@ def derivative_location_estimator(
 
     Draws z from the normalized lam and an independent process eta with mean
     measure theta*lam, and averages lam_mass * (g(eta + delta_z) - g(eta)).
-    A fresh eta is drawn for every z (unbiasedness over variance reduction).
-    For events the (+) and (-) parts are reported separately.
+    A fresh eta is drawn for every z (unbiasedness over variance reduction):
+    this is the order-1 case of ``higher_derivative_estimator``, on the same
+    draws.  For events the (+) and (-) parts are reported separately; z is
+    (+)-pivotal where the difference is 1.
     """
     if reps < 2:
         raise ValueError("need reps >= 2")
     lam_mass = total_mass(lam)
-    before, after = [], []
-    for blk in poisson_blocks(lam.scaled(theta), reps, rng.substream(0), added=(lam, 1)):
-        if isinstance(g, CountFunctional):
-            counts = g.counts(blk)
-            before.append(g.values(counts))
-            after.append(g.values(counts + g.memberships(blk.added[:, 0])))
-        else:
-            etas = [blk.configuration(i) for i in range(blk.reps)]
-            before.append(np.array([g.value(eta) for eta in etas], dtype=float))
-            after.append(np.array([g.value(eta.add_atom(z)) for eta, z in zip(etas, blk.added[:, 0])],
-                                  dtype=float))
-    before, after = np.concatenate(before), np.concatenate(after)
-    vals = lam_mass * (after - before)
+    diffs = _differences(g, lam.scaled(theta), lam, 1, reps, rng.substream(0))
+    vals = lam_mass * diffs
     mean, se = mean_stderr(vals)
     if not g.is_event:
         return DerivativeEstimate(mean, se, reps)
-    plus = lam_mass * np.where((after == 1.0) & (before == 0.0), 1.0, 0.0)
+    plus = lam_mass * np.where(diffs == 1.0, 1.0, 0.0)
     minus = plus - vals  # N- contribution = N+ - signed value
     pm, pse = mean_stderr(plus)
     mm, mse = mean_stderr(minus)
@@ -211,38 +184,10 @@ def derivative_point_estimator(
         raise ValueError("theta must be positive")
     if not g.is_event:
         raise ValueError("pivotal-point estimation applies to event statistics")
-    removed, added = [], []
-    for blk in poisson_blocks(lam.scaled(theta), reps, rng.substream(0)):
-        r, a = _pivotal_point_counts(g, blk)
-        removed.append(r / theta)
-        added.append(a / theta)
-    rm, rse = mean_stderr(np.concatenate(removed))
-    am, ase = mean_stderr(np.concatenate(added))
+    removed, added = zip(*(g.pivotal_points(blk) for blk in poisson_blocks(lam.scaled(theta), reps, rng.substream(0))))
+    rm, rse = mean_stderr(np.concatenate(removed) / theta)
+    am, ase = mean_stderr(np.concatenate(added) / theta)
     return PivotalPointEstimate(rm, rse, am, ase, reps)
-
-
-def _pivotal_point_counts(g: Statistic, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
-    and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
-    if isinstance(g, CountFunctional):
-        mem = g.memberships(blk.points)
-        counts = g.counts(blk)
-        owner = np.repeat(np.arange(blk.reps), np.diff(blk.offsets))
-        held = g.values(counts)[owner] == 1.0
-        around = counts[owner]
-        r = np.bincount(owner, weights=held & (g.values(around - mem) == 0.0), minlength=blk.reps)
-        a = np.bincount(owner, weights=held & (g.values(around + mem) == 0.0), minlength=blk.reps)
-        return r, a
-    r, a = np.zeros(blk.reps), np.zeros(blk.reps)
-    for i in range(blk.reps):
-        eta = blk.configuration(i)
-        if g.value(eta) == 1.0:
-            for j in range(len(eta)):
-                if g.value(eta.without_index(j)) == 0.0:
-                    r[i] += 1.0
-                if g.value(eta.add_atom(eta.points[j])) == 0.0:
-                    a[i] += 1.0
-    return r, a
 
 
 def higher_derivative_estimator(
@@ -254,7 +199,6 @@ def higher_derivative_estimator(
     if not 1 <= k <= 10:
         raise ValueError("need 1 <= k <= 10")
     lam_mass = total_mass(lam)
-    blocks = poisson_blocks(lam.scaled(theta), reps, rng.substream(0), added=(lam, k))
-    vals = lam_mass**k * np.concatenate([_iterated_differences(g, blk) for blk in blocks])
+    vals = lam_mass**k * _differences(g, lam.scaled(theta), lam, k, reps, rng.substream(0))
     mean, se = mean_stderr(vals)
     return MCEstimate(mean, se, reps)

@@ -22,10 +22,15 @@ replicate, of mean above ``_BLOCK_POINTS / 4``, can hold more, and it holds
 the one configuration a replicate loop would hold anyway.  So memory stays
 bounded whatever the replicate count.
 
-A ``CountFunctional`` is a statistic g(phi) = f(phi(B_1), ..., phi(B_r)) of
-the point counts in a few regions.  Its values, add-point, remove-point,
-restriction and iterated differences on a whole block follow in closed form
-from the region memberships of the points, with no configuration rebuilt.
+Block protocol: estimators and checks evaluate a statistic g on a
+``ReplicateBlock`` only through four ``Statistic`` methods: ``replicate_values``
+(g at each replicate), ``differences`` (the iterated add-point difference over
+the added points), ``node_differences`` (weighted add-point differences at
+fixed nodes) and ``pivotal_points``.  A restriction of every replicate is the
+view ``ReplicateBlock.restricted``.  The ``Statistic`` defaults evaluate g
+configuration by configuration; a ``CountFunctional``, g(phi) = f(phi(B_1),
+..., phi(B_r)), overrides them with closed forms in the region memberships of
+the points, a whole block at a time, with the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -91,15 +96,7 @@ class PointConfiguration:
     def empty(dim: int) -> "PointConfiguration":
         return PointConfiguration._wrap(dim, np.empty((0, dim)))
 
-    @staticmethod
-    def of(dim: int, points) -> "PointConfiguration":
-        return PointConfiguration(dim, points)
-
     def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def count(self) -> int:
         return self.points.shape[0]
 
     def add_atom(self, z) -> "PointConfiguration":
@@ -119,12 +116,6 @@ class PointConfiguration:
         if len(self) == 0:
             return 0
         return int(np.count_nonzero(region(self.points)))
-
-    def restrict(self, region: Callable[[np.ndarray], np.ndarray]) -> "PointConfiguration":
-        if len(self) == 0:
-            return self
-        mask = np.asarray(region(self.points), dtype=bool)
-        return PointConfiguration._wrap(self.dim, self.points[mask])
 
 
 @dataclass(frozen=True)
@@ -203,9 +194,6 @@ class IntensityMeasure:
         if self.contains is not None:
             vals = np.where(np.asarray(self.contains(pts), dtype=bool), vals, 0.0)
         return vals
-
-    def mass(self, tol: float = _MASS_TOL) -> float:
-        return total_mass(self, tol)
 
     @functools.cached_property
     def _unit_mass(self) -> float:
@@ -361,10 +349,17 @@ class ReplicateBlock:
         """Replicate i as a configuration viewing the block's points."""
         return PointConfiguration._wrap(self.points.shape[1], self.points[self.offsets[i] : self.offsets[i + 1]])
 
+    def restricted(self, keep: np.ndarray) -> "ReplicateBlock":
+        """Each replicate's points where ``keep`` (one boolean per point) holds; the same added points."""
+        keep = np.asarray(keep, dtype=bool)
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        return ReplicateBlock(self.points[keep], kept_before[self.offsets], self.added)
+
 
 @dataclass(frozen=True)
 class Statistic:
-    """A functional of point configurations, with optional boundedness metadata."""
+    """A functional of point configurations, with optional boundedness metadata;
+    its block methods evaluate ``value`` configuration by configuration."""
 
     eval: Callable[[PointConfiguration], float]
     bound: float | None = None
@@ -377,6 +372,42 @@ class Statistic:
             raise DeclarationError(f"declared bound {self.bound} violated: {v}")
         return v
 
+    def replicate_values(self, blk: ReplicateBlock) -> np.ndarray:
+        """g at each replicate of the block."""
+        return np.array([self.value(blk.configuration(i)) for i in range(blk.reps)], dtype=float)
+
+    def differences(self, blk: ReplicateBlock) -> np.ndarray:
+        """The iterated difference of g at each replicate, over its added points."""
+        return np.array([iterated_difference(self, blk.configuration(i), blk.added[i]) for i in range(blk.reps)],
+                        dtype=float)
+
+    def node_differences(self, blk: ReplicateBlock, nodes: np.ndarray, weights: np.ndarray,
+                         base: np.ndarray | None = None) -> np.ndarray:
+        """For each replicate phi: the sum over nodes p, in node order, of
+        w_p (g(phi + delta_p) - b), where b is the replicate's entry of ``base``,
+        or g(phi) if ``base`` is None."""
+        base = self.replicate_values(blk) if base is None else base
+        acc = np.zeros(blk.reps)
+        for i in range(blk.reps):
+            phi = blk.configuration(i)
+            for p, w in zip(nodes, weights):
+                acc[i] += w * (self.value(phi.add_atom(p)) - base[i])
+        return acc
+
+    def pivotal_points(self, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
+        """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
+        and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
+        r, a = np.zeros(blk.reps), np.zeros(blk.reps)
+        for i in range(blk.reps):
+            eta = blk.configuration(i)
+            if self.value(eta) == 1.0:
+                for j in range(len(eta)):
+                    if self.value(eta.without_index(j)) == 0.0:
+                        r[i] += 1.0
+                    if self.value(eta.add_atom(eta.points[j])) == 0.0:
+                        a[i] += 1.0
+        return r, a
+
 
 class CountFunctional(Statistic):
     """g(phi) = f(phi(B_1), ..., phi(B_r)), a function of the point counts in r regions.
@@ -387,7 +418,7 @@ class CountFunctional(Statistic):
     Every batch of values is checked for that shape (TypeError) and against
     the declared ``bound`` (DeclarationError).  ``eval`` evaluates one
     configuration through the same ``f``, so wrapping it in a plain
-    ``Statistic`` gives the per-configuration path with the same values.
+    ``Statistic`` gives the default block methods, with the same values.
     """
 
     def __init__(self, regions, f: Callable[[np.ndarray], np.ndarray], bound: float | None = None,
@@ -401,15 +432,9 @@ class CountFunctional(Statistic):
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "f", f)
 
-    def memberships(self, pts: np.ndarray) -> np.ndarray:
-        """(n, r) 0/1 integer array: point i lies in region j."""
-        return _memberships(self.regions, pts)
-
-    def counts(self, block: ReplicateBlock, keep: np.ndarray | None = None) -> np.ndarray:
-        """(reps, r) region counts of the block's replicates, of the points where ``keep`` holds if given."""
-        mem = self.memberships(block.points)
-        if keep is not None:
-            mem *= np.asarray(keep, dtype=bool)[:, None]
+    def counts(self, block: ReplicateBlock) -> np.ndarray:
+        """(reps, r) region counts of the block's replicates."""
+        mem = _memberships(self.regions, block.points)
         cum = np.zeros((mem.shape[0] + 1, mem.shape[1]), dtype=np.int64)
         np.cumsum(mem, axis=0, out=cum[1:])
         return cum[block.offsets[1:]] - cum[block.offsets[:-1]]
@@ -426,27 +451,44 @@ class CountFunctional(Statistic):
                 raise DeclarationError(f"declared bound {self.bound} violated: {float(v[bad][0])}")
         return v
 
-    def iterated_differences(self, counts: np.ndarray, added: np.ndarray) -> np.ndarray:
-        """k-fold iterated differences of g at each row of ``counts`` (N, r), adding
-        points with memberships ``added`` (N, k, r): the sum over subsets S of the
-        k points of (-1)^(k-|S|) f(C + sum over S of M_i), in the subset order of
-        ``iterated_difference``, so the two agree value for value."""
-        signs, masks = _subsets(added.shape[1])
-        total = np.zeros(counts.shape[0])
+    def replicate_values(self, blk: ReplicateBlock) -> np.ndarray:
+        return self.values(self.counts(blk))
+
+    def differences(self, blk: ReplicateBlock) -> np.ndarray:
+        """With region counts C of a replicate and memberships M_i of its k added
+        points: the sum over subsets S of (-1)^(k-|S|) f(C + sum over S of M_i),
+        in the subset order of ``iterated_difference``."""
+        reps, k, dim = blk.added.shape
+        added = _memberships(self.regions, blk.added.reshape(reps * k, dim)).reshape(reps, k, len(self.regions))
+        counts = self.counts(blk)
+        signs, masks = _subsets(k)
+        total = np.zeros(reps)
         for sign, sel in zip(signs, masks):
             total += sign * self.values(counts + added[:, sel].sum(axis=1))
         return total
 
+    def node_differences(self, blk: ReplicateBlock, nodes: np.ndarray, weights: np.ndarray,
+                         base: np.ndarray | None = None) -> np.ndarray:
+        counts = self.counts(blk)
+        base = self.values(counts) if base is None else base
+        acc = np.zeros(blk.reps)
+        for w, mem in zip(weights, _memberships(self.regions, nodes)):
+            acc += w * (self.values(counts + mem) - base)
+        return acc
 
-def replicate_values(g: Statistic, blk: ReplicateBlock) -> np.ndarray:
-    """g at each replicate of the block: a block at a time for a CountFunctional,
-    else configuration by configuration."""
-    if isinstance(g, CountFunctional):
-        return g.values(g.counts(blk))
-    return np.array([g.value(blk.configuration(i)) for i in range(blk.reps)], dtype=float)
+    def pivotal_points(self, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
+        mem = _memberships(self.regions, blk.points)
+        counts = self.counts(blk)
+        owner = np.repeat(np.arange(blk.reps), np.diff(blk.offsets))
+        held = self.values(counts)[owner] == 1.0
+        around = counts[owner]
+        r = np.bincount(owner, weights=held & (self.values(around - mem) == 0.0), minlength=blk.reps)
+        a = np.bincount(owner, weights=held & (self.values(around + mem) == 0.0), minlength=blk.reps)
+        return r, a
 
 
 def _memberships(regions: tuple, pts: np.ndarray) -> np.ndarray:
+    """(n, r) 0/1 integer array: point i lies in region j."""
     out = np.ones((pts.shape[0], len(regions)), dtype=np.int64)
     if pts.shape[0]:
         for j, region in enumerate(regions):
@@ -510,8 +552,6 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
     k = zs.shape[0]
     if k < 1:
         raise ValueError("need at least one point")
-    if k > MAX_ITERATED_DIFFERENCE:
-        raise ValueError(f"k={k} exceeds the configured maximum {MAX_ITERATED_DIFFERENCE}")
     signs, masks = _subsets(k)
     total = 0.0
     total += signs[0] * g.value(phi)  # row 0 is the empty subset
@@ -523,7 +563,10 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
 @functools.cache
 def _subsets(k: int) -> tuple[tuple[float, ...], np.ndarray]:
     """Inclusion-exclusion signs and membership masks (2^k, k) of the subsets of
-    range(k), in bitmask order; built once per k (2^k * k bytes)."""
+    range(k), in bitmask order; built once per k (2^k * k bytes).  Every
+    iterated difference takes its subsets here, so k is limited here."""
+    if k > MAX_ITERATED_DIFFERENCE:
+        raise ValueError(f"k={k} exceeds the configured maximum {MAX_ITERATED_DIFFERENCE}")
     masks = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
     signs = tuple(-1.0 if (k - mask.bit_count()) % 2 else 1.0 for mask in range(1 << k))
     masks.flags.writeable = False

@@ -23,7 +23,7 @@ from pivotal.geometry import (
     steiner_derivative_check,
     steiner_mass,
 )
-from pivotal.point_process import CountFunctional, Statistic, ball_region
+from pivotal.point_process import CountFunctional, Statistic, ball_region, total_mass
 from pivotal.rng import RngStream
 
 DISK = Disk(np.array([0.0, 0.0]), 1.0)
@@ -293,11 +293,6 @@ class TestCroftonBinomial:
             rhs_stderr=0.4413117425710018, z=1.3838060223186968, delta=0.01, reps=40)
 
 
-def _as_generic(g: CountFunctional) -> Statistic:
-    """The same f, evaluated configuration by configuration."""
-    return Statistic(eval=g.eval, bound=g.bound, is_event=g.is_event, name=g.name)
-
-
 # the suites' Crofton statistics: count, count in a ball, constant
 CROFTON_FUNCTIONALS = {
     "count": CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1e9),
@@ -312,24 +307,24 @@ class TestCroftonVectorisedPath:
     """Both Crofton checks give equal reports on the block path of a
     CountFunctional and on the per-configuration path of the same f."""
 
-    def test_poisson(self, name):
+    def test_poisson(self, name, as_generic):
         g = CROFTON_FUNCTIONALS[name]
         h = lambda p: 1.0 + 0.5 * p[:, 0] ** 2
         for body, t, kw in ((DISK, 0.5, {}), (SEG, 0.0, {}), (PENT, 0.3, {"h": h, "sup_density": 8.0})):
             assert crofton_poisson_check(g, body, t, 80, RngStream(103), inner_reps=30, **kw) == \
-                crofton_poisson_check(_as_generic(g), body, t, 80, RngStream(103), inner_reps=30, **kw)
+                crofton_poisson_check(as_generic(g), body, t, 80, RngStream(103), inner_reps=30, **kw)
 
-    def test_binomial(self, name):
+    def test_binomial(self, name, as_generic):
         g = CROFTON_FUNCTIONALS[name]
         for m, t in ((1, 0.2), (5, 0.5)):
             assert crofton_binomial_check(g, DISK, t, m, 60, RngStream(104)) == \
-                crofton_binomial_check(_as_generic(g), DISK, t, m, 60, RngStream(104))
+                crofton_binomial_check(as_generic(g), DISK, t, m, 60, RngStream(104))
 
 
 class TestIntensityOnParallelSet:
     def test_mass_matches_steiner(self):
         mu = intensity_on_parallel_set(DISK, 0.5)
-        assert mu.mass() == pytest.approx(steiner_mass(DISK, 0.5), abs=1e-12)
+        assert total_mass(mu) == pytest.approx(steiner_mass(DISK, 0.5), abs=1e-12)
 
     def test_restriction_consistency(self):
         # points sampled on K_{t+d} restricted to K_t follow the K_t law

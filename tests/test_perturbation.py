@@ -92,6 +92,13 @@ class TestPerturbationSeries:
         with pytest.raises(ValueError):
             perturbation_series(g, SQUARE, SQUARE, -0.5, reps=100, rng=RngStream(49))
 
+    def test_kmax_validation(self):
+        # an order beyond the iterated-difference limit is refused before any order is estimated
+        g = void_indicator(B)
+        for kmax in (-1, 21):
+            with pytest.raises(ValueError, match="kmax"):
+                perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=kmax, reps=100, rng=RngStream(49))
+
     def test_stream_required(self):
         g = void_indicator(B)
         with pytest.raises(TypeError):
@@ -263,11 +270,6 @@ class TestFiniteDifferenceConsistency:
         assert abs(est.estimate - truth) < 4.0 * est.stderr
 
 
-def _as_generic(g: CountFunctional) -> Statistic:
-    """The same f, evaluated configuration by configuration."""
-    return Statistic(eval=g.eval, bound=g.bound, is_event=g.is_event, name=g.name)
-
-
 # every count-functional constructor, the suites' statistics and a two-region f
 COUNT_FUNCTIONALS = {
     "count": count_statistic(),
@@ -286,34 +288,43 @@ class TestVectorisedPathMatchesGeneric:
     """The block path of a CountFunctional and the per-configuration path of
     the same f, on the same blocks, give equal results."""
 
-    def test_expectation(self, name):
+    def test_expectation(self, name, as_generic):
         g = COUNT_FUNCTIONALS[name]
         assert expectation_mc(g, SQUARE.scaled(2.0), 300, RngStream(70)) == expectation_mc(
-            _as_generic(g), SQUARE.scaled(2.0), 300, RngStream(70))
+            as_generic(g), SQUARE.scaled(2.0), 300, RngStream(70))
 
-    def test_location_estimator(self, name):
+    def test_location_estimator(self, name, as_generic):
         g = COUNT_FUNCTIONALS[name]
         assert derivative_location_estimator(g, SQUARE, 1.5, 300, RngStream(71)) == derivative_location_estimator(
-            _as_generic(g), SQUARE, 1.5, 300, RngStream(71))
+            as_generic(g), SQUARE, 1.5, 300, RngStream(71))
 
-    def test_higher_derivative(self, name):
+    def test_higher_derivative(self, name, as_generic):
         g = COUNT_FUNCTIONALS[name]
         for k in (1, 3):
             assert higher_derivative_estimator(g, SQUARE, 1.2, k, 200, RngStream(73)) == \
-                higher_derivative_estimator(_as_generic(g), SQUARE, 1.2, k, 200, RngStream(73))
+                higher_derivative_estimator(as_generic(g), SQUARE, 1.2, k, 200, RngStream(73))
 
-    def test_perturbation_series(self, name):
+    def test_perturbation_series(self, name, as_generic):
         # the count gets the bound the series needs
         g = COUNT_FUNCTIONALS[name] if name != "count" else CountFunctional([None], lambda c: c[:, 0] * 1.0, 1e9)
         assert perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=4, reps=100, rng=RngStream(74)) == \
-            perturbation_series(_as_generic(g), SQUARE, SQUARE, 0.5, kmax=4, reps=100, rng=RngStream(74))
+            perturbation_series(as_generic(g), SQUARE, SQUARE, 0.5, kmax=4, reps=100, rng=RngStream(74))
 
 
 @pytest.mark.parametrize("name", [name for name, g in COUNT_FUNCTIONALS.items() if g.is_event])
-def test_point_estimator_paths_agree(name):
+def test_point_estimator_paths_agree(name, as_generic):
     g = COUNT_FUNCTIONALS[name]
     assert derivative_point_estimator(g, SQUARE, 2.5, 300, RngStream(72)) == derivative_point_estimator(
-        _as_generic(g), SQUARE, 2.5, 300, RngStream(72))
+        as_generic(g), SQUARE, 2.5, 300, RngStream(72))
+
+
+@pytest.mark.parametrize("name", ["count", "void", "hit"])
+def test_location_estimator_is_the_first_order_estimator(name, as_generic):
+    # the location estimator is the k = 1 case of the difference sampler
+    for g in (COUNT_FUNCTIONALS[name], as_generic(COUNT_FUNCTIONALS[name])):
+        loc = derivative_location_estimator(g, SQUARE, 1.5, 300, RngStream(81))
+        first = higher_derivative_estimator(g, SQUARE, 1.5, 1, 300, RngStream(81))
+        assert (loc.estimate, loc.stderr, loc.reps) == (first.mean, first.stderr, first.reps)
 
 
 class TestBlockEngine:
@@ -324,14 +335,14 @@ class TestBlockEngine:
                     lambda: derivative_point_estimator(g, SQUARE, 1.5, 500, RngStream(77))):
             assert run() == run()
 
-    def test_singleton_paths_agree(self):
+    def test_singleton_paths_agree(self, as_generic):
         lam = IntensityMeasure.singleton(scale=1.0)
         g = count_event(2)
         for est in (lambda h: derivative_location_estimator(h, lam, 2.0, 500, RngStream(78)),
                     lambda h: derivative_point_estimator(h, lam, 2.0, 500, RngStream(78)),
                     lambda h: higher_derivative_estimator(h, lam, 0.5, 2, 500, RngStream(78)),
                     lambda h: perturbation_series(h, lam, lam, 0.5, kmax=3, reps=200, rng=RngStream(78))):
-            assert est(g) == est(_as_generic(g))
+            assert est(g) == est(as_generic(g))
 
     def test_broken_bound_raises_on_the_block_path(self):
         g = CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1.0)

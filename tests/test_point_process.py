@@ -13,10 +13,12 @@ from pivotal.point_process import (
     DeclarationError,
     IntensityMeasure,
     PointConfiguration,
+    ReplicateBlock,
     Statistic,
     ball_region,
     binomial_blocks,
     box_region,
+    count_event,
     count_statistic,
     difference,
     hit_indicator,
@@ -25,6 +27,7 @@ from pivotal.point_process import (
     sample_binomial,
     sample_poisson,
     total_mass,
+    void_indicator,
 )
 from pivotal import point_process
 from pivotal.rng import RngStream
@@ -68,9 +71,9 @@ class TestTotalMass:
         for i in range(50):
             sample_poisson(mu, RngStream(20, i))
         assert len(outer) == 1
-        assert mu.scaled(3.0).mass() == 3.0 * mu.mass()
+        assert total_mass(mu.scaled(3.0)) == 3.0 * total_mass(mu)
         assert len(outer) == 1
-        assert total_mass(mu, tol=1e-6) == pytest.approx(mu.mass(), abs=1e-6)
+        assert total_mass(mu, tol=1e-6) == pytest.approx(total_mass(mu), abs=1e-6)
         assert len(outer) == 2
 
 
@@ -185,7 +188,7 @@ class TestBinomialSampler:
 class TestDifferenceOperators:
     def test_count_difference_is_one(self):
         g = count_statistic()
-        phi = PointConfiguration.of(2, [[0.1, 0.2]])
+        phi = PointConfiguration(2, [[0.1, 0.2]])
         assert difference(g, phi, [0.5, 0.5]) == 1.0
         assert difference(g, PointConfiguration.empty(2), [0.5, 0.5]) == 1.0
 
@@ -200,13 +203,13 @@ class TestDifferenceOperators:
 
     def test_first_order_matches_difference(self):
         g = hit_indicator(ball_region([0.0, 0.0], 0.5))
-        phi = PointConfiguration.of(2, [[0.9, 0.9]])
+        phi = PointConfiguration(2, [[0.9, 0.9]])
         z = np.array([0.1, 0.1])
         assert iterated_difference(g, phi, [z]) == difference(g, phi, z)
 
     def test_second_difference_of_count_vanishes(self):
         g = count_statistic()
-        phi = PointConfiguration.of(2, [[0.3, 0.3]])
+        phi = PointConfiguration(2, [[0.3, 0.3]])
         assert iterated_difference(g, phi, [[0.1, 0.1], [0.2, 0.2]]) == 0.0
 
     @staticmethod
@@ -229,7 +232,7 @@ class TestDifferenceOperators:
 
         g = Statistic(eval=smooth, bound=None)
         for k in range(1, 5):
-            phi = PointConfiguration.of(2, gen.normal(size=(2, 2)))
+            phi = PointConfiguration(2, gen.normal(size=(2, 2)))
             zs = gen.normal(size=(k, 2))
             assert iterated_difference(g, phi, zs) == pytest.approx(
                 self._recursive(g, phi, list(zs)), abs=1e-12
@@ -256,7 +259,7 @@ class TestDifferenceOperators:
 
         g = Statistic(eval=smooth)
         for k in range(1, 7):
-            phi = PointConfiguration.of(2, gen.normal(size=(3, 2)))
+            phi = PointConfiguration(2, gen.normal(size=(3, 2)))
             zs = gen.normal(size=(k, 2))
             seen.clear()
             got = iterated_difference(g, phi, zs)
@@ -269,7 +272,7 @@ class TestDifferenceOperators:
         gen = RngStream(12).generator()
         g = Statistic(eval=lambda phi: math.sin(float(len(phi))) + float((phi.points ** 2).sum()),
                       bound=None)
-        phi = PointConfiguration.of(2, gen.normal(size=(3, 2)))
+        phi = PointConfiguration(2, gen.normal(size=(3, 2)))
         zs = gen.normal(size=(4, 2))
         base = iterated_difference(g, phi, zs)
         for _ in range(5):
@@ -280,7 +283,7 @@ class TestDifferenceOperators:
         g = hit_indicator(ball_region([0.0, 0.0], 1.0))
         gen = RngStream(13).generator()
         for k in (1, 2, 3, 5):
-            phi = PointConfiguration.of(2, gen.normal(size=(2, 2)))
+            phi = PointConfiguration(2, gen.normal(size=(2, 2)))
             zs = gen.normal(size=(k, 2))
             assert abs(iterated_difference(g, phi, zs)) <= 2.0**k * g.bound + 1e-12
 
@@ -296,7 +299,7 @@ class TestCountFunctional:
                           lambda c: np.sin(c[:, 0]) + 0.25 * c[:, 1] ** 2 - (c[:, 1] >= 3))
 
     def test_value_is_f_of_counts(self):
-        phi = PointConfiguration.of(2, [[0.1, 0.2], [0.7, 0.7], [0.4, 0.1]])
+        phi = PointConfiguration(2, [[0.1, 0.2], [0.7, 0.7], [0.4, 0.1]])
         assert self.TWO.value(phi) == math.sin(2) + 0.25 * 9 - 1
         assert count_statistic().value(phi) == 3.0
         assert hit_indicator(box_region([0.0, 0.0], [0.5, 0.5]), k=3).value(phi) == 0.0
@@ -307,12 +310,19 @@ class TestCountFunctional:
         reps = 30
         pts = gen.random((reps, 4, 2))
         zs = gen.random((reps, k, 2))
+        blk = ReplicateBlock(pts.reshape(-1, 2), np.arange(0, 4 * reps + 1, 4), zs)
         for g in (self.TWO, hit_indicator(ball_region([0.5, 0.5], 0.4), k=2)):
-            counts = np.array([g.memberships(p).sum(axis=0) for p in pts])
-            added = g.memberships(zs.reshape(-1, 2)).reshape(reps, k, -1)
-            closed = g.iterated_differences(counts, added)
-            assert closed.tolist() == [iterated_difference(g, PointConfiguration.of(2, p), z)
+            closed = g.differences(blk)
+            assert closed.tolist() == [iterated_difference(g, PointConfiguration(2, p), z)
                                        for p, z in zip(pts, zs)]
+
+    def test_more_points_than_the_maximum_rejected_on_both_paths(self, as_generic):
+        # the limit sits in the subset table both paths take, so neither builds it
+        k = point_process.MAX_ITERATED_DIFFERENCE + 1
+        blk = ReplicateBlock(np.empty((0, 1)), np.zeros(3, dtype=np.int64), np.zeros((2, k, 1)))
+        for g in (count_statistic(), as_generic(count_statistic())):
+            with pytest.raises(ValueError, match=f"k={k} exceeds"):
+                g.differences(blk)
 
     def test_broken_bound_raises_on_a_batch(self):
         g = CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1.0)
@@ -324,6 +334,59 @@ class TestCountFunctional:
         g = CountFunctional([None], lambda c: 1.0)
         with pytest.raises(TypeError, match="shape"):
             g.values(np.zeros((4, 1), dtype=np.int64))
+
+
+def _hand_block(dim: int, sizes: list[int], k: int, seed: int) -> ReplicateBlock:
+    """Replicates of the given sizes, uniform on the unit cube, with k added points each."""
+    gen = RngStream(seed).generator()
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return ReplicateBlock(gen.random((int(offsets[-1]), dim)), offsets, gen.random((len(sizes), k, dim)))
+
+
+_QUARTER = box_region([0.0, 0.0], [0.5, 0.5])
+_PLANE = _hand_block(2, [0, 3, 1, 0, 5, 2, 4], 3, 31)
+_PLANE.points[2] = _PLANE.points[1]  # a point of multiplicity two
+# (statistic, block) pairs: the plane, the plane restricted to a box (which
+# empties some replicates), a block of empty replicates, and the one-point
+# ground space (dim 0, where a configuration is a counter)
+BLOCK_CASES = {
+    "two_regions": (TestCountFunctional.TWO, _PLANE),
+    "hit": (hit_indicator(ball_region([0.5, 0.5], 0.4), k=2), _PLANE),
+    "void_restricted": (void_indicator(_QUARTER), _PLANE.restricted(box_region([0.0, 0.0], [0.7, 0.6])(_PLANE.points))),
+    "two_regions_restricted": (TestCountFunctional.TWO, _PLANE.restricted(_PLANE.points[:, 0] < 0.5)),
+    "const_empty": (CountFunctional([], lambda c: np.full(c.shape[0], 2.5), bound=2.5), _hand_block(2, [0, 0, 0], 2, 32)),
+    "count_empty": (count_statistic(), _hand_block(2, [0, 0], 1, 33)),
+    "count_event_dim0": (count_event(2), _hand_block(0, [0, 2, 1, 4], 2, 34)),
+    "count_dim0": (count_statistic(), _hand_block(0, [3, 0, 1], 1, 35)),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+class TestBlockMethods:
+    """Each CountFunctional override gives what the Statistic default gives
+    for the same f, value for value."""
+
+    def test_replicate_values(self, case, as_generic):
+        g, blk = BLOCK_CASES[case]
+        assert g.replicate_values(blk).tolist() == as_generic(g).replicate_values(blk).tolist()
+
+    def test_differences(self, case, as_generic):
+        g, blk = BLOCK_CASES[case]
+        assert g.differences(blk).tolist() == as_generic(g).differences(blk).tolist()
+
+    def test_node_differences(self, case, as_generic):
+        g, blk = BLOCK_CASES[case]
+        gen = RngStream(36).generator()
+        dim = blk.points.shape[1]
+        nodes, weights, base = gen.random((5, dim)), gen.random(5), gen.random(blk.reps)
+        for b in (None, base):
+            assert g.node_differences(blk, nodes, weights, b).tolist() == \
+                as_generic(g).node_differences(blk, nodes, weights, b).tolist()
+
+    def test_pivotal_points(self, case, as_generic):
+        g, blk = BLOCK_CASES[case]
+        for closed, generic in zip(g.pivotal_points(blk), as_generic(g).pivotal_points(blk)):
+            assert closed.tolist() == generic.tolist()
 
 
 class TestReplicateBlocks:
@@ -380,11 +443,23 @@ class TestReplicateBlocks:
         with pytest.raises(DeclarationError):
             list(poisson_blocks(mu, 100, RngStream(29)))
 
+    def test_restricted_view(self):
+        # replicates [a, b, c], [], [d, e]: keeping a, c and e
+        pts = np.arange(10.0).reshape(5, 2)
+        blk = ReplicateBlock(pts, np.array([0, 3, 3, 5]), np.zeros((3, 1, 2)))
+        kept = blk.restricted(np.array([True, False, True, False, True]))
+        assert kept.offsets.tolist() == [0, 2, 2, 3]
+        assert [kept.configuration(i).points.tolist() for i in range(3)] == [
+            [[0.0, 1.0], [4.0, 5.0]], [], [[8.0, 9.0]]]
+        assert kept.added is blk.added
+        inner = blk.restricted(box_region([0.0, 0.0], [5.0, 5.0])(blk.points))
+        assert [len(inner.configuration(i)) for i in range(3)] == [3, 0, 0]
+
     def test_singleton_blocks(self):
         mu = IntensityMeasure.singleton(scale=2.0)
         blk = next(poisson_blocks(mu, 50, RngStream(30), added=(mu, 3)))
         assert blk.points.shape == (blk.offsets[-1], 0) and blk.added.shape == (50, 3, 0)
-        assert blk.configuration(7).count == blk.offsets[8] - blk.offsets[7]
+        assert len(blk.configuration(7)) == blk.offsets[8] - blk.offsets[7]
 
 
 class TestConfiguration:
@@ -393,8 +468,8 @@ class TestConfiguration:
             PointConfiguration.empty(2).add_atom([1.0, 2.0, 3.0])
 
     def test_multiplicities_allowed(self):
-        phi = PointConfiguration.of(1, [[0.5], [0.5]])
-        assert phi.count == 2
+        phi = PointConfiguration(1, [[0.5], [0.5]])
+        assert len(phi) == 2
 
     def test_singleton_ground_space(self):
         mu = IntensityMeasure.singleton(scale=2.0)
@@ -402,23 +477,18 @@ class TestConfiguration:
         phi = sample_poisson(mu, RngStream(14))
         assert phi.dim == 0
         bigger = phi.add_atom([])
-        assert bigger.count == phi.count + 1
+        assert len(bigger) == len(phi) + 1
 
     def test_singleton_add_atoms(self):
         # points of the one-point ground space have no coordinates
-        assert PointConfiguration.empty(0).add_atoms([[], []]).count == 2
-        assert PointConfiguration.of(0, np.empty((3, 0))).count == 3
-        assert PointConfiguration.of(0, []).count == 0
-
-    def test_restrict(self):
-        phi = PointConfiguration.of(2, [[0.1, 0.1], [0.9, 0.9]])
-        inner = phi.restrict(box_region([0.0, 0.0], [0.5, 0.5]))
-        assert inner.count == 1
+        assert len(PointConfiguration.empty(0).add_atoms([[], []])) == 2
+        assert len(PointConfiguration(0, np.empty((3, 0)))) == 3
+        assert len(PointConfiguration(0, [])) == 0
 
     def test_declared_bound_asserted(self):
         g = Statistic(eval=lambda phi: float(len(phi)), bound=1.0)
         with pytest.raises(DeclarationError):
-            g.value(PointConfiguration.of(1, [[0.0], [0.1]]))
+            g.value(PointConfiguration(1, [[0.0], [0.1]]))
 
     def test_declared_bound_checked_under_optimize(self):
         # python -O strips assert statements; the bound check must survive it
