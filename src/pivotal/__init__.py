@@ -3,7 +3,7 @@ with two-route numerical verification of the identities they imply."""
 
 from .rng import RngStream, mix64
 from .quadrature import QuadratureError, adaptive_simpson, gauss_legendre, power_singular_integral
-from .summaries import ks_two_sample, mc_summary
+from .summaries import ks_two_sample
 from .point_process import (
     CountFunctional,
     DeclarationError,
@@ -66,7 +66,6 @@ from .geometry import (
     boundary_integral,
     crofton_binomial_check,
     crofton_poisson_check,
-    parallel_contains,
     parallel_mass,
     steiner_derivative_check,
 )

@@ -3,6 +3,15 @@
 Events live on {0,1}^m with a common success probability.  For m <= 24 all
 quantities (event probability as a polynomial in the success probability,
 expected signed pivotal counts) are computed exactly by enumeration.
+
+The binomial and negative-binomial identity reports integrate the beta
+kernel t^a (1-t)^b, a polynomial of degree a + b, over [0, p].  An N-point
+Gauss-Legendre rule is exact for degree <= 2N - 1, so up to degree 127 the
+integral takes the smallest cached rule (N = 8, 16, 32 or 64) that is exact
+for the kernel: one call on N interior nodes, whose positive weighted sum
+keeps the relative accuracy of a tail far below 1.  Above degree 127 it falls
+back to adaptive Simpson at the caller's absolute ``tol``, pre-split around
+the kernel's mode so that a peak narrow against [0, p] is not missed.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .quadrature import _GL_SIZES, gauss_legendre, peak_split_simpson
 from .rng import RngStream
 
 MAX_EXACT_BITS = 24
@@ -270,6 +279,21 @@ def _beta_kernel(a: int, b: int, log_prefactor: float):
     return kernel
 
 
+def _beta_integral(a: int, b: int, log_prefactor: float, p: float, tol: float) -> float:
+    """Integral of ``_beta_kernel(a, b, log_prefactor)`` over [0, p]: exact
+    Gauss-Legendre while some cached rule has 2N - 1 >= a + b; beyond, adaptive
+    Simpson at absolute ``tol``, pre-split around the kernel's mode a / (a + b)
+    at the spread of a Beta(a + 1, b + 1) law."""
+    if p == 0.0:
+        return 0.0
+    kernel = _beta_kernel(a, b, log_prefactor)
+    npoints = next((n for n in _GL_SIZES if 2 * n - 1 >= a + b), None)
+    if npoints is not None:
+        return gauss_legendre(kernel, 0.0, p, npoints)
+    sd = math.sqrt((a + 1) * (b + 1) / (a + b + 3)) / (a + b + 2)
+    return peak_split_simpson(kernel, 0.0, p, a / (a + b), sd, tol)
+
+
 @dataclass(frozen=True)
 class BinomialIdentityReport:
     n: int
@@ -281,14 +305,19 @@ class BinomialIdentityReport:
 
 
 def identity_report_binomial(n: int, k: int, p: float, tol: float = 1e-12) -> BinomialIdentityReport:
-    """Binomial tail versus its incomplete-beta integral representation."""
+    """Binomial tail versus its incomplete-beta integral representation.
+
+    The kernel t^(k-1) (1-t)^(n-k) has degree n - 1: for n <= 128 the integral
+    is an exact Gauss-Legendre sum and ``tol`` is unused; for larger n it is
+    adaptive Simpson's absolute tolerance.
+    """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     tail = sum(binomial_pmf(n, p, j) for j in range(k, n + 1))
-    kernel = _beta_kernel(k - 1, n - k, math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1))
-    integral = adaptive_simpson(kernel, 0.0, p, tol=tol) if p > 0 else 0.0
+    integral = _beta_integral(k - 1, n - k, math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1),
+                              p, tol)
     return BinomialIdentityReport(n, k, p, tail, integral, abs(tail - integral))
 
 
@@ -312,6 +341,10 @@ def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegB
     Besides the binomial-tail formulation, both partial sums of the
     negative-binomial mass (up to k-1 and up to k) are reported against the
     integral: only the former matches, the latter exceeds it by NB(r,p;k).
+
+    The kernel t^(r-1) (1-t)^(k-1) has degree r + k - 2: for r + k <= 129 the
+    integral is an exact Gauss-Legendre sum and ``tol`` is unused; beyond, it
+    is adaptive Simpson's absolute tolerance.
     """
     if r < 1 or k < 1:
         raise ValueError("need r, k >= 1")
@@ -319,8 +352,7 @@ def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegB
         raise ValueError("p must lie in [0, 1]")
     n = k + r - 1
     tail = sum(binomial_pmf(n, p, j) for j in range(r, n + 1))
-    kernel = _beta_kernel(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r))
-    integral = adaptive_simpson(kernel, 0.0, p, tol=tol) if p > 0 else 0.0
+    integral = _beta_integral(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r), p, tol)
     below = sum(negbin_pmf(r, p, j) for j in range(k))
     through = below + negbin_pmf(r, p, k)
     return NegBinIdentityReport(

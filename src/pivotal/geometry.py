@@ -156,14 +156,8 @@ def _segment_distance(a, b, pts) -> np.ndarray:
     return np.linalg.norm(pts - proj, axis=1)
 
 
-def parallel_contains(body: ConvexBody, t: float, x) -> bool:
-    """Membership in the parallel set: dist(K, x) <= t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return bool(distance(body, np.atleast_2d(x))[0] <= t)
-
-
 def parallel_region(body: ConvexBody, t: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Membership in the parallel set K_t: an (N, d) point array -> dist(K, x) <= t."""
     return lambda pts: distance(body, pts) <= t
 
 

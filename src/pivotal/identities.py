@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .quadrature import peak_split_simpson
 
 
 @dataclass(frozen=True)
@@ -92,15 +92,9 @@ def _xlogy(x: int, t: np.ndarray) -> np.ndarray:
 
 def _gamma_kernel_quadrature(shape: float, rate: float, upper: float, integrand, tol: float) -> float:
     """Adaptive quadrature of a gamma-shaped kernel on [0, upper], pre-split
-    around the kernel's mode so a narrow bump cannot hide between the initial
-    probe points of a single wide interval."""
-    sd = math.sqrt(shape) / rate
+    around the kernel's mode."""
     mode = max(shape - 1.0, 0.0) / rate
-    anchors = sorted({0.0, upper} | {
-        min(max(mode + j * sd, 0.0), upper) for j in (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
-    })
-    pieces = [(a, b) for a, b in zip(anchors, anchors[1:]) if b > a]
-    return sum(adaptive_simpson(integrand, a, b, tol=tol / len(pieces)) for a, b in pieces)
+    return peak_split_simpson(integrand, 0.0, upper, mode, math.sqrt(shape) / rate, tol)
 
 
 def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
@@ -124,7 +118,13 @@ def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
 
 def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[float, float, float]:
     """Erlang distribution function three ways: density quadrature, the
-    parameter-integral representation, and the Poisson tail at theta*x."""
+    parameter-integral representation, and the Poisson tail at theta*x.
+
+    Each quadrature's ``tol`` is relative to its kernel's peak on its
+    interval (the density on [0, x] peaks at y = min(x, (n - 1)/theta), the
+    parameter kernel on [0, theta] at t = min(theta, (n - 1)/x)), so a value
+    far below 1 keeps its relative accuracy.
+    """
     if n < 1 or theta <= 0 or x < 0:
         raise ValueError("need n >= 1, theta > 0, x >= 0")
     if x == 0.0:
@@ -134,12 +134,14 @@ def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[floa
     def density(y: np.ndarray) -> np.ndarray:
         return np.exp(n * math.log(theta) + _xlogy(n - 1, y) - theta * y - lg)
 
-    direct = _gamma_kernel_quadrature(float(n), theta, x, density, tol)
+    peak = float(density(np.array([min(x, (n - 1) / theta)]))[0])
+    direct = _gamma_kernel_quadrature(float(n), theta, x, density, tol * peak)
 
     def kernel(t: np.ndarray) -> np.ndarray:
         return np.exp(n * math.log(x) + _xlogy(n - 1, t) - t * x - lg)
 
-    via_integral = _gamma_kernel_quadrature(float(n), x, theta, kernel, tol)
+    peak = float(kernel(np.array([min(theta, (n - 1) / x)]))[0])
+    via_integral = _gamma_kernel_quadrature(float(n), x, theta, kernel, tol * peak)
     via_poisson = poisson_tail(theta * x, n)
     return direct, via_integral, via_poisson
 

@@ -158,6 +158,20 @@ def adaptive_simpson(
     return (float(child[0]), depth) if full_output else float(child[0])
 
 
+def peak_split_simpson(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, mode: float, scale: float, tol: float
+) -> float:
+    """:func:`adaptive_simpson` of a unimodal ``f`` on ``[a, b]``, pre-split at
+    ``mode + j * scale`` for j in (-6, -3, -1, 0, 1, 3, 6), clipped to the
+    interval, so a bump narrow against ``b - a`` cannot hide between the
+    initial probe points of one wide interval.  ``tol`` is shared equally
+    among the pieces."""
+    offsets = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
+    anchors = sorted({a, b} | {min(max(mode + j * scale, a), b) for j in offsets})
+    pieces = [(lo, hi) for lo, hi in zip(anchors, anchors[1:]) if hi > lo]
+    return sum(adaptive_simpson(f, lo, hi, tol=tol / len(pieces)) for lo, hi in pieces)
+
+
 def power_singular_integral(
     f: Callable[[np.ndarray], np.ndarray],
     alpha: float,

@@ -3,19 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-_Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class MCSummary:
-    mean: float
-    stderr: float
-    ci95: tuple[float, float]
-    n: int
 
 
 def mean_stderr(vals) -> tuple[float, float]:
@@ -31,13 +20,6 @@ def zscore(gap: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if gap == 0.0 else math.inf
     return gap / se
-
-
-def mc_summary(samples) -> MCSummary:
-    """Sample mean, standard error and 95% normal CI."""
-    x = np.asarray(samples, dtype=float)
-    mean, stderr = mean_stderr(x)
-    return MCSummary(mean, stderr, (mean - _Z95 * stderr, mean + _Z95 * stderr), x.size)
 
 
 def kolmogorov_sf(t: float, terms: int = 101) -> float:

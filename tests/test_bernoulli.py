@@ -218,6 +218,70 @@ class TestIdentityReports:
             assert rep.tail == 1.0
             assert rep.integral == pytest.approx(1.0, abs=1e-12)
 
+    def test_beta_integrals_keep_relative_accuracy(self):
+        # the c02 and c03 grids; an absolute quadrature tolerance gave
+        # 2.34e-30 for the 1.0e-30 of (30, 30, 0.1)
+        cases = [(k, n - k + 1, bn.identity_report_binomial(n, k, p).integral, p)
+                 for n in range(1, 31) for k in range(1, n + 1) for p in (0.1, 0.5, 0.9)]
+        cases += [(r, k, bn.identity_report_negbin(r, k, p).integral, p)
+                  for r in range(1, 21) for k in range(1, 21) for p in (0.1, 0.5, 0.9)]
+        got = np.array([c[2] for c in cases])
+        want = special.betainc([c[0] for c in cases], [c[1] for c in cases], [c[3] for c in cases])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert bn.identity_report_binomial(30, 30, 0.1).integral == pytest.approx(1e-30, rel=1e-13, abs=0.0)
+
+    @pytest.fixture
+    def rules(self, monkeypatch):
+        """The Gauss-Legendre sizes and the number of Simpson fallbacks used."""
+        used = {"gauss_legendre": [], "simpson": 0}
+        gauss_legendre, peak_split_simpson = bn.gauss_legendre, bn.peak_split_simpson
+
+        def spy_gl(f, a, b, npoints):
+            used["gauss_legendre"].append(npoints)
+            return gauss_legendre(f, a, b, npoints)
+
+        def spy_simpson(*args):
+            used["simpson"] += 1
+            return peak_split_simpson(*args)
+
+        monkeypatch.setattr(bn, "gauss_legendre", spy_gl)
+        monkeypatch.setattr(bn, "peak_split_simpson", spy_simpson)
+        return used
+
+    def test_smallest_exact_rule(self, rules):
+        # degree n - 1 needs 2N - 1 >= n - 1
+        sizes = {1: 8, 16: 8, 17: 16, 32: 16, 33: 32, 64: 32, 65: 64, 128: 64}
+        for n in sizes:
+            bn.identity_report_binomial(n, 1, 0.5)
+        assert rules["gauss_legendre"] == list(sizes.values())
+        assert rules["simpson"] == 0
+
+    P_BOUNDARY = (0.01, 0.1, 0.5, 0.9, 0.99)
+
+    def test_degree_127_takes_the_64_point_rule(self, rules):
+        # the rule is exact; what is left is the kernel's exp(log) rounding,
+        # about eps times an exponent that reaches 580 here (1.2e-13 at worst)
+        for k in range(1, 129):
+            for p in self.P_BOUNDARY:
+                assert bn.identity_report_binomial(128, k, p).integral == pytest.approx(
+                    special.betainc(k, 129 - k, p), rel=2e-13, abs=0.0)
+        for r in (1, 64, 128):
+            assert bn.identity_report_negbin(r, 129 - r, 0.5).integral == pytest.approx(
+                special.betainc(r, 129 - r, 0.5), rel=2e-13, abs=0.0)
+        assert rules["gauss_legendre"] == [64] * (128 * len(self.P_BOUNDARY) + 3)
+        assert rules["simpson"] == 0
+
+    def test_degree_128_takes_simpson(self, rules):
+        # a peak narrow against [0, p] (k = 2, p = 0.9 has its mass near 1/128)
+        # read 1e-11 instead of 1 before the Simpson side split at the mode
+        for k in range(1, 130):
+            for p in self.P_BOUNDARY:
+                assert abs(bn.identity_report_binomial(129, k, p).integral
+                           - special.betainc(k, 130 - k, p)) <= 1e-10
+        assert abs(bn.identity_report_negbin(2, 128, 0.9).integral - special.betainc(2, 128, 0.9)) <= 1e-10
+        assert rules["gauss_legendre"] == []
+        assert rules["simpson"] == 129 * len(self.P_BOUNDARY) + 1
+
     @pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (2, 0), (2, 3)])
     def test_beta_kernel_at_endpoints(self, a, b):
         # 0^0 = 1 and 0^a = 0, without a divide-by-zero warning

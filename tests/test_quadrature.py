@@ -7,6 +7,7 @@ from pivotal.quadrature import (
     QuadratureError,
     adaptive_simpson,
     gauss_legendre,
+    peak_split_simpson,
     power_singular_integral,
 )
 
@@ -139,6 +140,21 @@ def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40, full_output=False):
     if unconverged > tol:
         raise QuadratureError(f"unresolved error {unconverged:.3e} > tol {tol:.3e}")
     return (value, depth_used) if full_output else value
+
+
+class TestPeakSplitSimpson:
+    def test_narrow_bump_is_found(self):
+        # every initial probe of [0, 1] sees exp(-huge): one wide interval
+        # converges on 0, the split at the mode resolves the bump
+        bump = lambda x: np.exp(-0.5 * ((x - 0.9) / 1e-3) ** 2)
+        want = math.sqrt(2.0 * math.pi) * 1e-3
+        assert adaptive_simpson(bump, 0.0, 1.0, tol=1e-12) < 1e-20
+        assert peak_split_simpson(bump, 0.0, 1.0, 0.9, 1e-3, 1e-12) == pytest.approx(want, rel=1e-9)
+
+    def test_anchors_clipped_to_the_interval(self):
+        # a mode outside [a, b] leaves one piece per anchor inside it
+        assert peak_split_simpson(lambda x: 3.0 * x * x, 0.0, 1.0, 5.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+        assert peak_split_simpson(lambda x: 3.0 * x * x, 0.0, 1.0, -5.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 def _pointwise(g):
