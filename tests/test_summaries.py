@@ -5,6 +5,16 @@ from pivotal.rng import RngStream
 from pivotal.summaries import ks_two_sample, mean_stderr, zscore
 
 
+def test_mc_summary_against_numpy():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=500)
+    mean, stderr = mean_stderr(x)
+    assert mean == pytest.approx(np.mean(x))
+    assert stderr == pytest.approx(np.std(x, ddof=1) / np.sqrt(500))
+    # the true mean 0 lies within the 95% normal interval mean +- 1.96 stderr
+    assert abs(zscore(mean, stderr)) < 1.96
+
+
 def test_constant_samples_zero_stderr():
     assert mean_stderr([2.0] * 10) == (2.0, 0.0)
 
