@@ -9,9 +9,10 @@ kernel t^a (1-t)^b, a polynomial of degree a + b, over [0, p].  An N-point
 Gauss-Legendre rule is exact for degree <= 2N - 1, so up to degree 127 the
 integral takes the smallest cached rule (N = 8, 16, 32 or 64) that is exact
 for the kernel: one call on N interior nodes, whose positive weighted sum
-keeps the relative accuracy of a tail far below 1.  Above degree 127 it falls
-back to adaptive Simpson at the caller's absolute ``tol``, pre-split around
-the kernel's mode so that a peak narrow against [0, p] is not missed.
+keeps the relative accuracy of a tail far below 1.  Above degree 127 the
+kernel, analytic and unimodal, takes the composite 16-point rule anchored at
+its peak on [0, p] (:func:`~pivotal.quadrature.peak_gauss_legendre`), so a
+peak narrow against [0, p] is not missed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import _GL_SIZES, gauss_legendre, peak_split_simpson
+from .quadrature import _GL_SIZES, gauss_legendre, peak_gauss_legendre
 from .rng import RngStream
 
 MAX_EXACT_BITS = 24
@@ -279,11 +280,11 @@ def _beta_kernel(a: int, b: int, log_prefactor: float):
     return kernel
 
 
-def _beta_integral(a: int, b: int, log_prefactor: float, p: float, tol: float) -> float:
+def _beta_integral(a: int, b: int, log_prefactor: float, p: float) -> float:
     """Integral of ``_beta_kernel(a, b, log_prefactor)`` over [0, p]: exact
-    Gauss-Legendre while some cached rule has 2N - 1 >= a + b; beyond, adaptive
-    Simpson at absolute ``tol``, pre-split around the kernel's mode a / (a + b)
-    at the spread of a Beta(a + 1, b + 1) law."""
+    Gauss-Legendre while some cached rule has 2N - 1 >= a + b; beyond, the
+    composite rule anchored at the kernel's mode a / (a + b) at the spread of
+    a Beta(a + 1, b + 1) law, or at p when the mode lies beyond it."""
     if p == 0.0:
         return 0.0
     kernel = _beta_kernel(a, b, log_prefactor)
@@ -291,7 +292,8 @@ def _beta_integral(a: int, b: int, log_prefactor: float, p: float, tol: float) -
     if npoints is not None:
         return gauss_legendre(kernel, 0.0, p, npoints)
     sd = math.sqrt((a + 1) * (b + 1) / (a + b + 3)) / (a + b + 2)
-    return peak_split_simpson(kernel, 0.0, p, a / (a + b), sd, tol)
+    end_slope = a / p - b / (1.0 - p) if p < 1.0 else 0.0
+    return peak_gauss_legendre(kernel, 0.0, p, a / (a + b), sd, end_slope)
 
 
 @dataclass(frozen=True)
@@ -304,20 +306,18 @@ class BinomialIdentityReport:
     gap: float
 
 
-def identity_report_binomial(n: int, k: int, p: float, tol: float = 1e-12) -> BinomialIdentityReport:
+def identity_report_binomial(n: int, k: int, p: float) -> BinomialIdentityReport:
     """Binomial tail versus its incomplete-beta integral representation.
 
     The kernel t^(k-1) (1-t)^(n-k) has degree n - 1: for n <= 128 the integral
-    is an exact Gauss-Legendre sum and ``tol`` is unused; for larger n it is
-    adaptive Simpson's absolute tolerance.
+    is an exact Gauss-Legendre sum, for larger n the peak-anchored composite rule.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     tail = sum(binomial_pmf(n, p, j) for j in range(k, n + 1))
-    integral = _beta_integral(k - 1, n - k, math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1),
-                              p, tol)
+    integral = _beta_integral(k - 1, n - k, math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1), p)
     return BinomialIdentityReport(n, k, p, tail, integral, abs(tail - integral))
 
 
@@ -335,7 +335,7 @@ class NegBinIdentityReport:
     gap_through_k: float
 
 
-def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegBinIdentityReport:
+def identity_report_negbin(r: int, k: int, p: float) -> NegBinIdentityReport:
     """Negative-binomial identity report.
 
     Besides the binomial-tail formulation, both partial sums of the
@@ -343,8 +343,8 @@ def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegB
     integral: only the former matches, the latter exceeds it by NB(r,p;k).
 
     The kernel t^(r-1) (1-t)^(k-1) has degree r + k - 2: for r + k <= 129 the
-    integral is an exact Gauss-Legendre sum and ``tol`` is unused; beyond, it
-    is adaptive Simpson's absolute tolerance.
+    integral is an exact Gauss-Legendre sum, beyond it the peak-anchored
+    composite rule.
     """
     if r < 1 or k < 1:
         raise ValueError("need r, k >= 1")
@@ -352,7 +352,7 @@ def identity_report_negbin(r: int, k: int, p: float, tol: float = 1e-12) -> NegB
         raise ValueError("p must lie in [0, 1]")
     n = k + r - 1
     tail = sum(binomial_pmf(n, p, j) for j in range(r, n + 1))
-    integral = _beta_integral(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r), p, tol)
+    integral = _beta_integral(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r), p)
     below = sum(negbin_pmf(r, p, j) for j in range(k))
     through = below + negbin_pmf(r, p, k)
     return NegBinIdentityReport(

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import peak_split_simpson
+from .quadrature import peak_gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class LatticeDistribution:
         q = np.zeros(max(values) + 1)
         for v in values:
             q[v] += 1.0 / len(values)
-        return LatticeDistribution(q)
-
-    @staticmethod
-    def from_dict(masses: dict[int, float]) -> "LatticeDistribution":
-        q = np.zeros(max(masses) + 1)
-        for v, p in masses.items():
-            q[v] = p
         return LatticeDistribution(q)
 
     def q(self, j: int) -> float:
@@ -90,18 +83,11 @@ def _xlogy(x: int, t: np.ndarray) -> np.ndarray:
         return x * np.log(t)
 
 
-def _gamma_kernel_quadrature(shape: float, rate: float, upper: float, integrand, tol: float) -> float:
-    """Adaptive quadrature of a gamma-shaped kernel on [0, upper], pre-split
-    around the kernel's mode."""
-    mode = max(shape - 1.0, 0.0) / rate
-    return peak_split_simpson(integrand, 0.0, upper, mode, math.sqrt(shape) / rate, tol)
-
-
-def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
-    """Integral of the Erlang-type kernel t^(k-1) e^-t / (k-1)! over [0, theta].
-
-    ``tol`` is relative to the kernel's peak on [0, theta], at
-    t = min(theta, k - 1), so a tail far below 1 keeps its relative accuracy.
+def poisson_tail_integral(theta: float, k: int) -> float:
+    """Integral of the Erlang-type kernel t^(k-1) e^-t / (k-1)! over [0, theta],
+    by :func:`~pivotal.quadrature.peak_gauss_legendre` anchored at the kernel's
+    peak min(k - 1, theta).  Its positive weighted sum keeps the relative
+    accuracy of a tail far below 1.
     """
     if theta < 0 or k < 1:
         raise ValueError("need theta >= 0 and k >= 1")
@@ -112,18 +98,17 @@ def poisson_tail_integral(theta: float, k: int, tol: float = 1e-12) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.exp(_xlogy(k - 1, t) - t - lg)  # value 1 at t = 0 for k = 1
 
-    peak = float(integrand(np.array([min(theta, k - 1.0)]))[0])
-    return _gamma_kernel_quadrature(float(k), 1.0, theta, integrand, tol * peak)
+    return peak_gauss_legendre(integrand, 0.0, theta, k - 1.0, math.sqrt(k), (k - 1) / theta - 1.0)
 
 
-def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[float, float, float]:
+def erlang_cdf(n: int, theta: float, x: float) -> tuple[float, float, float]:
     """Erlang distribution function three ways: density quadrature, the
     parameter-integral representation, and the Poisson tail at theta*x.
 
-    Each quadrature's ``tol`` is relative to its kernel's peak on its
-    interval (the density on [0, x] peaks at y = min(x, (n - 1)/theta), the
-    parameter kernel on [0, theta] at t = min(theta, (n - 1)/x)), so a value
-    far below 1 keeps its relative accuracy.
+    Both quadratures are :func:`~pivotal.quadrature.peak_gauss_legendre`
+    anchored at their kernel's peak: the density on [0, x] at
+    y = min(x, (n - 1)/theta), the parameter kernel on [0, theta] at
+    t = min(theta, (n - 1)/x).
     """
     if n < 1 or theta <= 0 or x < 0:
         raise ValueError("need n >= 1, theta > 0, x >= 0")
@@ -134,14 +119,12 @@ def erlang_cdf(n: int, theta: float, x: float, tol: float = 1e-12) -> tuple[floa
     def density(y: np.ndarray) -> np.ndarray:
         return np.exp(n * math.log(theta) + _xlogy(n - 1, y) - theta * y - lg)
 
-    peak = float(density(np.array([min(x, (n - 1) / theta)]))[0])
-    direct = _gamma_kernel_quadrature(float(n), theta, x, density, tol * peak)
+    direct = peak_gauss_legendre(density, 0.0, x, (n - 1) / theta, math.sqrt(n) / theta, (n - 1) / x - theta)
 
     def kernel(t: np.ndarray) -> np.ndarray:
         return np.exp(n * math.log(x) + _xlogy(n - 1, t) - t * x - lg)
 
-    peak = float(kernel(np.array([min(theta, (n - 1) / x)]))[0])
-    via_integral = _gamma_kernel_quadrature(float(n), x, theta, kernel, tol * peak)
+    via_integral = peak_gauss_legendre(kernel, 0.0, theta, (n - 1) / x, math.sqrt(n) / x, (n - 1) / theta - x)
     via_poisson = poisson_tail(theta * x, n)
     return direct, via_integral, via_poisson
 
@@ -160,7 +143,7 @@ def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int, tol: float = 
     """
     if k < 0:
         return 0.0
-    probs = q.probs[: k + 1] if q.probs.size > k else np.pad(q.probs, (0, k + 1 - q.probs.size))
+    probs = q.probs[: k + 1]
     conv = np.zeros(k + 1)
     conv[0] = 1.0  # Q^(*0) = delta_0
     term = math.exp(-theta)

@@ -552,6 +552,9 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
     k = zs.shape[0]
     if k < 1:
         raise ValueError("need at least one point")
+    if k == 1:  # the subset sum 0 - g(phi) + g(phi + z) rounds to this difference exactly
+        base = g.value(phi)
+        return g.value(PointConfiguration._wrap(phi.dim, np.concatenate((phi.points, zs)))) - base
     signs, masks = _subsets(k)
     total = 0.0
     total += signs[0] * g.value(phi)  # row 0 is the empty subset

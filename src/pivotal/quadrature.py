@@ -27,6 +27,7 @@ import numpy as np
 
 _GL_SIZES = (8, 16, 32, 64)
 _gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_PANEL_OFFSETS = np.arange(-45.0, 46.0)  # cuts of peak_gauss_legendre, in scales
 
 
 class QuadratureError(RuntimeError):
@@ -158,18 +159,29 @@ def adaptive_simpson(
     return (float(child[0]), depth) if full_output else float(child[0])
 
 
-def peak_split_simpson(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, mode: float, scale: float, tol: float
+def peak_gauss_legendre(
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, mode: float, sd: float, end_slope: float
 ) -> float:
-    """:func:`adaptive_simpson` of a unimodal ``f`` on ``[a, b]``, pre-split at
-    ``mode + j * scale`` for j in (-6, -3, -1, 0, 1, 3, 6), clipped to the
-    interval, so a bump narrow against ``b - a`` cannot hide between the
-    initial probe points of one wide interval.  ``tol`` is shared equally
-    among the pieces."""
-    offsets = (-6.0, -3.0, -1.0, 0.0, 1.0, 3.0, 6.0)
-    anchors = sorted({a, b} | {min(max(mode + j * scale, a), b) for j in offsets})
-    pieces = [(lo, hi) for lo, hi in zip(anchors, anchors[1:]) if hi > lo]
-    return sum(adaptive_simpson(f, lo, hi, tol=tol / len(pieces)) for lo, hi in pieces)
+    """Composite 16-point Gauss-Legendre sum of an analytic unimodal ``f`` on
+    [a, b], over cuts at anchor + j * scale, j = -45..45, clipped to [a, b].
+
+    The anchor is f's peak on [a, b]: ``mode`` if it lies there, else the
+    nearer end, where the scale ``sd`` is capped at 1 / |end_slope|, the
+    e-folding length of f (``end_slope`` = d log f/dt at that end).  ``f`` is
+    called once, on the nodes of every panel.
+    """
+    if not a < b:
+        raise ValueError("require a < b")
+    anchor = min(max(mode, a), b)
+    scale = sd if anchor == mode or abs(end_slope) * sd <= 1.0 else 1.0 / abs(end_slope)
+    cuts = np.concatenate(([a], np.clip(anchor + scale * _PANEL_OFFSETS, a, b), [b]))  # ascending
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi > lo
+    lo, half = lo[keep], 0.5 * (hi[keep] - lo[keep])
+    x, w = _gl_nodes(16)
+    nodes = (lo + half)[:, None] + half[:, None] * x
+    vals = _eval_nodes(f, nodes.ravel()).reshape(nodes.shape)
+    return float(half @ (vals @ w))
 
 
 def power_singular_integral(

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -232,20 +233,20 @@ class TestIdentityReports:
 
     @pytest.fixture
     def rules(self, monkeypatch):
-        """The Gauss-Legendre sizes and the number of Simpson fallbacks used."""
-        used = {"gauss_legendre": [], "simpson": 0}
-        gauss_legendre, peak_split_simpson = bn.gauss_legendre, bn.peak_split_simpson
+        """The Gauss-Legendre sizes and the number of composite-rule calls used."""
+        used = {"gauss_legendre": [], "composite": 0}
+        gauss_legendre, peak_gauss_legendre = bn.gauss_legendre, bn.peak_gauss_legendre
 
         def spy_gl(f, a, b, npoints):
             used["gauss_legendre"].append(npoints)
             return gauss_legendre(f, a, b, npoints)
 
-        def spy_simpson(*args):
-            used["simpson"] += 1
-            return peak_split_simpson(*args)
+        def spy_composite(*args):
+            used["composite"] += 1
+            return peak_gauss_legendre(*args)
 
         monkeypatch.setattr(bn, "gauss_legendre", spy_gl)
-        monkeypatch.setattr(bn, "peak_split_simpson", spy_simpson)
+        monkeypatch.setattr(bn, "peak_gauss_legendre", spy_composite)
         return used
 
     def test_smallest_exact_rule(self, rules):
@@ -254,7 +255,7 @@ class TestIdentityReports:
         for n in sizes:
             bn.identity_report_binomial(n, 1, 0.5)
         assert rules["gauss_legendre"] == list(sizes.values())
-        assert rules["simpson"] == 0
+        assert rules["composite"] == 0
 
     P_BOUNDARY = (0.01, 0.1, 0.5, 0.9, 0.99)
 
@@ -269,18 +270,40 @@ class TestIdentityReports:
             assert bn.identity_report_negbin(r, 129 - r, 0.5).integral == pytest.approx(
                 special.betainc(r, 129 - r, 0.5), rel=2e-13, abs=0.0)
         assert rules["gauss_legendre"] == [64] * (128 * len(self.P_BOUNDARY) + 3)
-        assert rules["simpson"] == 0
+        assert rules["composite"] == 0
 
-    def test_degree_128_takes_simpson(self, rules):
+    def test_degree_128_takes_the_composite_rule(self, rules):
         # a peak narrow against [0, p] (k = 2, p = 0.9 has its mass near 1/128)
-        # read 1e-11 instead of 1 before the Simpson side split at the mode
+        # read 1e-11 instead of 1 before the rule was anchored at the mode
         for k in range(1, 130):
             for p in self.P_BOUNDARY:
-                assert abs(bn.identity_report_binomial(129, k, p).integral
-                           - special.betainc(k, 130 - k, p)) <= 1e-10
-        assert abs(bn.identity_report_negbin(2, 128, 0.9).integral - special.betainc(2, 128, 0.9)) <= 1e-10
+                assert bn.identity_report_binomial(129, k, p).integral == pytest.approx(
+                    special.betainc(k, 130 - k, p), rel=1e-11, abs=0.0)
+        assert bn.identity_report_negbin(2, 128, 0.9).integral == pytest.approx(
+            special.betainc(2, 128, 0.9), rel=1e-11, abs=0.0)
         assert rules["gauss_legendre"] == []
-        assert rules["simpson"] == 129 * len(self.P_BOUNDARY) + 1
+        assert rules["composite"] == 129 * len(self.P_BOUNDARY) + 1
+
+    def test_high_degree_sweep_keeps_relative_accuracy(self):
+        # degrees 128 to 1999, k across [1, n], p from 0.01 to 0.99; the
+        # exp(log) rounding of the kernel leaves about 3.5e-12 at worst.
+        # scipy's betainc itself fails below about 1e-240 (8.18e-244 at
+        # (2000, 1962, 0.7), where 40-digit mpmath gives 6.31e-244, as does
+        # the rule), so those values are left out of the comparison
+        cases = [(n, k, p) for n in (129, 200, 400, 1000, 2000) for k in range(1, n + 1, 1 + n // 150)
+                 for p in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+        cases += [(2000, 1969, 0.9), (2000, 2000, 0.99), (400, 200, 0.01), (2000, 1, 0.01)]
+        want = np.array([special.betainc(k, n - k + 1, p) for n, k, p in cases])
+        keep = want > 1e-200
+        # the integral alone: the reports' tail sums take 2000 masses each
+        log_prefactor = lambda n, k: math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1)
+        got = np.array([bn._beta_integral(k - 1, n - k, log_prefactor(n, k), p)
+                        for (n, k, p), kept in zip(cases, keep) if kept])
+        assert keep.sum() > 2000
+        np.testing.assert_allclose(got, want[keep], rtol=1e-11, atol=0.0)
+        for r, k, p in [(64, 1936, 0.99), (1000, 1000, 0.5), (1999, 1, 0.9), (1, 1999, 0.01)]:
+            assert bn.identity_report_negbin(r, k, p).integral == pytest.approx(
+                special.betainc(r, k, p), rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("a, b", [(0, 0), (0, 3), (2, 0), (2, 3)])
     def test_beta_kernel_at_endpoints(self, a, b):

@@ -55,10 +55,24 @@ class TestPoissonTail:
 
     @pytest.mark.parametrize("theta, k", [(0.5, 30), (2.0, 30), (20.0, 3), (20.0, 30)])
     def test_integral_relative_accuracy(self, theta, k):
-        # the quadrature tolerance is relative to the kernel's peak on
-        # [0, theta]; an absolute one swamps a tail of 2e-42
+        # a positive weighted sum keeps the relative accuracy of a tail of 2e-42
         want = stats.poisson.sf(k - 1, theta)
         assert poisson_tail_integral(theta, k) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_integral_relative_accuracy_on_the_tail_grid(self):
+        # the c04 grid and larger theta, up to the 200 of the Erlang grid's theta * x
+        cases = [(theta, k) for theta in (0.1, 0.5, 2.0, 7.0, 20.0, 50.0, 100.0, 200.0) for k in range(1, 31)]
+        got = [poisson_tail_integral(theta, k) for theta, k in cases]
+        want = special.gammainc([k for _, k in cases], [theta for theta, _ in cases])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 5, 30, 200])
+    @pytest.mark.parametrize("beyond", [0.0, 1e-9])
+    def test_integral_with_the_mode_at_the_upper_end(self, k, beyond):
+        # the kernel's mode k - 1 at theta, or just beyond it: the end-point
+        # scale 1/|d log f/dt| is infinite or huge there, and the spread caps it
+        theta = k - 1.0 - beyond
+        assert poisson_tail_integral(theta, k) == pytest.approx(special.gammainc(k, theta), rel=1e-13, abs=0.0)
 
 
 class TestErlang:
@@ -80,14 +94,25 @@ class TestErlang:
 
 
     def test_relative_accuracy(self):
-        # each quadrature's tolerance is relative to its kernel's peak; an
-        # absolute one gave 7.80e-72 for the 3.35e-72 of (30, 0.5, 0.1)
-        for n in (1, 2, 3, 5, 10, 20, 30):
+        # the c04 Erlang grid, theta * x up to 200; an absolute quadrature
+        # tolerance gave 7.80e-72 for the 3.35e-72 of (30, 0.5, 0.1)
+        for n in (1, 2, 3, 5, 10, 20, 30, 60):
             for th in (0.5, 2.0, 7.0, 20.0):
                 for x in (0.1, 1.0, 3.0, 10.0):
-                    want = stats.gamma.cdf(x, n, scale=1.0 / th)
+                    want = special.gammainc(n, th * x)
+                    assert want == pytest.approx(stats.gamma.cdf(x, n, scale=1.0 / th), rel=1e-12, abs=0.0)
                     for v in erlang_cdf(n, th, x):
-                        assert v == pytest.approx(want, rel=1e-9, abs=0.0)
+                        assert v == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beyond", [0.0, 1e-9])
+    def test_mode_at_the_upper_end(self, beyond):
+        # the density's mode (n - 1)/theta at x, and the parameter kernel's
+        # mode (n - 1)/x at theta, or each just beyond its interval
+        n, theta, x = 10, 3.0, 4.0
+        direct = erlang_cdf(n, theta, (n - 1) / theta - beyond)[0]
+        assert direct == pytest.approx(special.gammainc(n, (n - 1) - theta * beyond), rel=1e-13, abs=0.0)
+        via_integral = erlang_cdf(n, (n - 1) / x - beyond, x)[1]
+        assert via_integral == pytest.approx(special.gammainc(n, (n - 1) - x * beyond), rel=1e-13, abs=0.0)
 
 
 class TestGammaKernel:
@@ -119,7 +144,7 @@ class TestCompoundPoissonPmf:
             assert cpois_pmf_direct(2.0, q, k) == pytest.approx(stats.poisson.pmf(k, 2.0), abs=1e-14)
 
     def test_mass_at_zero(self):
-        q = LatticeDistribution.from_dict({0: 0.25, 1: 0.5, 2: 0.25})
+        q = LatticeDistribution(np.array([0.25, 0.5, 0.25]))
         want = math.exp(-1.5 * 0.75)
         assert cpois_pmf_direct(1.5, q, 0) == pytest.approx(want, abs=1e-14)
         assert cpois_pmf_panjer(1.5, q, 0) == pytest.approx(want, abs=1e-15)

@@ -238,18 +238,21 @@ class TestDifferenceOperators:
                 self._recursive(g, phi, list(zs)), abs=1e-12
             )
 
-    def test_matches_the_bitmask_loop_exactly(self):
-        # the subset sum in bitmask order, rebuilt per call: the same
-        # configurations must be evaluated in the same order, giving the same sum
-        def reference(g, phi, zs):
-            k = zs.shape[0]
-            total = 0.0
-            for mask in range(1 << k):
-                sel = [j for j in range(k) if mask >> j & 1]
-                sign = 1.0 if (k - len(sel)) % 2 == 0 else -1.0
-                total += sign * g.value(phi.add_atoms(zs[sel]) if sel else phi)
-            return total
+    @staticmethod
+    def _subset_sum(g, phi, zs):
+        # the subset sum in bitmask order, rebuilt per call
+        k = zs.shape[0]
+        total = 0.0
+        for mask in range(1 << k):
+            sel = [j for j in range(k) if mask >> j & 1]
+            sign = 1.0 if (k - len(sel)) % 2 == 0 else -1.0
+            total += sign * g.value(phi.add_atoms(zs[sel]) if sel else phi)
+        return total
 
+    def test_matches_the_bitmask_loop_exactly(self):
+        # the same configurations must be evaluated in the same order as the
+        # subset sum, giving the same sum
+        reference = self._subset_sum
         gen = RngStream(19).generator()
         seen = []
 
@@ -267,6 +270,33 @@ class TestDifferenceOperators:
             seen.clear()
             assert got == reference(g, phi, zs)
             assert order == seen
+
+    def test_first_order_equals_the_subset_sum_on_the_suites_statistics(self):
+        # k = 1 returns g(phi + z) - g(phi), which is the subset sum
+        # 0 - g(phi) + g(phi + z) to the bit
+        from pivotal import suites
+
+        gen = RngStream(23).generator()
+        w = gen.normal(size=2)
+        planar = [
+            suites._COUNT,
+            void_indicator(suites._QUARTER),
+            hit_indicator(suites._QUARTER),
+            CountFunctional([None], lambda c: c[:, 0].astype(float) ** 2, name="count_squared"),
+            CountFunctional([], lambda c: np.full(c.shape[0], 2.5), bound=2.5, name="const"),
+            CountFunctional([ball_region([0.0, 0.0], 0.5)], lambda c: c[:, 0].astype(float), bound=20.0),
+            Statistic(eval=lambda phi: float(np.cos(phi.points @ w).sum()) / (1.0 + len(phi))),
+        ]
+        for g in planar:
+            for n in (0, 1, 3, 7):
+                phi = PointConfiguration(2, gen.uniform(-0.2, 1.2, size=(n, 2)))
+                zs = gen.uniform(-0.2, 1.2, size=(1, 2))
+                assert iterated_difference(g, phi, zs) == self._subset_sum(g, phi, zs)
+        atleast = hit_indicator(box_region([0.0], [1.5]), k=3)
+        for n in (0, 2, 3, 5):
+            phi = PointConfiguration(1, gen.uniform(0.0, 2.0, size=(n, 1)))
+            zs = gen.uniform(0.0, 2.0, size=(1, 1))
+            assert iterated_difference(atleast, phi, zs) == self._subset_sum(atleast, phi, zs)
 
     def test_symmetric_in_points(self):
         gen = RngStream(12).generator()

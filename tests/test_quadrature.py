@@ -7,7 +7,7 @@ from pivotal.quadrature import (
     QuadratureError,
     adaptive_simpson,
     gauss_legendre,
-    peak_split_simpson,
+    peak_gauss_legendre,
     power_singular_integral,
 )
 
@@ -142,19 +142,46 @@ def _recursive_simpson(f, a, b, tol=1e-10, max_depth=40, full_output=False):
     return (value, depth_used) if full_output else value
 
 
-class TestPeakSplitSimpson:
+class TestPeakGaussLegendre:
     def test_narrow_bump_is_found(self):
-        # every initial probe of [0, 1] sees exp(-huge): one wide interval
-        # converges on 0, the split at the mode resolves the bump
+        # every initial probe of [0, 1] sees exp(-huge): one wide Simpson
+        # interval converges on 0, the panels around the peak resolve the bump
         bump = lambda x: np.exp(-0.5 * ((x - 0.9) / 1e-3) ** 2)
         want = math.sqrt(2.0 * math.pi) * 1e-3
         assert adaptive_simpson(bump, 0.0, 1.0, tol=1e-12) < 1e-20
-        assert peak_split_simpson(bump, 0.0, 1.0, 0.9, 1e-3, 1e-12) == pytest.approx(want, rel=1e-9)
+        assert peak_gauss_legendre(bump, 0.0, 1.0, 0.9, 1e-3, 0.0) == pytest.approx(want, rel=1e-13)
 
     def test_anchors_clipped_to_the_interval(self):
-        # a mode outside [a, b] leaves one piece per anchor inside it
-        assert peak_split_simpson(lambda x: 3.0 * x * x, 0.0, 1.0, 5.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
-        assert peak_split_simpson(lambda x: 3.0 * x * x, 0.0, 1.0, -5.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+        # a mode outside [a, b] anchors at the nearer end; with a scale wider
+        # than the interval one 16-point panel integrates the quadratic exactly
+        assert peak_gauss_legendre(lambda x: 3.0 * x * x, 0.0, 1.0, 5.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert peak_gauss_legendre(lambda x: 3.0 * x * x, 0.0, 1.0, -5.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_call_on_every_panel(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-x)
+
+        got = peak_gauss_legendre(f, 0.0, 100.0, 0.0, 1.0, 0.0)
+        # cuts at 0, 1, ..., 45 and the panel [45, 100]
+        assert calls == [46 * 16]
+        assert got == pytest.approx(-math.expm1(-100.0), rel=1e-14)
+
+    def test_end_scale_follows_the_decay(self):
+        # e^(40 (t - 1)) on [0, 1]: the mode lies beyond b and the kernel falls
+        # from b at rate 40; at the scale sd = 10 one panel reads 8e-10 low
+        got = peak_gauss_legendre(lambda t: np.exp(40.0 * (t - 1.0)), 0.0, 1.0, 5.0, 10.0, 40.0)
+        assert got == pytest.approx(-math.expm1(-40.0) / 40.0, rel=1e-14)
+
+    def test_integrand_contract(self):
+        with pytest.raises(TypeError):
+            peak_gauss_legendre(lambda x: 1.0, 0.0, 1.0, 0.5, 0.1, 0.0)
+        with pytest.raises(QuadratureError):
+            peak_gauss_legendre(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, 0.5, 0.1, 0.0)
+        with pytest.raises(ValueError):
+            peak_gauss_legendre(np.exp, 1.0, 1.0, 0.5, 0.1, 0.0)
 
 
 def _pointwise(g):
