@@ -25,7 +25,6 @@ from .point_process import (
 from .bernoulli import (
     BooleanEvent,
     event_polynomial,
-    event_probability,
     identity_report_binomial,
     identity_report_negbin,
     pivotal_counts,

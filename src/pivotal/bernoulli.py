@@ -148,13 +148,6 @@ def event_polynomial(event: BooleanEvent) -> EventPolynomial:
     return EventPolynomial(m, counts, np.array(coeffs, dtype=float))
 
 
-def event_probability(event: BooleanEvent, theta: float) -> float:
-    """Exact P_theta(A) by enumeration of all outcomes."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    return float(event_polynomial(event).probability(np.asarray(theta, dtype=float)))
-
-
 def _signed_pivotal_by_popcount(event: BooleanEvent) -> tuple[np.ndarray, np.ndarray]:
     """Per-popcount sums of N+ and N- over all outcomes (exact integers)."""
     m = event.nbits

@@ -1,12 +1,16 @@
-"""Convex bodies, parallel sets, boundary quadrature, and derivative checks for
-expectations of point-process functionals on expanding domains.
+"""Planar convex bodies, parallel sets, boundary quadrature, and derivative
+checks for expectations of point-process functionals on expanding domains.
 
-Supported shapes: disk and axis-aligned box (dimension 2 or 3), strictly
-convex ccw polygon and segment (dimension 2).  All offset boundaries are
-parameterized exactly (lines, circular arcs, sphere), and integrals over
-parallel sets are assembled from smooth patches so no indicator function is
-ever fed to a quadrature rule.  Integrands take an (n, dim) point array and
-return n values; any other shape raises TypeError.
+Every body is read through one outline: a convex polygon of k >= 1 ccw
+vertices dilated by a disk of radius r.  A disk is its centre with r = its
+radius; a segment is its two ends, a box its four corners and a polygon its
+vertices, each with r = 0.  The parallel set K_t is the polygon dilated by
+s = r + t.  Its patches are the polygon's triangles about the centroid, a
+rectangle along each edge and a circular sector at each vertex; its boundary
+is each edge offset by s and an arc at each vertex.  So no indicator function
+is ever fed to a quadrature rule.  A segment has area 0 and perimeter 2L, and
+the boundary of its K_0 is both of its sides.  Integrands take an (n, 2)
+point array and return n values; any other shape raises TypeError.
 
 The Crofton checks draw their replicates from the block engine of
 :mod:`pivotal.point_process`: side s is ``rng.substream(s)`` and block b of
@@ -27,7 +31,7 @@ import numpy as np
 
 from .point_process import (
     IntensityMeasure,
-    PointConfiguration,
+    ReplicateBlock,
     Statistic,
     binomial_blocks,
     poisson_blocks,
@@ -52,8 +56,8 @@ class Disk:
         object.__setattr__(self, "center", c)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if c.size not in (2, 3):
-            raise ValueError("disk supports dimension 2 or 3")
+        if c.size != 2:
+            raise ValueError("disk is planar")
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,8 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        if lo.size != hi.size or lo.size not in (2, 3):
-            raise ValueError("box supports dimension 2 or 3")
+        if lo.size != 2 or hi.size != 2:
+            raise ValueError("box is planar")
         if np.any(hi <= lo):
             raise ValueError("need lo < hi componentwise")
         lo.flags.writeable = False
@@ -113,116 +117,93 @@ class Segment:
 ConvexBody = Union[Disk, Box, ConvexPolygon, Segment]
 
 
-def body_dim(body: ConvexBody) -> int:
+def _outline(body: ConvexBody) -> tuple[np.ndarray, float]:
+    """The body as (vertices, r): a convex polygon of k >= 1 ccw vertices,
+    shape (k, 2), dilated by a disk of radius r."""
     if isinstance(body, Disk):
-        return body.center.size
+        return body.center.reshape(1, 2), body.radius
+    if isinstance(body, Segment):
+        return np.stack([body.a, body.b]), 0.0
     if isinstance(body, Box):
-        return body.lo.size
-    return 2
+        (x0, y0), (x1, y1) = body.lo, body.hi
+        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), 0.0
+    return body.vertices, 0.0
 
 
-def _box_polygon(box: Box) -> ConvexPolygon:
-    (x0, y0), (x1, y1) = box.lo, box.hi
-    return ConvexPolygon(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+def _edges(v: np.ndarray) -> list:
+    """The walk around the outline polygon ``v``: per edge (a, b), its outward
+    unit normal and the angles phi0 <= phi1 of the corner arc at b, which
+    turns from this edge's normal to the next one's.  A single vertex has no
+    edge (normal None) and a full-turn arc."""
+    if v.shape[0] == 1:
+        return [(v[0], v[0], None, 0.0, 2.0 * math.pi)]
+    ends = np.roll(v, -1, axis=0)
+    e = ends - v
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+    phi = [math.atan2(y, x) for x, y in nrm]
+    return [(a, b, n, phi0, phi1 + 2.0 * math.pi if phi1 < phi0 else phi1)
+            for a, b, n, phi0, phi1 in zip(v, ends, nrm, phi, np.roll(phi, -1))]
 
 
 def distance(body: ConvexBody, pts) -> np.ndarray:
     """Euclidean distance from each row of ``pts`` to the body (0 inside)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(body, Disk):
-        return np.maximum(np.linalg.norm(pts - body.center, axis=1) - body.radius, 0.0)
-    if isinstance(body, Box):
-        gap = np.maximum(np.maximum(body.lo - pts, pts - body.hi), 0.0)
-        return np.linalg.norm(gap, axis=1)
-    if isinstance(body, Segment):
-        return _segment_distance(body.a, body.b, pts)
-    v = body.vertices
+    v, r = _outline(body)
     k = v.shape[0]
-    inside = np.ones(pts.shape[0], dtype=bool)
-    dmin = np.full(pts.shape[0], np.inf)
-    for i in range(k):
-        a, b = v[i], v[(i + 1) % k]
-        e = b - a
-        rel = pts - a
-        inside &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= 0
-        dmin = np.minimum(dmin, _segment_distance(a, b, pts))
-    return np.where(inside, 0.0, dmin)
-
-
-def _segment_distance(a, b, pts) -> np.ndarray:
-    e = b - a
-    tpar = np.clip((pts - a) @ e / (e @ e), 0.0, 1.0)
-    proj = a + tpar[:, None] * e
-    return np.linalg.norm(pts - proj, axis=1)
+    if k == 1:
+        d = np.linalg.norm(pts - v[0], axis=1)
+    else:
+        inside = np.full(pts.shape[0], k > 2)
+        d2 = np.full(pts.shape[0], np.inf)
+        x, y = pts[:, 0], pts[:, 1]
+        # the two edges of a segment are one set of points: walk it once
+        for a, b in zip(v[:1] if k == 2 else v, np.roll(v, -1, axis=0)):
+            e = b - a
+            rel = pts - a
+            inside &= e[0] * rel[:, 1] - e[1] * rel[:, 0] >= 0
+            along = np.clip(rel @ e / (e @ e), 0.0, 1.0)  # the nearest point of the edge is a + along e
+            gx, gy = x - (a[0] + along * e[0]), y - (a[1] + along * e[1])
+            d2 = np.minimum(d2, gx * gx + gy * gy)
+        d = np.where(inside, 0.0, np.sqrt(d2))
+    return np.maximum(d - r, 0.0)
 
 
 def parallel_region(body: ConvexBody, t: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Membership in the parallel set K_t: an (N, d) point array -> dist(K, x) <= t."""
+    """Membership in the parallel set K_t: an (N, 2) point array -> dist(K, x) <= t."""
     return lambda pts: distance(body, pts) <= t
 
 
+def _polygon_perimeter(v: np.ndarray) -> float:
+    return float(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1).sum())
+
+
 def area(body: ConvexBody) -> float:
-    """Lebesgue measure of the body (volume in dimension 3; segments have 0)."""
-    if isinstance(body, Disk):
-        r = body.radius
-        return math.pi * r * r if body.center.size == 2 else 4.0 / 3.0 * math.pi * r**3
-    if isinstance(body, Box):
-        return float(np.prod(body.hi - body.lo))
-    if isinstance(body, Segment):
-        return 0.0
-    v = body.vertices
+    """Lebesgue measure of the body (0 for a segment): Steiner's polynomial
+    of the outline polygon at r."""
+    v, r = _outline(body)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # the shoelace sum of 1 or 2 vertices is 0, but the fused multiply-adds of a dot need not cancel
+    polygon = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) if len(v) > 2 else 0.0
+    return polygon + _polygon_perimeter(v) * r + math.pi * r * r
 
 
 def perimeter(body: ConvexBody) -> float:
-    """First Steiner coefficient: boundary length in 2-D with both sides of a
-    segment counted (2L), surface area in 3-D."""
-    if isinstance(body, Disk):
-        r = body.radius
-        return 2.0 * math.pi * r if body.center.size == 2 else 4.0 * math.pi * r * r
-    if isinstance(body, Box):
-        sides = body.hi - body.lo
-        if sides.size == 2:
-            return 2.0 * float(sides.sum())
-        a, b, c = sides
-        return 2.0 * float(a * b + b * c + c * a)
-    if isinstance(body, Segment):
-        return 2.0 * float(np.linalg.norm(body.b - body.a))
-    e = np.roll(body.vertices, -1, axis=0) - body.vertices
-    return float(np.linalg.norm(e, axis=1).sum())
+    """Boundary length, both sides of a segment counted (2L)."""
+    v, r = _outline(body)
+    return _polygon_perimeter(v) + 2.0 * math.pi * r
 
 
 def steiner_mass(body: ConvexBody, t: float) -> float:
     """Exact measure of the parallel set at distance t."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    n = body_dim(body)
-    if n == 2:
-        return area(body) + perimeter(body) * t + math.pi * t * t
-    if isinstance(body, Disk):
-        return 4.0 / 3.0 * math.pi * (body.radius + t) ** 3
-    sides = body.hi - body.lo
-    return (
-        float(np.prod(sides))
-        + 2.0 * float(sides[0] * sides[1] + sides[1] * sides[2] + sides[2] * sides[0]) * t
-        + math.pi * t * t * float(sides.sum())
-        + 4.0 / 3.0 * math.pi * t**3
-    )
+    return area(body) + perimeter(body) * t + math.pi * t * t
 
 
 def bounding_box(body: ConvexBody, pad: float = 0.0) -> np.ndarray:
-    if isinstance(body, Disk):
-        lo, hi = body.center - body.radius, body.center + body.radius
-    elif isinstance(body, Box):
-        lo, hi = body.lo, body.hi
-    elif isinstance(body, Segment):
-        lo = np.minimum(body.a, body.b)
-        hi = np.maximum(body.a, body.b)
-    else:
-        lo = body.vertices.min(axis=0)
-        hi = body.vertices.max(axis=0)
-    return np.stack([lo - pad, hi + pad], axis=1)
+    v, r = _outline(body)
+    return np.stack([v.min(axis=0) - r - pad, v.max(axis=0) + r + pad], axis=1)
 
 
 # -- smooth patches covering the parallel set ---------------------------------
@@ -259,49 +240,20 @@ def _triangle_patch(a, b, c, n):
     return pts, (np.outer(wu, wu) * U).ravel() * jac2
 
 
-def _polygon_normals(v: np.ndarray) -> np.ndarray:
-    e = np.roll(v, -1, axis=0) - v
-    n = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    return n / np.linalg.norm(n, axis=1)[:, None]
-
-
 def _parallel_patches(body: ConvexBody, t: float, n: int):
-    """Smooth patches whose union is the parallel set K_t (2-D bodies only)."""
-    if body_dim(body) != 2:
-        raise NotImplementedError("patch quadrature is planar")
-    patches = []
-    if isinstance(body, Disk):
-        patches.append(_sector_patch(body.center, 0.0, body.radius + t, 0.0, 2.0 * math.pi, n))
-        return patches
-    if isinstance(body, Box):
-        body = _box_polygon(body)
-    if isinstance(body, Segment):
-        a, b = body.a, body.b
-        e = b - a
-        nrm = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-        if t > 0:
-            patches.append(_affine_patch(a, e, t * nrm, n))
-            patches.append(_affine_patch(a, e, -t * nrm, n))
-            phi = math.atan2(nrm[1], nrm[0])
-            patches.append(_sector_patch(b, 0.0, t, phi - math.pi, phi, n))
-            patches.append(_sector_patch(a, 0.0, t, phi, phi + math.pi, n))
-        return patches
-    v = body.vertices
-    k = v.shape[0]
-    nrm = _polygon_normals(v)
+    """Smooth patches whose union is K_t: the outline polygon's triangles about
+    its centroid, then per edge the rectangle out to offset s = r + t and the
+    sector of radius s at the edge's second end."""
+    v, r = _outline(body)
+    s = r + t
+    walk = _edges(v)
     centroid = v.mean(axis=0)
-    for i in range(k):
-        patches.append(_triangle_patch(centroid, v[i], v[(i + 1) % k], n))
-    if t > 0:
-        for i in range(k):
-            a, b = v[i], v[(i + 1) % k]
-            patches.append(_affine_patch(a, b - a, t * nrm[i], n))
-            # vertex sector at b, sweeping from normal i to normal i+1
-            phi0 = math.atan2(nrm[i][1], nrm[i][0])
-            phi1 = math.atan2(nrm[(i + 1) % k][1], nrm[(i + 1) % k][0])
-            if phi1 < phi0:
-                phi1 += 2.0 * math.pi
-            patches.append(_sector_patch(b, 0.0, t, phi0, phi1, n))
+    patches = [_triangle_patch(centroid, a, b, n) for a, b, *_ in walk] if len(v) > 2 else []
+    if s > 0:
+        for a, b, nrm, phi0, phi1 in walk:
+            if nrm is not None:
+                patches.append(_affine_patch(a, b - a, s * nrm, n))
+            patches.append(_sector_patch(b, 0.0, s, phi0, phi1, n))
     return patches
 
 
@@ -356,59 +308,27 @@ def _arc_nodes(center, radius, phi0, phi1, n):
 
 
 def boundary_nodes(body: ConvexBody, t: float, npoints: int = 32):
-    """Quadrature nodes and weights on the offset boundary (2-D)."""
-    if body_dim(body) != 2:
-        raise NotImplementedError("boundary parameterization is planar")
-    if isinstance(body, Disk):
-        out = [
-            _arc_nodes(body.center, body.radius + t, q * math.pi / 2, (q + 1) * math.pi / 2, npoints)
-            for q in range(4)
-        ]
-    elif isinstance(body, Segment):
-        if t <= 0:
-            raise ValueError("the offset boundary of a segment needs t > 0 "
-                             "(the bare endpoints carry no length)")
-        a, b = body.a, body.b
-        e = b - a
-        nrm = np.array([e[1], -e[0]]) / np.linalg.norm(e)
-        phi = math.atan2(nrm[1], nrm[0])
-        out = [
-            _line_nodes(a + t * nrm, b + t * nrm, npoints),
-            _line_nodes(b - t * nrm, a - t * nrm, npoints),
-            _arc_nodes(b, t, phi - math.pi, phi, npoints),
-            _arc_nodes(a, t, phi, phi + math.pi, npoints),
-        ]
-    else:
-        poly = _box_polygon(body) if isinstance(body, Box) else body
-        v = poly.vertices
-        k = v.shape[0]
-        nrm = _polygon_normals(v)
-        out = []
-        for i in range(k):
-            a, b = v[i], v[(i + 1) % k]
-            out.append(_line_nodes(a + t * nrm[i], b + t * nrm[i], npoints))
-            if t > 0:
-                phi0 = math.atan2(nrm[i][1], nrm[i][0])
-                phi1 = math.atan2(nrm[(i + 1) % k][1], nrm[(i + 1) % k][0])
-                if phi1 < phi0:
-                    phi1 += 2.0 * math.pi
-                out.append(_arc_nodes(b, t, phi0, phi1, npoints))
+    """Quadrature nodes and weights on the boundary of K_t: per edge, the edge
+    offset by s = r + t, then the corner arc at its second end; the full turn
+    of a single vertex is cut into four quarter turns."""
+    v, r = _outline(body)
+    s = r + t
+    out = []
+    for a, b, nrm, phi0, phi1 in _edges(v):
+        if nrm is not None:
+            out.append(_line_nodes(a + s * nrm, b + s * nrm, npoints))
+        if s > 0:
+            cuts = np.linspace(phi0, phi1, 2 if nrm is not None else 5)
+            out += [_arc_nodes(b, s, lo, hi, npoints) for lo, hi in zip(cuts[:-1], cuts[1:])]
     pts = np.vstack([p for p, _ in out])
     wts = np.concatenate([w for _, w in out])
     return pts, wts
 
 
-def segment_nodes(seg: Segment, npoints: int = 32):
-    """Quadrature nodes on the bare segment itself (its doubly-covered boundary)."""
-    return _line_nodes(seg.a, seg.b, npoints)
-
-
 def boundary_integral(body: ConvexBody, t: float, f, npoints: int = 32) -> float:
-    """Integral of f over the offset boundary by exact parameterization."""
+    """Integral of f over the boundary of K_t by exact parameterization."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0 and isinstance(body, Segment):
-        raise ValueError("segment at t = 0: endpoint boundary has measure zero")
     pts, wts = boundary_nodes(body, t, npoints)
     return float(np.dot(wts, _eval_points(f, pts)))
 
@@ -492,10 +412,13 @@ def crofton_poisson_check(
     The finite difference couples the two radii by restriction: one sample on
     the larger parallel set, thinned to the smaller (the smaller intensity is
     a restriction of the larger, so the coupling is exact and removes most of
-    the variance).  At t = 0 for a segment the boundary integral runs over the
-    segment itself with weight 2 (each inner point has two unit normals) and
-    the base process is empty almost surely.  ``sup_density`` must bound h on
-    the largest parallel set sampled, K_{t+delta}.
+    the variance).  At t = 0 the boundary side runs over the body's own
+    boundary, which for a segment is both of its sides (each inner point has
+    two unit normals, as in ``perimeter``), and the difference is one-sided.
+    Where K_t has mass 0, as for a segment at t = 0, every replicate of eta_t
+    is empty, so the boundary side is evaluated exactly on one empty
+    replicate, with standard error 0.  ``sup_density`` must bound h on the
+    largest parallel set sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")
@@ -513,16 +436,12 @@ def crofton_poisson_check(
     ])
     lhs, lhs_se = mean_stderr(vals)
 
-    if isinstance(body, Segment) and t == 0.0:
-        pts, wh = _weighted(segment_nodes(body, npoints), h)
-        empty = PointConfiguration.empty(2)
-        g0 = g.value(empty)
-        dvals = np.array([g.value(empty.add_atom(p)) - g0 for p in pts])
-        rhs = 2.0 * float(np.dot(wh, dvals))
-        rhs_se = 0.0
+    pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
+    mu_t = intensity_on_parallel_set(body, t, h, sup_density)
+    if total_mass(mu_t) == 0.0:
+        empty = ReplicateBlock(np.empty((0, 2)), np.zeros(2, dtype=np.int64), np.empty((1, 0, 2)))
+        rhs, rhs_se = float(g.node_differences(empty, pts, wh)[0]), 0.0
     else:
-        pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
-        mu_t = intensity_on_parallel_set(body, t, h, sup_density)
         pool = inner_reps if inner_reps is not None else min(reps, 5000)
         cvals = np.concatenate([g.node_differences(blk, pts, wh)
                                 for blk in poisson_blocks(mu_t, pool, rng.substream(1))])
@@ -546,10 +465,10 @@ def crofton_binomial_check(
 ) -> CroftonReport:
     """Derivative in t of E g(xi_t^(m)) for the m-point binomial process.
 
-    No coupling is available across radii (the sample distribution changes
-    with t), so the finite difference uses independent samples on each side;
-    the boundary side pairs xi^(m) with its first m-1 points.  ``sup_density``
-    must bound h on the largest parallel set sampled, K_{t+delta}.
+    The two radii of the finite difference are sampled independently, each
+    on its own stream; the boundary side pairs xi^(m) with its first m-1
+    points.  ``sup_density`` must bound h on the largest parallel set
+    sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")

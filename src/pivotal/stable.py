@@ -362,11 +362,13 @@ def positive_half_pdf(x, theta: float):
     return out if out.ndim else float(out)
 
 
-def positive_half_pdf_deriv(x: float, theta: float) -> float:
-    if x <= 0:
-        return 0.0
+def positive_half_pdf_deriv(x, theta: float):
+    """Derivative of the alpha=1/2 positive density, elementwise over an array ``x``."""
     c = levy_location_scale(theta)
-    return positive_half_pdf(x, theta) * (c / (2.0 * x * x) - 1.5 / x)
+    x = np.asarray(x, dtype=float)
+    xp = np.where(x > 0, x, 1.0)
+    out = np.where(x > 0, positive_half_pdf(xp, theta) * (c / (2.0 * xp * xp) - 1.5 / xp), 0.0)
+    return out if out.ndim else float(out)
 
 
 # -- identity residuals --------------------------------------------------------
@@ -458,7 +460,7 @@ def alphadens1_residual(
         f = lambda y: positive_half_pdf(y, theta)
         lhs = f(x) + x * positive_half_pdf_deriv(x, theta)
         grid = np.concatenate([np.logspace(-6, 0, 200) * x, np.linspace(x * 1e-3, x, 400)])
-        dmax = float(np.max(np.abs([positive_half_pdf_deriv(g, theta) for g in grid])))
+        dmax = float(np.max(np.abs(positive_half_pdf_deriv(grid, theta))))
         rhs = _full_kernel_integral(
             lambda z: f(x) - f(x - z), alpha, theta, x, f(x), dmax, tol
         )
@@ -513,30 +515,26 @@ def radvec_residual(
     rng: RngStream,
     trunc_tol: float = 1e-3,
     nterms: int | None = None,
-    nblocks: int = 50,
-    eps_low: float | None = None,
-    tail_start: float | None = None,
     bandwidth: float | None = None,
 ) -> RadvecResult:
     """Residual of r f_|xi|(r) = alpha * Levy integral of radius-ball probability increments.
 
-    Both sides are estimated from one pool of LePage samples split into blocks;
-    the block residuals give the standard error.  The radial quadrature runs on
-    [eps_low, tail_start]; beyond tail_start the bracket is within MC noise of
-    P(|xi| <= r), whose contribution is added in closed form.
+    Both sides are estimated from one pool of LePage samples split into 50
+    blocks; the block residuals give the standard error.  The radial quadrature
+    runs on [lowcut, tail_start]; beyond tail_start the bracket is within MC
+    noise of P(|xi| <= r), whose contribution is added in closed form.
     """
+    nblocks = 50
     if r <= 0 or reps < nblocks * 2:
-        raise ValueError("need r > 0 and reps >= 2 * nblocks")
+        raise ValueError("need r > 0 and reps >= 100")
     alpha = params.alpha
     spec = params.spectral
     theta = spec.total_mass
     symmetric = float(np.linalg.norm(spec.mean_direction)) < 1e-12
-    if eps_low is None:
-        # symmetric brackets vanish to second order at 0, so a larger cutoff
-        # keeps near-sphere indicator noise out without measurable bias
-        eps_low = (5e-3 if symmetric else 1e-6) * r
-    if tail_start is None:
-        tail_start = max(8.0 * r, (500.0 * theta * (1.0 + theta)) ** (1.0 / alpha), math.e)
+    # symmetric brackets vanish to second order at 0, so a larger cutoff
+    # keeps near-sphere indicator noise out without measurable bias
+    eps_low = (5e-3 if symmetric else 1e-6) * r
+    tail_start = max(8.0 * r, (500.0 * theta * (1.0 + theta)) ** (1.0 / alpha), math.e)
     if bandwidth is None:
         # reps^(-1/5) smoothing; the small constant keeps the curvature bias
         # of the central difference below the reported stderr even when r

@@ -597,7 +597,7 @@ _CROFTON_OPTIONS = {
     "reps": _count(lambda cfg: min(cfg.reps, 10000), 2),
     "m": _count(10, 1),
     "t": (0.5, number_in, "a nonnegative number"),
-    "shape": (None, lambda v: isinstance(v, dict) and geo.body_dim(parse_shape(v)) == 2, "a planar shape"),
+    "shape": (None, lambda v: isinstance(v, dict) and parse_shape(v) is not None, "a planar shape"),
     "h": (None, lambda v: isinstance(v, str) and parse_density(v) is not None, "a density spec"),
 }
 

@@ -76,13 +76,13 @@ class TestEventProbability:
     def test_full_space(self):
         ev = bn.threshold_event(3, 0)
         for th in (0.0, 0.3, 1.0):
-            assert bn.event_probability(ev, th) == pytest.approx(1.0, abs=1e-14)
+            assert bn.event_polynomial(ev).probability(th) == pytest.approx(1.0, abs=1e-14)
 
     def test_all_ones(self):
-        assert bn.event_probability(bn.threshold_event(3, 3), 0.5) == pytest.approx(0.125, abs=1e-15)
+        assert bn.event_polynomial(bn.threshold_event(3, 3)).probability(0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_two_trials_at_least_one(self):
-        assert bn.event_probability(bn.threshold_event(2, 1), 0.5) == pytest.approx(0.75, abs=1e-15)
+        assert bn.event_polynomial(bn.threshold_event(2, 1)).probability(0.5) == pytest.approx(0.75, abs=1e-15)
 
     def test_monomial_coefficients(self):
         # P(S_2 >= 1) = 2 theta - theta^2
@@ -91,7 +91,7 @@ class TestEventProbability:
 
     def test_too_many_bits(self):
         with pytest.raises(ValueError):
-            bn.event_probability(bn.threshold_event(25, 0), 0.5)
+            bn.event_polynomial(bn.threshold_event(25, 0))
 
     def test_scalar_indicator_raises(self):
         # no row-by-row retry: the error names the expected shape

@@ -11,6 +11,7 @@ from pivotal.geometry import (
     Segment,
     area,
     boundary_integral,
+    boundary_nodes,
     bounding_box,
     crofton_binomial_check,
     crofton_poisson_check,
@@ -114,14 +115,12 @@ class TestMasses:
         assert area(SEG) == 0.0
         assert perimeter(SEG) == 4.0  # both sides of length 2
 
-    def test_ball_and_box_3d(self):
-        ball = Disk(np.zeros(3), 1.0)
-        assert steiner_mass(ball, 0.5) == pytest.approx(4.0 / 3.0 * math.pi * 1.5**3, abs=1e-12)
-        box = Box(np.zeros(3), np.array([1.0, 2.0, 3.0]))
-        got = steiner_mass(box, 0.25)
-        want = 6.0 + 2.0 * 11.0 * 0.25 + math.pi * 0.25**2 * 6.0 + 4.0 / 3.0 * math.pi * 0.25**3
-        assert got == pytest.approx(want, abs=1e-12)
-        assert contains(box, 0.3, [1.1, 2.1, 3.1])
+    @pytest.mark.parametrize("t", [0.3, 1.1])
+    def test_segment_stadium_moment(self, t):
+        # x^2 over the stadium of [0, L] x {0}: the strip plus both end caps
+        L = 2.0
+        want = 2 * t * L**3 / 3 + math.pi * t**2 * L**2 / 2 + 4 * L * t**3 / 3 + math.pi * t**4 / 4
+        assert integrate_parallel(SEG, t, lambda p: p[:, 0] ** 2) == pytest.approx(want, abs=1e-10)
 
 
 class TestBoundary:
@@ -153,9 +152,22 @@ class TestBoundary:
         with pytest.raises(TypeError, match="shape"):
             boundary_integral(DISK, 0.3, lambda p: 1.0)
 
-    def test_segment_bare_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_integral(SEG, 0.0, lambda p: np.ones(p.shape[0]))
+    def test_segment_bare_boundary_is_both_sides(self):
+        # the boundary of K_0 is the segment twice: 2 * int_0^2 x^2 dx
+        assert boundary_integral(SEG, 0.0, lambda p: p[:, 0] ** 2) == pytest.approx(16.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.3, 1.1])
+    def test_segment_offset_moment(self, t):
+        # x^2 over both offset sides and both end-cap arcs of [0, L] x {0}
+        L = 2.0
+        want = 2 * L**3 / 3 + math.pi * t * L**2 + 4 * L * t**2 + math.pi * t**3
+        assert boundary_integral(SEG, t, lambda p: p[:, 0] ** 2) == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.1])
+    def test_nodes_lie_at_distance_t(self, t):
+        for body in SHAPES:
+            pts, _ = boundary_nodes(body, t)
+            assert np.max(np.abs(distance(body, pts) - t)) <= 1e-12
 
 
 class TestSteinerDerivative:
@@ -221,6 +233,16 @@ class TestCroftonPoisson:
         assert rep.rhs_stderr <= 1e-12
         assert abs(rep.z) <= 4.0
 
+    def test_segment_quadratic_density(self):
+        # the end caps carry h = 1 + x^2 beyond the ends, where it is largest
+        h = lambda p: 1.0 + p[:, 0] ** 2
+        g = CountFunctional([None], lambda c: c[:, 0].astype(float), bound=1e9)
+        rep = crofton_poisson_check(g, SEG, 0.4, 20_000, RngStream(106), h=h, sup_density=1.0 + 2.41**2)
+        t, L = 0.4, 2.0
+        exact = 2 * L + 2 * math.pi * t + 2 * L**3 / 3 + math.pi * t * L**2 + 4 * L * t**2 + math.pi * t**3
+        assert rep.rhs == pytest.approx(exact, abs=1e-10)
+        assert abs(rep.z) <= 4.0
+
     def test_unbounded_rejected(self):
         g = Statistic(eval=lambda phi: float(len(phi)))
         with pytest.raises(ValueError):
@@ -239,8 +261,8 @@ class TestCroftonPoisson:
             rhs_stderr=4.07524207927e-16, z=0.22091821603582956, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, SEG, 0.0, 60, RngStream(39))
         assert rep == CroftonReport(
-            lhs=1.6666666666666667, lhs_stderr=1.6666666666666665, rhs=3.9999999999999996,
-            rhs_stderr=0.0, z=-1.4, delta=0.01, reps=60)
+            lhs=1.6666666666666667, lhs_stderr=1.6666666666666665, rhs=3.9999999999999987,
+            rhs_stderr=0.0, z=-1.3999999999999995, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, DISK, 0.4, 60, RngStream(40), h=lambda p: 1.0 + 0.5 * p[:, 0] ** 2,
                                     sup_density=2.0, inner_reps=20)
         assert rep == CroftonReport(
@@ -314,7 +336,8 @@ class TestCroftonVectorisedPath:
     def test_poisson(self, name, as_generic):
         g = CROFTON_FUNCTIONALS[name]
         h = lambda p: 1.0 + 0.5 * p[:, 0] ** 2
-        for body, t, kw in ((DISK, 0.5, {}), (SEG, 0.0, {}), (PENT, 0.3, {"h": h, "sup_density": 8.0})):
+        for body, t, kw in ((DISK, 0.5, {}), (SEG, 0.0, {}), (PENT, 0.3, {"h": h, "sup_density": 8.0}),
+                            (SEG, 0.4, {"h": h, "sup_density": 8.0})):
             assert crofton_poisson_check(g, body, t, 80, RngStream(103), inner_reps=30, **kw) == \
                 crofton_poisson_check(as_generic(g), body, t, 80, RngStream(103), inner_reps=30, **kw)
 
@@ -349,6 +372,12 @@ class TestShapeValidation:
     def test_segment_degenerate(self):
         with pytest.raises(ValueError):
             Segment(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+
+    def test_3d_rejected(self):
+        with pytest.raises(ValueError):
+            Disk(np.zeros(3), 1.0)
+        with pytest.raises(ValueError):
+            Box(np.zeros(3), np.array([1.0, 2.0, 3.0]))
 
     def test_box_orientation(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from pivotal.stable import (
     levy_integral,
     positive_half_cdf,
     positive_half_pdf,
+    positive_half_pdf_deriv,
     radvec_residual,
     sample_stable_many,
     tail_meansq_sum,
@@ -464,6 +465,17 @@ class TestDensityIdentity:
         res = alphadens1_residual(0.5, 1.0, x, tol=1e-9)
         assert side(lambda r: r.lhs) == pytest.approx(res.lhs, abs=1e-4)
         assert side(lambda r: r.rhs) == pytest.approx(res.rhs, abs=1e-4)
+
+    def test_density_derivative_is_elementwise(self):
+        # the array call gives each scalar call's value bit for bit, 0 off the
+        # support, and the central difference of the density
+        x = np.concatenate([[-1.0, 0.0], np.logspace(-3, 1, 50)])
+        got = positive_half_pdf_deriv(x, 1.3)
+        assert got.tolist() == [positive_half_pdf_deriv(float(v), 1.3) for v in x]
+        assert got[:2].tolist() == [0.0, 0.0]
+        h = 1e-6 * x[2:]
+        fd = (positive_half_pdf(x[2:] + h, 1.3) - positive_half_pdf(x[2:] - h, 1.3)) / (2.0 * h)
+        assert np.allclose(got[2:], fd, rtol=1e-6, atol=1e-12)
 
     def test_monte_carlo_route(self):
         res = alphadens1_residual(0.5, 1.0, 1.0, method="monte_carlo", reps=200_000,
