@@ -55,6 +55,7 @@ from .stable import (
     dimone_residual,
     levy_integral,
     radvec_residual,
+    sample_stable_exact,
     sample_stable_many,
 )
 from .geometry import (

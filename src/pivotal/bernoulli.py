@@ -105,6 +105,8 @@ class EventPolynomial:
     ``counts[j]`` is the number of outcomes of A with exactly j ones, so every
     contribution to P is nonnegative per (j, m-j) power pair and evaluation is
     cancellation-free.  ``coefficients`` are the exact monomial coefficients.
+    ``probability`` and ``derivative`` raise ValueError for a theta outside
+    [0, 1] (NaN included), scalar or array.
     """
 
     nbits: int
@@ -112,24 +114,26 @@ class EventPolynomial:
     coefficients: np.ndarray  # (m+1,) float (exact integers below 2^53)
 
     def probability(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        t = _success_probability(theta)[..., None]
         j = np.arange(self.nbits + 1)
-        t = theta[..., None]
-        with np.errstate(invalid="ignore"):
-            terms = self.counts * t**j * (1.0 - t) ** (self.nbits - j)
-        return np.where(np.isnan(terms), 0.0, terms).sum(axis=-1)
+        return (self.counts * t**j * (1.0 - t) ** (self.nbits - j)).sum(axis=-1)
 
     def derivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
+        t = _success_probability(theta)[..., None]
         m = self.nbits
         j = np.arange(m + 1)
-        t = theta[..., None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = self.counts * j * t ** np.maximum(j - 1, 0) * (1.0 - t) ** (m - j)
-            down = self.counts * (m - j) * t**j * (1.0 - t) ** np.maximum(m - j - 1, 0)
-        up = np.where(np.isfinite(up), up, 0.0)
-        down = np.where(np.isfinite(down), down, 0.0)
+        up = self.counts * j * t ** np.maximum(j - 1, 0) * (1.0 - t) ** (m - j)
+        down = self.counts * (m - j) * t**j * (1.0 - t) ** np.maximum(m - j - 1, 0)
         return (up - down).sum(axis=-1)
+
+
+def _success_probability(theta) -> np.ndarray:
+    """``theta`` as a float array; ValueError unless every entry lies in [0, 1]."""
+    theta = np.asarray(theta, dtype=float)
+    # the finiteness test comes first, so NaN never reaches a comparison
+    if not (np.all(np.isfinite(theta)) and np.all((theta >= 0.0) & (theta <= 1.0))):
+        raise ValueError("theta must lie in [0, 1]")
+    return theta
 
 
 def event_polynomial(event: BooleanEvent) -> EventPolynomial:
@@ -175,15 +179,14 @@ def russo_derivative(event: BooleanEvent, theta):
 
 def russo_pivotal_expectations(event: BooleanEvent, theta):
     """(E_theta N+, E_theta N-) by exact enumeration, done once for an array of
-    thetas; a scalar theta gives two floats, each equal to the array entry."""
+    thetas; a scalar theta gives two floats, each equal to the array entry.
+    A theta outside [0, 1] (NaN included) raises ValueError."""
+    theta = _success_probability(theta)
     m = event.nbits
     eplus, eminus = _signed_pivotal_by_popcount(event)
-    theta = np.asarray(theta, dtype=float)
     j = np.arange(m + 1)
     t = theta[..., None]
-    with np.errstate(invalid="ignore"):
-        w = t**j * (1.0 - t) ** (m - j)
-    w = np.where(np.isfinite(w), w, 0.0).reshape(-1, m + 1)
+    w = (t**j * (1.0 - t) ** (m - j)).reshape(-1, m + 1)
     # one dot per theta: a matrix product would sum in a different order
     plus = np.array([np.dot(eplus, row) for row in w]).reshape(theta.shape)
     minus = np.array([np.dot(eminus, row) for row in w]).reshape(theta.shape)

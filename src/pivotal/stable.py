@@ -1,14 +1,39 @@
-"""Strictly alpha-stable laws: LePage series sampling, Levy-measure quadrature,
-and residuals of the integro-differential identities the densities satisfy.
+"""Strictly alpha-stable laws: exact and LePage series sampling, Levy-measure
+quadrature, and residuals of the integro-differential identities the densities
+satisfy.
 
-Sampling convention: the LePage series is a Poisson process on the half line
-whose points carry i.i.d. directions from the normalized spectral measure; by
-the marking theorem the points of atom u_j form independent Poisson processes
-of rate w_j (the atom's weight).  The sampler draws each atom's arrival series
-on its own: sample = sum_j u_j [sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) - c_j],
-with Gamma_{j,k} the arrival times of a rate-w_j process.  Scaling the
-spectral mass by c scales samples by c^(1/alpha) exactly (a time change of
-every arrival process), truncation level included.
+Exact sampler: a strictly alpha-stable vector with spectral atoms (u_j, w_j)
+is sum_j u_j Y_j, with Y_j independent and totally skewed (beta = 1) along
+their atoms.  ``sample_stable_exact`` draws each Y_j in O(1) by
+Chambers-Mallows-Stuck (JASA 1976) in the parametrization S_alpha(sigma, 1,
+mu) of Samorodnitsky & Taqqu (1994, sections 1.1-1.2), with scale and drift
+fixed by the LePage law of the same atom (Thm 1.4.5):
+
+* alpha != 1: sigma_j^alpha = w_j Gamma(1-alpha) cos(pi alpha/2) and no drift,
+  so E exp(-s Y_j) = exp(-w_j Gamma(1-alpha) s^alpha) for alpha < 1 and
+  E Y_j = 0 for alpha > 1;
+* alpha = 1: sigma_j = w_j pi/2 and mu_j = w_j (1 - gamma_Euler).  From a
+  standard draw X the sampler returns sigma_j X plus the drift
+  w_j (1 - gamma_Euler) + w_j log(w_j pi/2); the w_j log w_j part of it does
+  not cancel over a centered measure whose weights differ.
+
+Exact draw contract: the samples come in blocks of ``_EXACT_BLOCK`` (the
+last one shorter), and block i draws from ``rng.substream(i)``.  Within a
+block V = pi (U - 1/2 + 2^-54), with U = ``random`` on a (block, natoms)
+array, is uniform on the open interval (-pi/2, pi/2); it is drawn before the
+standard exponentials W, a (block, natoms) array of ``standard_exponential``.
+Nothing else is drawn.  Every draw is finite, or the sampler raises
+``FloatingPointError``.
+
+LePage series (the paper's own route, kept as the cross-check): the series
+is a Poisson process on the half line whose points carry i.i.d. directions
+from the normalized spectral measure; by the marking theorem the points of
+atom u_j form independent Poisson processes of rate w_j (the atom's weight).
+The sampler draws each atom's arrival series on its own: sample = sum_j u_j
+[sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) - c_j], with Gamma_{j,k} the arrival
+times of a rate-w_j process.  Scaling the spectral mass by c scales samples
+by c^(1/alpha) exactly (a time change of every arrival process), truncation
+level included.
 
 Truncation: for a series length N atom j keeps N_j = max(nmin, ceil(p_j N))
 terms, p_j = w_j / theta, nmin = ceil(2/alpha) + 3, and subtracts the
@@ -23,14 +48,18 @@ shortest length whose bound falls below a tolerance; the same formula covers
 alpha < 1, alpha = 1 and alpha > 1.  For alpha >= 1 the spectral measure must
 be centered and N is capped (default 10^5) with the achieved bound reported.
 
-Draw contract: ``sample_stable_many`` splits the samples into blocks of
-``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.  Within
-a block the atoms are drawn in order, atom j as a row-major (block, N_j)
-array of exponential inter-arrival times of mean 1/w_j, so a one-atom law
-draws (block, N) exponentials.  The kernel takes each atom's array in row
-chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's generators fill arrays
-sequentially, so the chunking does not change the draws, only the order in
-which the terms are summed.
+LePage draw contract: ``sample_stable_many`` splits the samples into blocks
+of ``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.
+Within a block the atoms are drawn in order, atom j as a row-major
+(block, N_j) array of exponential inter-arrival times of mean 1/w_j, so a
+one-atom law draws (block, N) exponentials.  The kernel takes each atom's
+array in row chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's
+generators fill arrays sequentially, so the chunking does not change the
+draws, only the order in which the terms are summed.
+
+The identity estimators (``radvec_residual``, the Monte Carlo routes of
+``dimone_residual`` and ``alphadens1_residual``) take their samples from the
+exact sampler.
 """
 
 from __future__ import annotations
@@ -46,6 +75,7 @@ from .summaries import mean_stderr
 
 _BATCH_ELEMENTS = 4_000_000
 _CHUNK_ELEMENTS = 1 << 16
+_EXACT_BLOCK = 1 << 16
 
 
 class EnvelopeError(ValueError):
@@ -256,6 +286,48 @@ def sample_stable_many(
     return out, plan
 
 
+def _exact_block(alpha: float, weights: np.ndarray, nblock: int,
+                 gen: np.random.Generator) -> np.ndarray:
+    """One block of the exact draw contract: Y_j per sample and atom, (nblock, natoms)."""
+    shape = (nblock, weights.size)
+    # t = U - 1/2 + 2^-54 is an odd multiple of 2^-54 in (-1/2, 1/2), exactly
+    t = gen.random(shape) - 0.5 + 2.0**-54
+    w_exp = gen.standard_exponential(shape)
+    # phi = V + pi/2 in (0, pi); 1/2 + t is exact where phi < pi/2, and
+    # 1/2 - |t| keeps sin(phi) = cos(V) relatively accurate at both ends
+    phi = math.pi * (0.5 + t)
+    sin_phi = np.sin(math.pi * (0.5 - np.abs(t)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if alpha == 1.0:
+            # sigma X + mu with sigma = w pi/2: the 2/pi of the standard draw
+            # and the log sigma of the scaling rule combine with the drift
+            y = weights * (1.0 - np.euler_gamma + np.log(weights)
+                           - phi * np.cos(phi) / sin_phi - np.log(w_exp * sin_phi / phi))
+        else:
+            # sigma times the standard draw's constant |cos(pi alpha/2)|^(-1/alpha)
+            # is (w |Gamma(1-alpha)|)^(1/alpha); with beta = 1 the CMS angles
+            # become multiples of phi, and both brackets stay finite as phi -> 0
+            scale = (weights * abs(math.gamma(1.0 - alpha))) ** (1.0 / alpha)
+            y = math.copysign(1.0, 1.0 - alpha) * scale * (
+                np.sin(alpha * phi) / sin_phi
+                * (np.sin(abs(1.0 - alpha) * phi) / (w_exp * sin_phi)) ** ((1.0 - alpha) / alpha))
+    if not np.all(np.isfinite(y)):
+        raise FloatingPointError(f"a stable draw at alpha = {alpha} is not finite")
+    return y
+
+
+def sample_stable_exact(params: StableParams, nsamples: int, rng: RngStream) -> np.ndarray:
+    """Draw ``nsamples`` vectors exactly, one Chambers-Mallows-Stuck variable
+    per spectral atom (see the module docstring for the law and the draws)."""
+    spec = params.spectral
+    out = np.empty((nsamples, params.dim))
+    for index, start in enumerate(range(0, nsamples, _EXACT_BLOCK)):
+        stop = min(start + _EXACT_BLOCK, nsamples)
+        gen = rng.substream(index).generator()
+        out[start:stop] = _exact_block(params.alpha, spec.weights, stop - start, gen) @ spec.directions
+    return out
+
+
 # -- Levy measure quadrature --------------------------------------------------
 
 
@@ -405,13 +477,11 @@ def dimone_residual(
     tol: float = 1e-6,
     reps: int = 10**6,
     rng: RngStream | None = None,
-    trunc_tol: float = 1e-3,
-    nterms: int | None = None,
 ) -> IdentityResidual:
     """Residual of x f(x) = theta alpha^2 * Levy-kernel integral of the CDF increments.
 
     ``closed_form_levy`` (alpha = 1/2 only) evaluates both sides from the
-    explicit density; ``monte_carlo`` estimates them from LePage samples of
+    explicit density; ``monte_carlo`` estimates them from exact samples of
     the positive law (this is the radius-vector identity specialized to one
     dimension, so it delegates to that machinery).
     """
@@ -435,8 +505,7 @@ def dimone_residual(
         # radius-vector identity in one dimension; x often sits on a steep
         # flank of the density, so use a narrower smoothing kernel there
         params = StableParams(alpha, SpectralMeasure.positive_half_line(theta))
-        return radvec_residual(params, x, reps, rng, trunc_tol=trunc_tol, nterms=nterms,
-                               bandwidth=0.8 * x * reps ** (-0.25))
+        return radvec_residual(params, x, reps, rng, bandwidth=0.8 * x * reps ** (-0.25))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -448,10 +517,13 @@ def alphadens1_residual(
     tol: float = 1e-6,
     reps: int = 10**6,
     rng: RngStream | None = None,
-    trunc_tol: float = 1e-3,
-    nterms: int | None = None,
 ) -> IdentityResidual:
-    """Residual of f(x) + x f'(x) = theta alpha^2 * Levy-kernel integral of density increments."""
+    """Residual of f(x) + x f'(x) = theta alpha^2 * Levy-kernel integral of density increments.
+
+    ``closed_form_levy`` (alpha = 1/2 only) evaluates both sides from the
+    explicit density; ``monte_carlo`` estimates them from exact samples of
+    the positive law.
+    """
     if not 0.0 < alpha < 1.0 or theta <= 0 or x <= 0:
         raise ValueError("need alpha in (0,1), theta > 0, x > 0")
     if method == "closed_form_levy":
@@ -468,7 +540,7 @@ def alphadens1_residual(
     if method == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo needs an RngStream")
-        return _alphadens1_mc(alpha, theta, x, reps, rng, trunc_tol, nterms)
+        return _alphadens1_mc(alpha, theta, x, reps, rng)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -503,7 +575,7 @@ def _radial_nodes(alpha: float, eps: float, smax: float, piece_len: float = 1.5)
 
 @dataclass(frozen=True)
 class RadvecResult(IdentityResidual):
-    plan: TruncationPlan | None = None
+    plan: TruncationPlan | None = None  # None: the samples are exact, not truncated
     lowcut: float = 0.0
     tail_start: float = 0.0
 
@@ -513,16 +585,20 @@ def radvec_residual(
     r: float,
     reps: int,
     rng: RngStream,
-    trunc_tol: float = 1e-3,
-    nterms: int | None = None,
+    *,
     bandwidth: float | None = None,
+    nterms: int | None = None,
 ) -> RadvecResult:
     """Residual of r f_|xi|(r) = alpha * Levy integral of radius-ball probability increments.
 
-    Both sides are estimated from one pool of LePage samples split into 50
-    blocks; the block residuals give the standard error.  The radial quadrature
-    runs on [lowcut, tail_start]; beyond tail_start the bracket is within MC
-    noise of P(|xi| <= r), whose contribution is added in closed form.
+    Both sides are estimated from one pool of exact samples
+    (``sample_stable_exact``) split into 50 blocks, block b drawn from
+    ``rng.substream(b)``; the block residuals give the standard error.  The
+    radial quadrature runs on [lowcut, tail_start]; beyond tail_start the
+    bracket is within MC noise of P(|xi| <= r), whose contribution is added in
+    closed form.  ``nterms`` is accepted and ignored: it set the LePage series
+    length when the samples came from that series, and callers still pass it.
+    ``RadvecResult.plan`` is None.
     """
     nblocks = 50
     if r <= 0 or reps < nblocks * 2:
@@ -544,13 +620,12 @@ def radvec_residual(
     s_nodes, s_weights = _radial_nodes(alpha, eps_low, tail_start)
     probs = spec.probabilities
     dirs = spec.directions
-    plan = truncation_plan(params, trunc_tol=trunc_tol, nterms=nterms)
 
     block = reps // nblocks
     lhs_blocks = np.empty(nblocks)
     rhs_blocks = np.empty(nblocks)
     for b in range(nblocks):
-        xi, _ = sample_stable_many(params, block, rng.substream(b), nterms=plan.nterms)
+        xi = sample_stable_exact(params, block, rng.substream(b))
         radius = np.abs(xi[:, 0]) if params.dim == 1 else np.linalg.norm(xi, axis=1)
         radius.sort()
         n = float(block)
@@ -583,13 +658,12 @@ def radvec_residual(
     lhs = float(lhs_blocks.mean())
     rhs = float(rhs_blocks.mean())
     flip = abs(lhs + rhs) < abs(lhs - rhs)
-    return RadvecResult(lhs, rhs, mean, stderr, flip, plan, eps_low, tail_start)
+    return RadvecResult(lhs, rhs, mean, stderr, flip, None, eps_low, tail_start)
 
 
-def _alphadens1_mc(alpha, theta, x, reps, rng, trunc_tol, nterms):
-    """Density-increment identity from samples; derivative via CDF second differences."""
+def _alphadens1_mc(alpha, theta, x, reps, rng):
+    """Density-increment identity from exact samples; derivative via CDF second differences."""
     params = StableParams(alpha, SpectralMeasure.positive_half_line(theta))
-    plan = truncation_plan(params, trunc_tol=trunc_tol, nterms=nterms)
     nblocks = 50
     block = reps // nblocks
     h1 = 0.8 * x * reps ** (-0.2)
@@ -602,8 +676,7 @@ def _alphadens1_mc(alpha, theta, x, reps, rng, trunc_tol, nterms):
     lhs_blocks = np.empty(nblocks)
     rhs_blocks = np.empty(nblocks)
     for b in range(nblocks):
-        draws, _ = sample_stable_many(params, block, rng.substream(b), nterms=plan.nterms)
-        xi = np.sort(draws[:, 0])
+        xi = np.sort(sample_stable_exact(params, block, rng.substream(b))[:, 0])
         n = float(block)
         cdf = lambda t: np.searchsorted(xi, t, side="right") / n
         dens = lambda t, h: (cdf(t + h) - cdf(t - h)) / (2.0 * h)

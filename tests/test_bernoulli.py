@@ -167,6 +167,35 @@ class TestRussoDerivative:
             assert np.all(eminus == 0)
 
 
+class TestThetaRange:
+    """Every route that takes a success probability refuses one outside [0, 1]."""
+
+    EV = bn.threshold_event(2, 1)
+    ROUTES = {
+        "probability": lambda th: bn.event_polynomial(TestThetaRange.EV).probability(th),
+        "derivative": lambda th: bn.event_polynomial(TestThetaRange.EV).derivative(th),
+        "russo_derivative": lambda th: bn.russo_derivative(TestThetaRange.EV, th),
+        "russo_pivotal_expectations": lambda th: bn.russo_pivotal_expectations(TestThetaRange.EV, th),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("theta", [1.5, -0.1, 1.0 + 1e-15, np.nan, np.inf, -np.inf,
+                                       [0.3, 1.5], np.array([[0.2], [np.nan]])])
+    def test_outside_the_unit_interval_raises(self, route, theta):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            self.ROUTES[route](theta)
+
+    def test_ends_of_the_interval_are_accepted(self):
+        # P(S_2 >= 1) = 2 t - t^2; at t = 0 both bits are (+)-pivotal, at t = 1 neither
+        ends = np.array([0.0, 1.0])
+        assert self.ROUTES["probability"](ends).tolist() == [0.0, 1.0]
+        assert self.ROUTES["derivative"](ends).tolist() == [2.0, 0.0]
+        assert self.ROUTES["russo_derivative"](ends).tolist() == [2.0, 0.0]
+        plus, minus = self.ROUTES["russo_pivotal_expectations"](ends)
+        assert (plus.tolist(), minus.tolist()) == ([2.0, 0.0], [0.0, 0.0])
+        assert [self.ROUTES["russo_derivative"](th) for th in (0.0, 1.0)] == [2.0, 0.0]
+
+
 class TestIdentityReports:
     def test_binomial_simple(self):
         rep = bn.identity_report_binomial(2, 1, 0.5)

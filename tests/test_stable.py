@@ -20,6 +20,7 @@ from pivotal.stable import (
     positive_half_pdf,
     positive_half_pdf_deriv,
     radvec_residual,
+    sample_stable_exact,
     sample_stable_many,
     tail_meansq_sum,
     truncation_plan,
@@ -366,6 +367,129 @@ class TestLepageKernel:
             assert p > 0.005
 
 
+class _EdgeDraws:
+    """A generator that hands out fixed uniforms, then fixed exponentials, each
+    tiled over the requested shape; it records the calls in order."""
+
+    def __init__(self, uniforms, exponentials):
+        self.values = {"random": np.asarray(uniforms, dtype=float),
+                       "standard_exponential": np.asarray(exponentials, dtype=float)}
+        self.calls = []
+
+    def _tile(self, name, shape):
+        self.calls.append((name, shape))
+        return np.resize(self.values[name], shape)
+
+    def random(self, shape):
+        return self._tile("random", shape)
+
+    def standard_exponential(self, shape):
+        return self._tile("standard_exponential", shape)
+
+
+def _cauchy_projection(spec, axis):
+    """Law of coordinate ``axis`` of a centered alpha = 1 vector: Cauchy with
+    scale sum |a_j| w_j pi/2 and location -sum a_j w_j log|a_j|, a_j = u_j[axis]
+    (the skewness sum a_j w_j vanishes because the measure is centered)."""
+    a = spec.directions[:, axis]
+    w = spec.weights
+    loc = -float(np.sum(w * a * np.log(np.where(a != 0.0, np.abs(a), 1.0))))
+    return stats.cauchy(loc=loc, scale=float(np.sum(np.abs(a) * w)) * math.pi / 2.0)
+
+
+class TestExactSampler:
+    @pytest.mark.parametrize("alpha, spec, nterms, seed", [
+        (0.5, SpectralMeasure.positive_half_line(1.0), None, 1),
+        (0.8, UNCENTRED_3, None, 2),
+        (1.0, SpectralMeasure.symmetric_pair(1.0), 1000, 3),
+        (1.5, SpectralMeasure.symmetric_pair(1.0), 2000, 4),
+    ])
+    def test_law_matches_lepage(self, alpha, spec, nterms, seed):
+        # every coordinate at p > 0.005
+        params = StableParams(alpha, spec)
+        exact = sample_stable_exact(params, 10_000, RngStream(92, seed))
+        lepage, _ = sample_stable_many(params, 10_000, RngStream(93, seed), trunc_tol=3e-3, nterms=nterms)
+        for axis in range(params.dim):
+            _, p = ks_two_sample(exact[:, axis], lepage[:, axis])
+            assert p > 0.005
+
+    def test_centred_planar_alpha_one_keeps_the_log_drift(self):
+        # unequal weights: sum_j u_j w_j log w_j = (1.2 log 1.2, 0) does not
+        # cancel, and without it the first coordinate fails its Cauchy oracle
+        params = StableParams(1.0, CENTRED_3)
+        draws = sample_stable_exact(params, 20_000, RngStream(94))
+        drift = (CENTRED_3.weights * np.log(CENTRED_3.weights)) @ CENTRED_3.directions
+        assert drift[0] == pytest.approx(1.2 * math.log(1.2), rel=1e-15) and drift[1] == 0.0
+        for axis in range(2):
+            assert stats.kstest(draws[:, axis], _cauchy_projection(CENTRED_3, axis).cdf).pvalue > 0.01
+        assert stats.kstest(draws[:, 0] - drift[0], _cauchy_projection(CENTRED_3, 0).cdf).pvalue < 1e-6
+        lepage, _ = sample_stable_many(params, 20_000, RngStream(95), nterms=1000)
+        for axis in range(2):
+            assert ks_two_sample(draws[:, axis], lepage[:, axis])[1] > 0.01
+
+    def test_half_index_matches_erfc(self):
+        draws = sample_stable_exact(StableParams(0.5, SpectralMeasure.positive_half_line(1.3)), 20_000,
+                                    RngStream(96))
+        assert np.all(draws > 0.0)
+        assert stats.kstest(draws[:, 0], lambda x: positive_half_cdf(x, 1.3)).pvalue > 0.01
+
+    def test_alpha_08_matches_levy_stable(self):
+        # sigma^alpha = w Gamma(1 - alpha) cos(pi alpha / 2), beta = 1, in
+        # scipy's S1 parametrization
+        alpha, w = 0.8, 1.3
+        sigma = (w * math.gamma(1.0 - alpha) * math.cos(math.pi * alpha / 2.0)) ** (1.0 / alpha)
+        draws = sample_stable_exact(StableParams(alpha, SpectralMeasure.positive_half_line(w)), 5000,
+                                    RngStream(97))
+        assert stats.kstest(draws[:, 0], stats.levy_stable(alpha, 1.0, scale=sigma).cdf).pvalue > 0.01
+
+    def test_same_stream_same_array(self):
+        params = StableParams(0.8, UNCENTRED_3)
+        a = sample_stable_exact(params, 3000, RngStream(98, 5))
+        assert np.array_equal(a, sample_stable_exact(params, 3000, RngStream(98, 5)))
+        assert not np.array_equal(a, sample_stable_exact(params, 3000, RngStream(98, 6)))
+
+    @pytest.mark.parametrize("alpha, spec", [(0.7, UNCENTRED_3), (1.0, CENTRED_3)])
+    def test_block_i_draws_from_substream_i(self, monkeypatch, alpha, spec):
+        # 1000 samples in blocks of 300: three full blocks and one of 100
+        monkeypatch.setattr(stable, "_EXACT_BLOCK", 300)
+        params = StableParams(alpha, spec)
+        rng = RngStream(99, 2)
+        got = sample_stable_exact(params, 1000, rng)
+        want = np.concatenate([
+            stable._exact_block(alpha, spec.weights, n, rng.substream(i).generator()) @ spec.directions
+            for i, n in enumerate((300, 300, 300, 100))])
+        assert np.array_equal(got, want)
+
+    def test_uniforms_then_exponentials_one_array_each(self):
+        gen = _EdgeDraws([0.25], [1.0])
+        stable._exact_block(0.8, UNCENTRED_3.weights, 7, gen)
+        assert gen.calls == [("random", (7, 3)), ("standard_exponential", (7, 3))]
+
+    @pytest.mark.parametrize("alpha, spec", [
+        (0.5, SpectralMeasure.positive_half_line(1.0)),
+        (0.8, SpectralMeasure.positive_half_line(1.0)),
+        (1.0, CENTRED_3),
+        (1.5, CENTRED_3),
+    ])
+    def test_edge_draws_stay_finite(self, alpha, spec):
+        # U at both ends of [0, 1) puts V next to -pi/2 and +pi/2; 2^-64 lies
+        # below the smallest positive exponential NumPy's ziggurat returns,
+        # and 45 above its largest
+        uniforms = [0.0, 1.0 - 2.0**-53, 2.0**-53, 0.5, 0.5 - 2.0**-53]
+        exponentials = [2.0**-64, 1.0, 45.0]
+        gen = _EdgeDraws(uniforms, exponentials)
+        y = stable._exact_block(alpha, spec.weights, 15, gen)  # every pairing of the two lists
+        assert np.all(np.isfinite(y))
+        if alpha < 1.0:
+            assert np.all(y >= 0.0)
+
+    def test_an_infinite_draw_raises(self):
+        # W = 0 sends the positive law to +infinity
+        gen = _EdgeDraws([0.3], [0.0])
+        with pytest.raises(FloatingPointError):
+            stable._exact_block(0.5, np.array([1.0]), 4, gen)
+
+
 class TestTruncationBound:
     @pytest.mark.parametrize("alpha, nterms", [(0.5, None), (0.8, 50)])
     def test_rms_gap_to_a_long_continuation_meets_the_bound(self, alpha, nterms):
@@ -493,13 +617,19 @@ class TestRadiusIdentity:
 
     def test_symmetric_one_dimensional(self):
         params = StableParams(1.0, SpectralMeasure.symmetric_pair(1.0))
-        res = radvec_residual(params, 1.0, 100_000, RngStream(83), nterms=1000)
+        res = radvec_residual(params, 1.0, 100_000, RngStream(83))
         assert abs(res.residual) <= 4.0 * res.stderr
 
     def test_planar_four_atoms(self):
         params = StableParams(0.8, SpectralMeasure.axis_symmetric(1.0, dim=2))
-        res = radvec_residual(params, 1.0, 100_000, RngStream(84), nterms=800)
+        res = radvec_residual(params, 1.0, 100_000, RngStream(84))
         assert abs(res.residual) <= 4.0 * res.stderr
+
+    def test_samples_are_exact_and_nterms_is_ignored(self):
+        params = StableParams(0.8, SpectralMeasure.axis_symmetric(1.0, dim=2))
+        res = radvec_residual(params, 1.0, 1000, RngStream(85))
+        assert res.plan is None
+        assert radvec_residual(params, 1.0, 1000, RngStream(85), nterms=800) == res
 
     def test_validation(self):
         params = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))
