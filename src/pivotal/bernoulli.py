@@ -130,8 +130,14 @@ class EventPolynomial:
 def _success_probability(theta) -> np.ndarray:
     """``theta`` as a float array; ValueError unless every entry lies in [0, 1]."""
     theta = np.asarray(theta, dtype=float)
-    # the finiteness test comes first, so NaN never reaches a comparison
-    if not (np.all(np.isfinite(theta)) and np.all((theta >= 0.0) & (theta <= 1.0))):
+    # NaN fails a Python comparison, and the array test checks finiteness
+    # first, so NaN never reaches a NumPy comparison; the scalar test is the
+    # cheap one because the Russo routes are called one theta at a time
+    if theta.ndim == 0:
+        ok = 0.0 <= float(theta) <= 1.0
+    else:
+        ok = bool(np.all(np.isfinite(theta))) and bool(np.all((theta >= 0.0) & (theta <= 1.0)))
+    if not ok:
         raise ValueError("theta must lie in [0, 1]")
     return theta
 
