@@ -38,7 +38,6 @@ class BooleanEvent:
 
     nbits: int
     indicator: Callable
-    monotone: bool = False
 
 
 def _eval_indicator(event: BooleanEvent, bits: np.ndarray) -> np.ndarray:
@@ -206,7 +205,7 @@ def russo_pivotal_expectations(event: BooleanEvent, theta):
 
 def threshold_event(m: int, k: int) -> BooleanEvent:
     """A = {at least k of m bits are 1} (monotone)."""
-    return BooleanEvent(m, lambda bits: bits.sum(axis=1) >= k, monotone=True)
+    return BooleanEvent(m, lambda bits: bits.sum(axis=1) >= k)
 
 
 def dnf_event(m: int, clauses: list[tuple[int, ...]]) -> BooleanEvent:
@@ -219,7 +218,7 @@ def dnf_event(m: int, clauses: list[tuple[int, ...]]) -> BooleanEvent:
             out |= bits[:, c].all(axis=1)
         return out
 
-    return BooleanEvent(m, indicator, monotone=True)
+    return BooleanEvent(m, indicator)
 
 
 def random_monotone_dnf(m: int, rng: RngStream, max_clauses: int = 4) -> BooleanEvent:

@@ -57,9 +57,10 @@ array in row chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's
 generators fill arrays sequentially, so the chunking does not change the
 draws, only the order in which the terms are summed.
 
-The identity estimators (``radvec_residual``, the Monte Carlo routes of
-``dimone_residual`` and ``alphadens1_residual``) take their samples from the
-exact sampler.
+Monte Carlo block contract: the identity estimators (``radvec_residual``,
+the Monte Carlo routes of ``dimone_residual`` and ``alphadens1_residual``)
+need reps >= 100; they draw 50 blocks (``_NBLOCKS``) of reps // 50 exact
+samples, block b from ``rng.substream(b)``, and never the reps % 50 left over.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .summaries import mean_stderr
 _BATCH_ELEMENTS = 4_000_000
 _CHUNK_ELEMENTS = 1 << 16
 _EXACT_BLOCK = 1 << 16
+_NBLOCKS = 50
 
 
 class EnvelopeError(ValueError):
@@ -275,14 +277,10 @@ def sample_stable_many(
     plan = truncation_plan(params, trunc_tol=trunc_tol, nterms=nterms)
     batch = max(1, min(nsamples, _BATCH_ELEMENTS // plan.nterms))
     out = np.empty((nsamples, params.dim))
-    got = 0
-    index = 0
-    while got < nsamples:
-        take = min(batch, nsamples - got)
+    for index, start in enumerate(range(0, nsamples, batch)):
+        stop = min(start + batch, nsamples)
         gen = rng.substream(index).generator()
-        out[got : got + take] = _sample_batch(params, take, plan.atom_terms, gen)
-        got += take
-        index += 1
+        out[start:stop] = _sample_batch(params, stop - start, plan.atom_terms, gen)
     return out, plan
 
 
@@ -455,18 +453,59 @@ class IdentityResidual:
     sign_flip_suspected: bool = False
 
 
-def _full_kernel_integral(g, alpha: float, theta: float, x: float,
-                          boundary_value: float, lipschitz: float, tol: float) -> float:
-    """theta * alpha^2 * [ int_0^x g(z) z^(-alpha-1) dz + boundary_value * x^-alpha / alpha ].
+def _half_line_identity(order: int, alpha: float, theta: float, x: float, method: str,
+                        tol: float, reps: int, rng: RngStream | None) -> IdentityResidual:
+    """The CDF identity of the positive law (order 0, G = F) or its x-derivative
+    (order 1, G = f): x f(x), resp. f(x) + x f'(x), equals theta alpha^2
+    [int_0^x (G(x) - G(x - z)) z^(-alpha-1) dz + G(x) x^-alpha / alpha].  The
+    second term is the closed-form contribution of radii beyond x, where the
+    bracket is constant; the identities fail by exactly this amount if it is
+    dropped."""
+    if not 0.0 < alpha < 1.0 or theta <= 0 or x <= 0:
+        raise ValueError("need alpha in (0,1), theta > 0, x > 0")
+    if method == "closed_form_levy":
+        if alpha != 0.5:
+            raise ValueError("closed forms are available only for alpha = 1/2")
+        if order == 0:
+            G = lambda y: positive_half_cdf(y, theta)
+            lhs = x * positive_half_pdf(x, theta)
+            lipschitz = positive_half_pdf(levy_location_scale(theta) / 3.0, theta)  # f at its mode
+        else:
+            G = lambda y: positive_half_pdf(y, theta)
+            lhs = G(x) + x * positive_half_pdf_deriv(x, theta)
+            grid = np.concatenate([np.logspace(-6, 0, 200) * x, np.linspace(x * 1e-3, x, 400)])
+            lipschitz = float(np.max(np.abs(positive_half_pdf_deriv(grid, theta))))
+        inner = power_singular_integral(lambda z: G(x) - G(x - z), alpha, x, tol=tol, lipschitz=lipschitz)
+        rhs = theta * alpha**2 * (inner + G(x) * x**-alpha / alpha)
+        return IdentityResidual(lhs, rhs, lhs - rhs)
+    if method != "monte_carlo":
+        raise ValueError(f"unknown method {method!r}")
+    if rng is None:
+        raise ValueError("monte_carlo needs an RngStream")
+    params = StableParams(alpha, SpectralMeasure.positive_half_line(theta))
+    if order == 0:
+        # the radius-vector identity in one dimension; x often sits on a
+        # steep flank of the density, so smooth less than its default there
+        return radvec_residual(params, x, reps, rng, bandwidth=0.8 * x * reps ** (-0.25))
+    # the density and its derivative from CDF first and second differences
+    s_nodes, s_weights = _radial_nodes(alpha, 1e-6 * x, x)
+    keep = s_nodes <= x  # the nodes below s = 1 reach past x < 1
+    s_nodes, s_weights = s_nodes[keep], s_weights[keep]
 
-    ``g`` maps an array of radii to an array of values.
+    def sides(xi):
+        h1 = 0.8 * x * reps ** (-0.2)
+        h2 = 3.0 * x * reps ** (-1.0 / 7.0)
+        xs = np.sort(xi[:, 0])
+        n = float(len(xs))
+        cdf = lambda t: np.searchsorted(xs, t, side="right") / n
+        dens = lambda t, h: (cdf(t + h) - cdf(t - h)) / (2.0 * h)
+        f_x = dens(x, h1)
+        fp_x = (cdf(x + h2) - 2.0 * cdf(x) + cdf(x - h2)) / (h2 * h2)
+        incr = f_x - dens(x - s_nodes, h1)
+        integral = float(np.dot(s_weights, incr)) + f_x * x**-alpha
+        return f_x + x * fp_x, alpha * theta * integral
 
-    The second term is the closed-form contribution of radii beyond x, where
-    the bracket is constant; the identities fail by exactly this amount if it
-    is dropped.
-    """
-    inner = power_singular_integral(g, alpha, x, tol=tol, lipschitz=lipschitz)
-    return theta * alpha**2 * (inner + boundary_value * x**-alpha / alpha)
+    return _block_residual(params, reps, rng, sides)
 
 
 def dimone_residual(
@@ -485,28 +524,7 @@ def dimone_residual(
     the positive law (this is the radius-vector identity specialized to one
     dimension, so it delegates to that machinery).
     """
-    if not 0.0 < alpha < 1.0 or theta <= 0 or x <= 0:
-        raise ValueError("need alpha in (0,1), theta > 0, x > 0")
-    if method == "closed_form_levy":
-        if alpha != 0.5:
-            raise ValueError("closed forms are available only for alpha = 1/2")
-        F = lambda y: positive_half_cdf(y, theta)
-        lhs = x * positive_half_pdf(x, theta)
-        c = levy_location_scale(theta)
-        fmax = positive_half_pdf(c / 3.0, theta)  # mode of the density
-        rhs = _full_kernel_integral(
-            lambda z: F(x) - F(x - z), alpha, theta, x, F(x), fmax, tol
-        )
-        return IdentityResidual(lhs, rhs, lhs - rhs)
-    if method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo needs an RngStream")
-        # the positive law restricted to the half line makes this the
-        # radius-vector identity in one dimension; x often sits on a steep
-        # flank of the density, so use a narrower smoothing kernel there
-        params = StableParams(alpha, SpectralMeasure.positive_half_line(theta))
-        return radvec_residual(params, x, reps, rng, bandwidth=0.8 * x * reps ** (-0.25))
-    raise ValueError(f"unknown method {method!r}")
+    return _half_line_identity(0, alpha, theta, x, method, tol, reps, rng)
 
 
 def alphadens1_residual(
@@ -524,60 +542,42 @@ def alphadens1_residual(
     explicit density; ``monte_carlo`` estimates them from exact samples of
     the positive law.
     """
-    if not 0.0 < alpha < 1.0 or theta <= 0 or x <= 0:
-        raise ValueError("need alpha in (0,1), theta > 0, x > 0")
-    if method == "closed_form_levy":
-        if alpha != 0.5:
-            raise ValueError("closed forms are available only for alpha = 1/2")
-        f = lambda y: positive_half_pdf(y, theta)
-        lhs = f(x) + x * positive_half_pdf_deriv(x, theta)
-        grid = np.concatenate([np.logspace(-6, 0, 200) * x, np.linspace(x * 1e-3, x, 400)])
-        dmax = float(np.max(np.abs(positive_half_pdf_deriv(grid, theta))))
-        rhs = _full_kernel_integral(
-            lambda z: f(x) - f(x - z), alpha, theta, x, f(x), dmax, tol
-        )
-        return IdentityResidual(lhs, rhs, lhs - rhs)
-    if method == "monte_carlo":
-        if rng is None:
-            raise ValueError("monte_carlo needs an RngStream")
-        return _alphadens1_mc(alpha, theta, x, reps, rng)
-    raise ValueError(f"unknown method {method!r}")
+    return _half_line_identity(1, alpha, theta, x, method, tol, reps, rng)
 
 
-def _radial_nodes(alpha: float, eps: float, smax: float, piece_len: float = 1.5):
+def _radial_nodes(alpha: float, eps: float, smax: float):
     """Radial quadrature nodes/weights for alpha * s^(-alpha-1) ds on [eps, smax],
-    log-substituted on both sides of s = 1.  Returns (s, w) with
-    sum w_i g(s_i) ~ int_eps^smax g(s) alpha s^(-alpha-1) ds."""
+    log-substituted on both sides of s = 1 in pieces of log-length <= 1.5.
+    Returns (s, w) with sum w_i g(s_i) ~ int_eps^smax g(s) alpha s^(-alpha-1) ds."""
     glx, glw = _gl_nodes(16)
     ss, ww = [], []
-
-    def add(u0, u1, sign):
-        um = 0.5 * (u0 + u1)
-        uh = 0.5 * (u1 - u0)
-        u = um + uh * glx
-        s = np.exp(sign * u)
-        ss.append(s)
-        ww.append(uh * glw * alpha * np.exp(-sign * alpha * u))
-        # jacobian: alpha s^(-alpha-1) ds -> alpha e^(-sign*alpha*u) du
-
-    if eps < 1.0:
-        umax = math.log(1.0 / eps)
-        n = max(1, int(math.ceil(umax / piece_len)))
+    # s = e^(sign u) for u in (0, umax]; umax <= 0 (eps >= 1 or smax <= 1) leaves a side empty
+    for umax, sign in ((math.log(1.0 / eps), -1.0), (math.log(smax), 1.0)):
+        n = max(1, int(math.ceil(umax / 1.5))) if umax > 0.0 else 0
         for i in range(n):
-            add(i * umax / n, (i + 1) * umax / n, -1.0)
-    if smax > 1.0:
-        umax = math.log(smax)
-        n = max(1, int(math.ceil(umax / piece_len)))
-        for i in range(n):
-            add(i * umax / n, (i + 1) * umax / n, +1.0)
+            u0, u1 = i * umax / n, (i + 1) * umax / n
+            uh = 0.5 * (u1 - u0)
+            u = 0.5 * (u0 + u1) + uh * glx
+            ss.append(np.exp(sign * u))
+            # jacobian: alpha s^(-alpha-1) ds -> alpha e^(-sign*alpha*u) du
+            ww.append(uh * glw * alpha * np.exp(-sign * alpha * u))
     return np.concatenate(ss), np.concatenate(ww)
 
 
-@dataclass(frozen=True)
-class RadvecResult(IdentityResidual):
-    plan: TruncationPlan | None = None  # None: the samples are exact, not truncated
-    lowcut: float = 0.0
-    tail_start: float = 0.0
+def _block_residual(params: StableParams, reps: int, rng: RngStream, sides) -> IdentityResidual:
+    """The Monte Carlo block contract (module docstring).  ``sides`` maps one
+    block's exact samples to its (lhs, rhs) and runs only after the reps
+    check, so widths that divide by a power of reps go inside it."""
+    if reps < 2 * _NBLOCKS:
+        raise ValueError(f"need reps >= {2 * _NBLOCKS}")
+    lhs_blocks = np.empty(_NBLOCKS)
+    rhs_blocks = np.empty(_NBLOCKS)
+    for b in range(_NBLOCKS):
+        lhs_blocks[b], rhs_blocks[b] = sides(sample_stable_exact(params, reps // _NBLOCKS, rng.substream(b)))
+    mean, stderr = mean_stderr(lhs_blocks - rhs_blocks)
+    lhs = float(lhs_blocks.mean())
+    rhs = float(rhs_blocks.mean())
+    return IdentityResidual(lhs, rhs, mean, stderr, abs(lhs + rhs) < abs(lhs - rhs))
 
 
 def radvec_residual(
@@ -588,21 +588,18 @@ def radvec_residual(
     *,
     bandwidth: float | None = None,
     nterms: int | None = None,
-) -> RadvecResult:
+) -> IdentityResidual:
     """Residual of r f_|xi|(r) = alpha * Levy integral of radius-ball probability increments.
 
-    Both sides are estimated from one pool of exact samples
-    (``sample_stable_exact``) split into 50 blocks, block b drawn from
-    ``rng.substream(b)``; the block residuals give the standard error.  The
-    radial quadrature runs on [lowcut, tail_start]; beyond tail_start the
-    bracket is within MC noise of P(|xi| <= r), whose contribution is added in
-    closed form.  ``nterms`` is accepted and ignored: it set the LePage series
-    length when the samples came from that series, and callers still pass it.
-    ``RadvecResult.plan`` is None.
+    Both sides are estimated block by block from exact samples (the Monte
+    Carlo block contract of the module docstring).  The radial quadrature
+    runs on [eps_low, tail_start]; beyond tail_start the bracket is within MC
+    noise of P(|xi| <= r), whose contribution is added in closed form.
+    ``nterms`` is accepted and ignored: it set the LePage series length when
+    the samples came from that series, and callers still pass it.
     """
-    nblocks = 50
-    if r <= 0 or reps < nblocks * 2:
-        raise ValueError("need r > 0 and reps >= 100")
+    if r <= 0:
+        raise ValueError("need r > 0")
     alpha = params.alpha
     spec = params.spectral
     theta = spec.total_mass
@@ -611,27 +608,20 @@ def radvec_residual(
     # keeps near-sphere indicator noise out without measurable bias
     eps_low = (5e-3 if symmetric else 1e-6) * r
     tail_start = max(8.0 * r, (500.0 * theta * (1.0 + theta)) ** (1.0 / alpha), math.e)
-    if bandwidth is None:
-        # reps^(-1/5) smoothing; the small constant keeps the curvature bias
-        # of the central difference below the reported stderr even when r
-        # sits in a steep flank of the density
-        bandwidth = 0.8 * r * reps ** (-0.2)
-
     s_nodes, s_weights = _radial_nodes(alpha, eps_low, tail_start)
     probs = spec.probabilities
     dirs = spec.directions
 
-    block = reps // nblocks
-    lhs_blocks = np.empty(nblocks)
-    rhs_blocks = np.empty(nblocks)
-    for b in range(nblocks):
-        xi = sample_stable_exact(params, block, rng.substream(b))
+    def sides(xi):
+        # reps^(-1/5) smoothing by default; the small constant keeps the
+        # curvature bias of the central difference below the reported stderr
+        # even when r sits in a steep flank of the density
+        h = 0.8 * r * reps ** (-0.2) if bandwidth is None else bandwidth
         radius = np.abs(xi[:, 0]) if params.dim == 1 else np.linalg.norm(xi, axis=1)
         radius.sort()
-        n = float(block)
+        n = float(len(xi))
         cdf_at = lambda t: np.searchsorted(radius, t, side="right") / n
-        f_hat = (cdf_at(r + bandwidth) - cdf_at(r - bandwidth)) / (2.0 * bandwidth)
-        lhs_blocks[b] = r * f_hat
+        f_hat = (cdf_at(r + h) - cdf_at(r - h)) / (2.0 * h)
         f_r = cdf_at(r)
 
         integral = 0.0
@@ -652,40 +642,6 @@ def radvec_residual(
                 shifted = np.count_nonzero(d2 <= r * r, axis=0) / n
                 integral += p * float(np.dot(s_weights, f_r - shifted))
         integral += f_r * tail_start**-alpha  # bracket -> P(|xi| <= r) past the cutoff
-        rhs_blocks[b] = alpha * theta * integral
+        return r * f_hat, alpha * theta * integral
 
-    mean, stderr = mean_stderr(lhs_blocks - rhs_blocks)
-    lhs = float(lhs_blocks.mean())
-    rhs = float(rhs_blocks.mean())
-    flip = abs(lhs + rhs) < abs(lhs - rhs)
-    return RadvecResult(lhs, rhs, mean, stderr, flip, None, eps_low, tail_start)
-
-
-def _alphadens1_mc(alpha, theta, x, reps, rng):
-    """Density-increment identity from exact samples; derivative via CDF second differences."""
-    params = StableParams(alpha, SpectralMeasure.positive_half_line(theta))
-    nblocks = 50
-    block = reps // nblocks
-    h1 = 0.8 * x * reps ** (-0.2)
-    h2 = 3.0 * x * reps ** (-1.0 / 7.0)
-    eps_low = 1e-6 * x
-    s_nodes, s_weights = _radial_nodes(alpha, eps_low, x)
-    keep = s_nodes <= x
-    s_nodes, s_weights = s_nodes[keep], s_weights[keep]
-
-    lhs_blocks = np.empty(nblocks)
-    rhs_blocks = np.empty(nblocks)
-    for b in range(nblocks):
-        xi = np.sort(sample_stable_exact(params, block, rng.substream(b))[:, 0])
-        n = float(block)
-        cdf = lambda t: np.searchsorted(xi, t, side="right") / n
-        dens = lambda t, h: (cdf(t + h) - cdf(t - h)) / (2.0 * h)
-        f_x = dens(x, h1)
-        fp_x = (cdf(x + h2) - 2.0 * cdf(x) + cdf(x - h2)) / (h2 * h2)
-        lhs_blocks[b] = f_x + x * fp_x
-        incr = f_x - dens(x - s_nodes, h1)
-        integral = float(np.dot(s_weights, incr)) + f_x * x**-alpha
-        rhs_blocks[b] = alpha * theta * integral
-
-    return IdentityResidual(float(lhs_blocks.mean()), float(rhs_blocks.mean()),
-                            *mean_stderr(lhs_blocks - rhs_blocks))
+    return _block_residual(params, reps, rng, sides)

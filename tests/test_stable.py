@@ -10,6 +10,7 @@ from pivotal import stable
 from pivotal.rng import RngStream
 from pivotal.stable import (
     EnvelopeError,
+    IdentityResidual,
     RadialEnvelope,
     SpectralMeasure,
     StableParams,
@@ -25,6 +26,7 @@ from pivotal.stable import (
     tail_meansq_sum,
     truncation_plan,
 )
+from pivotal.suites import _RADVEC_CASES
 from pivotal.summaries import ks_two_sample
 
 UNCENTRED_3 = SpectralMeasure(np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8]]),
@@ -628,7 +630,7 @@ class TestRadiusIdentity:
     def test_samples_are_exact_and_nterms_is_ignored(self):
         params = StableParams(0.8, SpectralMeasure.axis_symmetric(1.0, dim=2))
         res = radvec_residual(params, 1.0, 1000, RngStream(85))
-        assert res.plan is None
+        assert isinstance(res, IdentityResidual)
         assert radvec_residual(params, 1.0, 1000, RngStream(85), nterms=800) == res
 
     def test_validation(self):
@@ -637,3 +639,73 @@ class TestRadiusIdentity:
             radvec_residual(params, -1.0, 1000, RngStream(85))
         with pytest.raises(ValueError):
             radvec_residual(params, 1.0, 10, RngStream(85))
+
+
+class TestMonteCarloBlocks:
+    """The Monte Carlo block contract shared by the three estimators."""
+
+    POSITIVE = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))
+
+    @pytest.mark.parametrize("reps", [10, 49, 50, 99])
+    def test_every_route_needs_100_reps(self, reps):
+        with pytest.raises(ValueError, match="reps >= 100"):
+            radvec_residual(self.POSITIVE, 1.0, reps, RngStream(96))
+        with pytest.raises(ValueError, match="reps >= 100"):
+            dimone_residual(0.7, 1.0, 1.0, method="monte_carlo", reps=reps, rng=RngStream(96))
+        with pytest.raises(ValueError, match="reps >= 100"):
+            alphadens1_residual(0.5, 1.0, 1.0, method="monte_carlo", reps=reps, rng=RngStream(96))
+
+    def test_density_route_flags_opposite_sides(self):
+        # the block estimate of the right side is negative here, the left side positive
+        res = alphadens1_residual(0.5, 1.0, 1.0, method="monte_carlo", reps=20_000, rng=RngStream(152))
+        assert res.lhs > 0.0 > res.rhs and res.sign_flip_suspected
+
+    def test_left_over_samples_are_not_drawn(self):
+        # 50 blocks of reps // 50 samples: at a fixed bandwidth 5049 reps give the result of 5000
+        for j, params in enumerate((self.POSITIVE, StableParams(0.8, SpectralMeasure.axis_symmetric(1.0)))):
+            assert (radvec_residual(params, 1.0, 5049, RngStream(97, j), bandwidth=0.1)
+                    == radvec_residual(params, 1.0, 5000, RngStream(97, j), bandwidth=0.1))
+
+
+# (lhs, rhs, residual, stderr, sign_flip_suspected), recorded before the
+# estimators shared one block loop and the closed forms one route
+_GOLDEN_RADVEC = {
+    "positive_half": (0.24717612224387653, 0.23668124899445023, 0.010494873249426289, 0.013769533937346643, False),
+    "symmetric_1d": (0.2979845473717845, 0.1746773299523245, 0.12330721741945994, 0.12087309978571828, False),
+    "axis_2d": (0.31308975484224355, 0.3107462690101791, 0.0023434858320644514, 0.030691351792979514, False),
+}
+_GOLDEN_CLOSED = {  # x -> (dimone, alphadens1) at tol = 1e-7
+    0.5: ((0.14699305810781044, 0.14699304677271952, 1.1335090921438251e-08, None, False),
+          (0.3147992533723844, 0.31479925486097615, -1.4885917498652645e-09, None, False)),
+    2.0: ((0.23873053003491101, 0.23873052542360307, 4.6113079466003626e-09, None, False),
+          (-0.012808002549648145, -0.012808001570998463, -9.786496821262425e-10, None, False)),
+}
+
+
+def _fields(res):
+    return (res.lhs, res.rhs, res.residual, res.stderr, res.sign_flip_suspected)
+
+
+class TestIdentityGolden:
+    """Bit-for-bit values of the estimators at 5000 reps on fixed streams."""
+
+    def test_radius_identity_cases(self):
+        for j, (name, params) in enumerate(_RADVEC_CASES):
+            assert _fields(radvec_residual(params, 1.0, 5000, RngStream(140, j))) == _GOLDEN_RADVEC[name]
+
+    def test_monte_carlo_routes(self):
+        assert _fields(dimone_residual(0.7, 1.0, 1.0, method="monte_carlo", reps=5000, rng=RngStream(141))) == (
+            0.018920169343208577, 0.011138915308461164, 0.007781254034747415, 0.006617183754215404, False)
+        assert _fields(alphadens1_residual(0.5, 1.0, 1.0, method="monte_carlo", reps=5000,
+                                           rng=RngStream(142))) == (
+            0.17585207744286244, 0.09154431010546286, 0.08430776733739957, 0.026732298083415512, False)
+        # below x = 1 the density route drops the radial nodes past x
+        assert _fields(alphadens1_residual(0.5, 1.0, 0.5, method="monte_carlo", reps=5000,
+                                           rng=RngStream(144))) == (
+            0.471910033361084, 0.40883686096980126, 0.06307317239128273, 0.08401580560962871, False)
+
+    @pytest.mark.parametrize("x", sorted(_GOLDEN_CLOSED))
+    def test_closed_forms(self, x):
+        cdf, density = _GOLDEN_CLOSED[x]
+        assert _fields(dimone_residual(0.5, 1.0, x, tol=1e-7)) == cdf
+        assert _fields(alphadens1_residual(0.5, 1.0, x, tol=1e-7)) == density
