@@ -28,9 +28,15 @@ Block protocol: estimators and checks evaluate a statistic g on a
 the added points), ``node_differences`` (weighted add-point differences at
 fixed nodes) and ``pivotal_points``.  A restriction of every replicate is the
 view ``ReplicateBlock.restricted``.  The ``Statistic`` defaults evaluate g
-configuration by configuration; a ``CountFunctional``, g(phi) = f(phi(B_1),
-..., phi(B_r)), overrides them with closed forms in the region memberships of
-the points, a whole block at a time, with the same values bit for bit.
+configuration by configuration, once per configuration.  ``node_differences``
+and ``pivotal_points`` build a replicate's configurations grown by one point
+(a node, or a copy of one of its points) or thinned by one in read-only
+(chunk, n +/- 1, dim) arrays of at most ``_BLOCK_POINTS`` points (a larger
+configuration gets an array of its own); g receives one row at a time, and a
+row stays valid after the call.  A ``CountFunctional``, g(phi) =
+f(phi(B_1), ..., phi(B_r)), overrides them with closed forms in the region
+memberships of the points, a whole block at a time, with the same values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -108,9 +114,6 @@ class PointConfiguration:
     def add_atoms(self, zs) -> "PointConfiguration":
         zs = _point_rows(zs, self.dim)
         return PointConfiguration._wrap(self.dim, np.concatenate((self.points, zs)))
-
-    def without_index(self, i: int) -> "PointConfiguration":
-        return PointConfiguration._wrap(self.dim, np.delete(self.points, i, axis=0))
 
     def count_in(self, region: Callable[[np.ndarray], np.ndarray]) -> int:
         if len(self) == 0:
@@ -386,27 +389,68 @@ class Statistic:
         """For each replicate phi: the sum over nodes p, in node order, of
         w_p (g(phi + delta_p) - b), where b is the replicate's entry of ``base``,
         or g(phi) if ``base`` is None."""
+        dim = blk.points.shape[1]
+        nodes = _node_rows(nodes, dim)
         base = self.replicate_values(blk) if base is None else base
         acc = np.zeros(blk.reps)
         for i in range(blk.reps):
-            phi = blk.configuration(i)
-            for p, w in zip(nodes, weights):
-                acc[i] += w * (self.value(phi.add_atom(p)) - base[i])
+            s, b = 0.0, base[i]
+            for grown, w in zip(_grown(blk.configuration(i).points, nodes), weights):
+                s += w * (self.value(PointConfiguration._wrap(dim, grown)) - b)
+            acc[i] = s
         return acc
 
     def pivotal_points(self, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
         """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
         and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
+        dim = blk.points.shape[1]
         r, a = np.zeros(blk.reps), np.zeros(blk.reps)
         for i in range(blk.reps):
             eta = blk.configuration(i)
             if self.value(eta) == 1.0:
-                for j in range(len(eta)):
-                    if self.value(eta.without_index(j)) == 0.0:
+                for fewer, more in zip(_thinned(eta.points), _grown(eta.points, eta.points)):
+                    if self.value(PointConfiguration._wrap(dim, fewer)) == 0.0:
                         r[i] += 1.0
-                    if self.value(eta.add_atom(eta.points[j])) == 0.0:
+                    if self.value(PointConfiguration._wrap(dim, more)) == 0.0:
                         a[i] += 1.0
         return r, a
+
+
+def _node_rows(nodes, dim: int) -> np.ndarray:
+    """``nodes`` as an (n, dim) array, one row per node; a node of another
+    dimension raises ValueError, as ``PointConfiguration.add_atom`` does."""
+    pts = np.asarray(nodes, dtype=float)
+    if dim and pts.ndim and pts.shape[0] and math.prod(pts.shape[1:]) != dim:
+        raise ValueError(f"point has dimension {math.prod(pts.shape[1:])}, expected {dim}")
+    return _point_rows(pts, dim)
+
+
+def _grown(pts: np.ndarray, extra: np.ndarray) -> Iterator[np.ndarray]:
+    """``pts`` followed by each row of ``extra`` in turn: the rows of read-only
+    (chunk, n + 1, dim) arrays of at most ``_BLOCK_POINTS`` points (one row
+    when a single configuration holds more)."""
+    n, dim = pts.shape
+    step = max(1, _BLOCK_POINTS // (n + 1))
+    for j in range(0, extra.shape[0], step):
+        chunk = extra[j : j + step]
+        grown = np.empty((chunk.shape[0], n + 1, dim))
+        grown[:, :n] = pts
+        grown[:, n] = chunk
+        grown.setflags(write=False)
+        yield from grown
+
+
+def _thinned(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """``pts`` without row j, for each j in turn: the rows of read-only
+    (chunk, n - 1, dim) arrays of at most ``_BLOCK_POINTS`` points."""
+    n = pts.shape[0]
+    step = max(1, _BLOCK_POINTS // max(n - 1, 1))
+    kept = np.arange(n - 1)
+    for j in range(0, n, step):
+        dropped = np.arange(j, min(j + step, n))[:, None]
+        thinned = pts[kept + (kept >= dropped)]
+        thinned.setflags(write=False)
+        yield from thinned
 
 
 class CountFunctional(Statistic):

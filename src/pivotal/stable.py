@@ -486,6 +486,8 @@ def _half_line_identity(order: int, alpha: float, theta: float, x: float, method
     if order == 0:
         # the radius-vector identity in one dimension; x often sits on a
         # steep flank of the density, so smooth less than its default there
+        # (a width that divides by a power of reps, so reps is checked first)
+        _check_block_reps(reps)
         return radvec_residual(params, x, reps, rng, bandwidth=0.8 * x * reps ** (-0.25))
     # the density and its derivative from CDF first and second differences
     s_nodes, s_weights = _radial_nodes(alpha, 1e-6 * x, x)
@@ -564,12 +566,16 @@ def _radial_nodes(alpha: float, eps: float, smax: float):
     return np.concatenate(ss), np.concatenate(ww)
 
 
+def _check_block_reps(reps: int) -> None:
+    if reps < 2 * _NBLOCKS:
+        raise ValueError(f"need reps >= {2 * _NBLOCKS}")
+
+
 def _block_residual(params: StableParams, reps: int, rng: RngStream, sides) -> IdentityResidual:
     """The Monte Carlo block contract (module docstring).  ``sides`` maps one
     block's exact samples to its (lhs, rhs) and runs only after the reps
     check, so widths that divide by a power of reps go inside it."""
-    if reps < 2 * _NBLOCKS:
-        raise ValueError(f"need reps >= {2 * _NBLOCKS}")
+    _check_block_reps(reps)
     lhs_blocks = np.empty(_NBLOCKS)
     rhs_blocks = np.empty(_NBLOCKS)
     for b in range(_NBLOCKS):

@@ -418,6 +418,76 @@ class TestBlockMethods:
         for closed, generic in zip(g.pivotal_points(blk), as_generic(g).pivotal_points(blk)):
             assert closed.tolist() == generic.tolist()
 
+    def test_small_chunks(self, case, as_generic, monkeypatch):
+        # 8 points per chunk: the 9 nodes of a replicate of n points span
+        # ceil(9 / max(1, 8 // (n + 1))) chunks, and its thinned copies several too
+        monkeypatch.setattr(point_process, "_BLOCK_POINTS", 8)
+        g, blk = BLOCK_CASES[case]
+        gen = RngStream(38).generator()
+        nodes, weights = gen.random((9, blk.points.shape[1])), gen.random(9)
+        assert g.node_differences(blk, nodes, weights).tolist() == \
+            as_generic(g).node_differences(blk, nodes, weights).tolist()
+        for closed, generic in zip(g.pivotal_points(blk), as_generic(g).pivotal_points(blk)):
+            assert closed.tolist() == generic.tolist()
+
+
+class TestGenericConfigurations:
+    """The ``Statistic`` defaults build the grown and thinned configurations of
+    a replicate in chunked read-only arrays and evaluate g once per configuration."""
+
+    NODES = RngStream(39).generator().random((6, 2))
+
+    @staticmethod
+    def _keeper(value: float = 0.0):
+        kept = []
+
+        def keep(phi):
+            kept.append(phi)
+            return value
+
+        return Statistic(eval=keep), kept
+
+    @pytest.mark.parametrize("block_points", [point_process._BLOCK_POINTS, 8])
+    def test_node_configurations_kept_intact(self, block_points, monkeypatch):
+        monkeypatch.setattr(point_process, "_BLOCK_POINTS", block_points)
+        g, kept = self._keeper()
+        g.node_differences(_PLANE, self.NODES, np.ones(len(self.NODES)), base=np.zeros(_PLANE.reps))
+        expected = [_PLANE.configuration(i).points.tolist() + [p.tolist()]
+                    for i in range(_PLANE.reps) for p in self.NODES]
+        assert [phi.points.tolist() for phi in kept] == expected
+        assert not any(phi.points.flags.writeable for phi in kept)
+
+    @pytest.mark.parametrize("block_points", [point_process._BLOCK_POINTS, 3])
+    def test_pivotal_configurations_kept_intact(self, block_points, monkeypatch):
+        monkeypatch.setattr(point_process, "_BLOCK_POINTS", block_points)
+        g, kept = self._keeper(1.0)
+        g.pivotal_points(_PLANE)
+        expected = []
+        for i in range(_PLANE.reps):
+            pts = _PLANE.configuration(i).points.tolist()
+            expected.append(pts)
+            for j, z in enumerate(pts):
+                expected += [pts[:j] + pts[j + 1:], pts + [z]]
+        assert [phi.points.tolist() for phi in kept] == expected
+        assert not any(phi.points.flags.writeable for phi in kept)
+
+    def test_one_evaluation_per_configuration(self, monkeypatch):
+        calls = []
+        value = Statistic.value
+        monkeypatch.setattr(Statistic, "value", lambda self, phi: calls.append(phi) or value(self, phi))
+        g = Statistic(eval=lambda phi: float(len(phi)))
+        for base, extra in ((np.zeros(_PLANE.reps), 0), (None, _PLANE.reps)):
+            calls.clear()
+            g.node_differences(_PLANE, self.NODES, np.ones(len(self.NODES)), base)
+            assert len(calls) == _PLANE.reps * len(self.NODES) + extra
+
+    @pytest.mark.parametrize("dim, nodes", [(2, np.zeros((4, 3))), (2, np.zeros(4)), (1, np.zeros((3, 2))),
+                                            (0, np.zeros((2, 1)))])
+    def test_nodes_of_another_dimension_raise(self, dim, nodes):
+        blk = _hand_block(dim, [2, 0, 1], 0, 40)
+        with pytest.raises(ValueError):
+            Statistic(eval=lambda phi: 0.0).node_differences(blk, nodes, np.ones(len(nodes)))
+
 
 class TestReplicateBlocks:
     def test_blocks_cover_the_replicates(self):

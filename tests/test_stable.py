@@ -646,7 +646,7 @@ class TestMonteCarloBlocks:
 
     POSITIVE = StableParams(0.5, SpectralMeasure.positive_half_line(1.0))
 
-    @pytest.mark.parametrize("reps", [10, 49, 50, 99])
+    @pytest.mark.parametrize("reps", [-5, 0, 1, 10, 49, 50, 99])
     def test_every_route_needs_100_reps(self, reps):
         with pytest.raises(ValueError, match="reps >= 100"):
             radvec_residual(self.POSITIVE, 1.0, reps, RngStream(96))
