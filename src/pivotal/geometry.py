@@ -404,7 +404,6 @@ def crofton_poisson_check(
     h=None,
     sup_density: float = 1.0,
     delta: float = 1e-2,
-    inner_reps: int | None = None,
     npoints: int = 32,
 ) -> CroftonReport:
     """Derivative in t of E g(eta_t) against the add-a-boundary-point integral.
@@ -417,13 +416,14 @@ def crofton_poisson_check(
     two unit normals, as in ``perimeter``), and the difference is one-sided.
     Where K_t has mass 0, as for a segment at t = 0, every replicate of eta_t
     is empty, so the boundary side is evaluated exactly on one empty
-    replicate, with standard error 0.  ``sup_density`` must bound h on the
+    replicate, with standard error 0; otherwise it averages over a pool of
+    min(reps, 5000) replicates of eta_t.  ``sup_density`` must bound h on the
     largest parallel set sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")
-    if reps < 2 or (inner_reps is not None and inner_reps < 2):
-        raise ValueError("need reps >= 2 and inner_reps >= 2")
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if t < 0:
         raise ValueError("t must be nonnegative")
     delta, tminus, denom = _finite_difference(t, delta)
@@ -442,9 +442,8 @@ def crofton_poisson_check(
         empty = ReplicateBlock(np.empty((0, 2)), np.zeros(2, dtype=np.int64), np.empty((1, 0, 2)))
         rhs, rhs_se = float(g.node_differences(empty, pts, wh)[0]), 0.0
     else:
-        pool = inner_reps if inner_reps is not None else min(reps, 5000)
         cvals = np.concatenate([g.node_differences(blk, pts, wh)
-                                for blk in poisson_blocks(mu_t, pool, rng.substream(1))])
+                                for blk in poisson_blocks(mu_t, min(reps, 5000), rng.substream(1))])
         rhs, rhs_se = mean_stderr(cvals)
 
     z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
@@ -467,8 +466,8 @@ def crofton_binomial_check(
 
     The two radii of the finite difference are sampled independently, each
     on its own stream; the boundary side pairs xi^(m) with its first m-1
-    points.  ``sup_density`` must bound h on the largest parallel set
-    sampled, K_{t+delta}.
+    points, over a pool of min(reps, 5000) replicates.  ``sup_density`` must
+    bound h on the largest parallel set sampled, K_{t+delta}.
     """
     if g.bound is None:
         raise ValueError("the check requires a bounded statistic")

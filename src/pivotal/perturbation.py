@@ -1,14 +1,24 @@
 """Perturbation series and Monte Carlo derivative estimators for Poisson functionals.
 
+The perturbation formula E_{lam + theta nu} g = sum over k >= 0 of theta^k / k!
+times the integral of E D^k_{z_1...z_k} g(eta) against nu^k (Last and
+Penrose, *Lectures on the Poisson Process*, 2017, ch. 19) has E g as its
+k = 0 term.  So ``_differences`` estimates every order k >= 0 alike: the
+k-fold add-point difference at Poisson replicates with k added points, where
+order 0 is g itself.  ``expectation_mc`` is its order 0, the series is one
+loop over k = 0..kmax, and the location and higher-order estimators are its
+orders k >= 1 at the intensity theta * lam.
+
 Every estimator draws its replicates from the block engine of
 :mod:`pivotal.point_process`: side s of an estimator is the stream
 ``rng.substream(s)``, and block b of side s draws from
 ``rng.substream(s).substream(b)`` (replicate count per block fixed by the
 mass and ``_BLOCK_POINTS``; added points, then counts, then points).
 ``expectation_mc``, the location, point and higher-order estimators use side
-0 only; order k of ``perturbation_series`` uses side k, with the base term
-at side 0.  Replicate values are aggregated with NumPy's fixed-order pairwise
-summation, so results depend only on the master seed and the replicate count.
+0 only; order k of ``perturbation_series`` uses side k, so its order 0 is
+``expectation_mc`` on the same stream.  Replicate values are aggregated with
+NumPy's fixed-order pairwise summation, so results depend only on the master
+seed and the replicate count.
 """
 
 from __future__ import annotations
@@ -31,18 +41,17 @@ class MCEstimate:
 
 
 def expectation_mc(g: Statistic, mu: IntensityMeasure, reps: int, rng: RngStream) -> MCEstimate:
-    """Plain Monte Carlo estimate of E g(eta) for a Poisson process with mean measure mu."""
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    vals = np.concatenate([g.replicate_values(blk) for blk in poisson_blocks(mu, reps, rng.substream(0))])
-    mean, se = mean_stderr(vals)
-    return MCEstimate(mean, se, reps)
+    """Plain Monte Carlo estimate of E g(eta) for a Poisson process with mean
+    measure mu: the mean of the order-0 differences, which are g itself."""
+    return MCEstimate(*mean_stderr(_differences(g, mu, mu, 0, reps, rng.substream(0))), reps)
 
 
 def _differences(g: Statistic, mu: IntensityMeasure, nu: IntensityMeasure, k: int, reps: int,
                  rng: RngStream) -> np.ndarray:
     """The k-fold difference of g at ``reps`` Poisson(mu) replicates, over k
-    points drawn i.i.d. from nu / mass(nu) for each."""
+    points drawn i.i.d. from nu / mass(nu) for each; k = 0 gives g."""
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     return np.concatenate([g.differences(blk) for blk in poisson_blocks(mu, reps, rng, added=(nu, k))])
 
 
@@ -63,8 +72,8 @@ class PerturbationSeriesResult:
     estimate: float
     truncation_bound: float
     stderr: float
-    base: MCEstimate
-    terms: list[SeriesTerm]
+    base: MCEstimate  # the order-0 term, E g under lam
+    terms: list[SeriesTerm]  # orders 1..kmax
 
 
 def perturbation_series(
@@ -102,11 +111,9 @@ def perturbation_series(
         raise ValueError(f"kmax must lie in [0, {MAX_ITERATED_DIFFERENCE}]")
 
     nu_mass = total_mass(nu)
-    base = expectation_mc(g, lam, reps, rng)
     terms: list[SeriesTerm] = []
-    estimate = base.mean
-    var = base.stderr**2
-    for k in range(1, kmax + 1):
+    estimate = var = 0.0
+    for k in range(kmax + 1):
         mean, se = mean_stderr(_differences(g, lam, nu, k, reps, rng.substream(k)))
         weight = theta**k / math.factorial(k) * nu_mass**k
         terms.append(SeriesTerm(k, weight, mean, se))
@@ -116,7 +123,8 @@ def perturbation_series(
     y = 2.0 * abs(theta) * nu_mass
     partial = sum(y**k / math.factorial(k) for k in range(kmax + 1))
     truncation = g.bound * max(0.0, math.exp(y) - partial)
-    return PerturbationSeriesResult(estimate, truncation, math.sqrt(var), base, terms)
+    base = MCEstimate(terms[0].mean_difference, terms[0].stderr, reps)
+    return PerturbationSeriesResult(estimate, truncation, math.sqrt(var), base, terms[1:])
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,6 @@ def derivative_location_estimator(
     draws.  For events the (+) and (-) parts are reported separately; z is
     (+)-pivotal where the difference is 1.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
     lam_mass = total_mass(lam)
     diffs = _differences(g, lam.scaled(theta), lam, 1, reps, rng.substream(0))
     vals = lam_mass * diffs
@@ -194,8 +200,6 @@ def higher_derivative_estimator(
     g: Statistic, lam: IntensityMeasure, theta: float, k: int, reps: int, rng: RngStream
 ) -> MCEstimate:
     """MC estimate of the k-th theta-derivative of E g(eta_theta)."""
-    if reps < 2:
-        raise ValueError("need reps >= 2")
     if not 1 <= k <= 10:
         raise ValueError("need 1 <= k <= 10")
     lam_mass = total_mass(lam)

@@ -4,6 +4,9 @@ Configurations are finite counting measures on R^dim stored as point lists
 (atoms with multiplicity by repetition).  ``dim == 0`` models a one-point
 ground space, where a configuration is just a counter.
 
+Points are given as (n, dim) arrays, one row per point; an empty input is no
+points, and any other shape raises ValueError.
+
 Replicate engine: ``poisson_blocks`` and ``binomial_blocks`` draw the
 configurations of ``reps`` replicates in blocks of consecutive replicates,
 computing the mass once per call.  A block's replicate count is fixed by the
@@ -20,7 +23,13 @@ exceeds ``_BLOCK_POINTS`` with probability below e^-3000 (Chernoff: the mean
 is at most half the limit, and the limit is 2^14).  Only a block of one
 replicate, of mean above ``_BLOCK_POINTS / 4``, can hold more, and it holds
 the one configuration a replicate loop would hold anyway.  So memory stays
-bounded whatever the replicate count.
+bounded whatever the replicate count.  The engine is the only sampler:
+``sample_poisson`` and ``sample_binomial`` are the one replicate of a
+one-replicate call, so they draw from ``rng.substream(0)`` in this layout.
+
+Difference operator: ``iterated_difference`` is D^k_{z_1...z_k} g(phi) for
+every k >= 0, one subset sum over the 2^k subsets of the added points; k = 0
+gives g(phi) and ``difference`` is the k = 1 case.
 
 Block protocol: estimators and checks evaluate a statistic g on a
 ``ReplicateBlock`` only through four ``Statistic`` methods: ``replicate_values``
@@ -62,20 +71,19 @@ class DeclarationError(RuntimeError):
 
 
 def _point_rows(points, dim: int) -> np.ndarray:
-    """``points`` as a float (n, dim) array.
+    """``points`` as a float (n, dim) array: an (n, dim) array, or an empty
+    input for no points.  Any other shape raises ValueError, so a point of
+    another dimension is never split into, or merged with, its neighbours.
 
     On the one-point ground space (dim 0) a point has no coordinates, so the
-    count is the number of rows of an (n, 0) array; any other empty input is
-    no points.
+    count is the number of rows of an (n, 0) array.
     """
     pts = np.asarray(points, dtype=float)
-    if dim:
-        return pts.reshape(-1, dim)
-    if pts.ndim == 2 and pts.shape[1] == 0:
+    if pts.ndim == 2 and pts.shape[1] == dim:
         return pts
-    if pts.size:
-        raise ValueError("points of the one-point ground space have no coordinates")
-    return np.empty((0, 0))
+    if pts.ndim and pts.shape[0] == 0:
+        return np.empty((0, dim))
+    raise ValueError(f"points must be rows of {dim} coordinates, got an array of shape {pts.shape}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ class PointConfiguration:
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        pts = _point_rows(self.points, self.dim)
+        pts = _point_rows(self.points, self.dim).view()  # a view: the caller's array stays writeable
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -106,10 +114,7 @@ class PointConfiguration:
         return self.points.shape[0]
 
     def add_atom(self, z) -> "PointConfiguration":
-        z = np.asarray(z, dtype=float).reshape(1, -1) if self.dim else np.empty((1, 0))
-        if z.shape[1] != self.dim:
-            raise ValueError(f"point has dimension {z.shape[1]}, expected {self.dim}")
-        return PointConfiguration._wrap(self.dim, np.concatenate((self.points, z)))
+        return self.add_atoms(np.reshape(z, (1, -1)))
 
     def add_atoms(self, zs) -> "PointConfiguration":
         zs = _point_rows(zs, self.dim)
@@ -277,25 +282,15 @@ def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np
 
 
 def sample_poisson(mu: IntensityMeasure, rng: RngStream) -> PointConfiguration:
-    """Draw a Poisson process with intensity measure ``mu``."""
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    m = total_mass(mu)
-    if not math.isfinite(m):
-        raise ValueError("total mass must be finite")
-    n = int(gen.poisson(m)) if m > 0 else 0
-    return PointConfiguration._wrap(mu.dim, _sample_points(mu, n, gen))
+    """A Poisson process with intensity measure ``mu``: the one replicate of
+    ``poisson_blocks(mu, 1, rng)``, drawn from ``rng.substream(0)``."""
+    return next(poisson_blocks(mu, 1, rng)).configuration(0)
 
 
 def sample_binomial(mu: IntensityMeasure, m: int, rng: RngStream) -> PointConfiguration:
-    """Exactly ``m`` i.i.d. points with distribution mu / mass; m = 0 gives the null configuration."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return PointConfiguration.empty(mu.dim)
-    if total_mass(mu) <= 0:
-        raise ValueError("binomial sampling needs positive total mass")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return PointConfiguration._wrap(mu.dim, _sample_points(mu, m, gen))
+    """Exactly ``m`` i.i.d. points with distribution mu / mass: the one
+    replicate of ``binomial_blocks(mu, m, 1, rng)``, drawn from ``rng.substream(0)``."""
+    return next(binomial_blocks(mu, m, 1, rng)).configuration(0)
 
 
 def poisson_blocks(mu: IntensityMeasure, reps: int, rng: RngStream,
@@ -390,7 +385,7 @@ class Statistic:
         w_p (g(phi + delta_p) - b), where b is the replicate's entry of ``base``,
         or g(phi) if ``base`` is None."""
         dim = blk.points.shape[1]
-        nodes = _node_rows(nodes, dim)
+        nodes = _point_rows(nodes, dim)
         base = self.replicate_values(blk) if base is None else base
         acc = np.zeros(blk.reps)
         for i in range(blk.reps):
@@ -414,15 +409,6 @@ class Statistic:
                     if self.value(PointConfiguration._wrap(dim, more)) == 0.0:
                         a[i] += 1.0
         return r, a
-
-
-def _node_rows(nodes, dim: int) -> np.ndarray:
-    """``nodes`` as an (n, dim) array, one row per node; a node of another
-    dimension raises ValueError, as ``PointConfiguration.add_atom`` does."""
-    pts = np.asarray(nodes, dtype=float)
-    if dim and pts.ndim and pts.shape[0] and math.prod(pts.shape[1:]) != dim:
-        raise ValueError(f"point has dimension {math.prod(pts.shape[1:])}, expected {dim}")
-    return _point_rows(pts, dim)
 
 
 def _grown(pts: np.ndarray, extra: np.ndarray) -> Iterator[np.ndarray]:
@@ -516,7 +502,7 @@ class CountFunctional(Statistic):
         counts = self.counts(blk)
         base = self.values(counts) if base is None else base
         acc = np.zeros(blk.reps)
-        for w, mem in zip(weights, _memberships(self.regions, nodes)):
+        for w, mem in zip(weights, _memberships(self.regions, _point_rows(nodes, blk.points.shape[1]))):
             acc += w * (self.values(counts + mem) - base)
         return acc
 
@@ -582,28 +568,26 @@ def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def difference(g: Statistic, phi: PointConfiguration, z) -> float:
-    """Add-one-point difference g(phi + delta_z) - g(phi)."""
-    return g.value(phi.add_atom(z)) - g.value(phi)
+    """Add-one-point difference g(phi + delta_z) - g(phi), the k = 1 case of
+    ``iterated_difference``; ``z`` is the point's coordinates."""
+    return iterated_difference(g, phi, np.reshape(z, (1, -1)))
 
 
 def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
-    """k-fold iterated difference via the inclusion-exclusion subset sum.
+    """D^k_{z_1...z_k} g(phi) for the k rows of ``zs``, any k >= 0; k = 0 gives g(phi).
 
+    The inclusion-exclusion subset sum: over the subsets S of the points, in
+    bitmask order, the sum of (-1)^(k-|S|) g(phi + sum over S of delta_z),
+    each configuration one concatenation of phi's points and the rows of S.
     Equals the inductive definition (one difference at a time) but needs no
     recursion state; costs 2^k evaluations of g.  Symmetric in ``zs``.
     """
     zs = _point_rows(zs, phi.dim)
-    k = zs.shape[0]
-    if k < 1:
-        raise ValueError("need at least one point")
-    if k == 1:  # the subset sum 0 - g(phi) + g(phi + z) rounds to this difference exactly
-        base = g.value(phi)
-        return g.value(PointConfiguration._wrap(phi.dim, np.concatenate((phi.points, zs)))) - base
-    signs, masks = _subsets(k)
+    signs, masks = _subsets(zs.shape[0])
     total = 0.0
-    total += signs[0] * g.value(phi)  # row 0 is the empty subset
-    for sign, sel in zip(signs[1:], masks[1:]):
-        total += sign * g.value(phi.add_atoms(zs.compress(sel, axis=0)))
+    for sign, sel in zip(signs, masks):
+        rows = zs.compress(sel, axis=0)  # faster than zs[sel] for these few rows
+        total += sign * g.value(PointConfiguration._wrap(phi.dim, np.concatenate((phi.points, rows))))
     return total
 
 

@@ -473,8 +473,10 @@ def _half_line_identity(order: int, alpha: float, theta: float, x: float, method
         else:
             G = lambda y: positive_half_pdf(y, theta)
             lhs = G(x) + x * positive_half_pdf_deriv(x, theta)
-            grid = np.concatenate([np.logspace(-6, 0, 200) * x, np.linspace(x * 1e-3, x, 400)])
-            lipschitz = float(np.max(np.abs(positive_half_pdf_deriv(grid, theta))))
+            # the exact sup of |f'| over (0, x]: f'' has its zeros at c / (5 +- sqrt 10)
+            c = levy_location_scale(theta)
+            peaks = [y for y in (c / (5.0 + math.sqrt(10.0)), c / (5.0 - math.sqrt(10.0))) if y <= x]
+            lipschitz = float(np.max(np.abs(positive_half_pdf_deriv(np.array(peaks + [x]), theta))))
         inner = power_singular_integral(lambda z: G(x) - G(x - z), alpha, x, tol=tol, lipschitz=lipschitz)
         rhs = theta * alpha**2 * (inner + G(x) * x**-alpha / alpha)
         return IdentityResidual(lhs, rhs, lhs - rhs)
@@ -602,7 +604,9 @@ def radvec_residual(
     runs on [eps_low, tail_start]; beyond tail_start the bracket is within MC
     noise of P(|xi| <= r), whose contribution is added in closed form.
     ``nterms`` is accepted and ignored: it set the LePage series length when
-    the samples came from that series, and callers still pass it.
+    the samples came from that series.  The one caller that still passes it
+    is the benchmark's ``radvec/*`` operations (``perfbench/workloads.py``),
+    so it stays until they drop it.
     """
     if r <= 0:
         raise ValueError("need r > 0")

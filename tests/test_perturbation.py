@@ -50,6 +50,11 @@ class TestExpectationMC:
         est = expectation_mc(void_indicator(B), mu, 10_000, RngStream(43))
         assert abs(est.mean - math.exp(-0.5)) < 4.0 * est.stderr
 
+    def test_recorded_value(self):
+        # recorded before the estimate became the order-0 case of the differences
+        est = expectation_mc(void_indicator(B), IntensityMeasure.unit_square(scale=2.0), 1000, RngStream(150))
+        assert est == MCEstimate(0.6, 0.015499685165842573, 1000)
+
     def test_reproducible(self):
         est1 = expectation_mc(count_statistic(), SQUARE, 500, RngStream(44, 9))
         est2 = expectation_mc(count_statistic(), SQUARE, 500, RngStream(44, 9))
@@ -66,6 +71,24 @@ class TestPerturbationSeries:
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
             perturbation_series(count_statistic(), SQUARE, SQUARE, 0.5, reps=100, rng=RngStream(46))
+
+    def test_recorded_values(self):
+        # recorded before the base term became the order-0 term of the series loop
+        g = void_indicator(B)
+        res = perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=4, reps=1000, rng=RngStream(151))
+        assert (res.estimate, res.stderr, res.truncation_bound) == (
+            0.7130338541666668, 0.014114513475239421, 0.009948495125712054)
+        assert res.base == MCEstimate(0.797, 0.01272607374459825, 1000)
+        assert res.base == expectation_mc(g, SQUARE, 1000, RngStream(151))
+        assert [(t.order, t.weight, t.mean_difference, t.stderr) for t in res.terms] == [
+            (1, 0.5, -0.178, 0.012102167676183573), (2, 0.125, 0.043, 0.006418114379799739),
+            (3, 0.020833333333333332, -0.017, 0.004089954489689063),
+            (4, 0.0026041666666666665, 0.005, 0.00223158687484489)]
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_too_few_reps_rejected(self, reps):
+        with pytest.raises(ValueError, match="reps"):
+            perturbation_series(void_indicator(B), SQUARE, SQUARE, 0.5, reps=reps, rng=RngStream(46))
 
     def test_linear_statistic_terminates_at_first_order(self):
         # counting measure capped far above any sampled count: second and

@@ -207,6 +207,13 @@ class TestDifferenceOperators:
         z = np.array([0.1, 0.1])
         assert iterated_difference(g, phi, [z]) == difference(g, phi, z)
 
+    def test_order_zero_is_the_statistic(self):
+        g = Statistic(eval=lambda phi: float(len(phi)) ** 2 + 0.5)
+        phi = PointConfiguration(2, [[0.1, 0.2], [0.3, 0.4]])
+        for none in (np.empty((0, 2)), []):
+            assert iterated_difference(g, phi, none) == g.value(phi) == 4.5
+        assert iterated_difference(g, PointConfiguration(0, np.empty((3, 0))), np.empty((0, 0))) == 9.5
+
     def test_second_difference_of_count_vanishes(self):
         g = count_statistic()
         phi = PointConfiguration(2, [[0.3, 0.3]])
@@ -261,7 +268,7 @@ class TestDifferenceOperators:
             return float(np.exp(-(phi.points ** 2).sum())) + 0.1 * len(phi)
 
         g = Statistic(eval=smooth)
-        for k in range(1, 7):
+        for k in range(7):
             phi = PointConfiguration(2, gen.normal(size=(3, 2)))
             zs = gen.normal(size=(k, 2))
             seen.clear()
@@ -272,8 +279,7 @@ class TestDifferenceOperators:
             assert order == seen
 
     def test_first_order_equals_the_subset_sum_on_the_suites_statistics(self):
-        # k = 1 returns g(phi + z) - g(phi), which is the subset sum
-        # 0 - g(phi) + g(phi + z) to the bit
+        # the subset sum 0 - g(phi) + g(phi + z) is g(phi + z) - g(phi) to the bit
         from pivotal import suites
 
         gen = RngStream(23).generator()
@@ -323,6 +329,46 @@ class TestDifferenceOperators:
             iterated_difference(g, PointConfiguration.empty(1), np.zeros((21, 1)))
 
 
+class TestPointRows:
+    """Points are rows of dim coordinates: a point of another dimension raises,
+    and is never split into, or merged with, other points."""
+
+    FOUR_D = [[1.0, 2.0, 3.0, 4.0]]  # one 4-D point, or two planar ones if reshaped
+
+    def test_iterated_difference(self):
+        squared = Statistic(eval=lambda phi: float(len(phi)) ** 2)
+        for g in (count_statistic(), squared):
+            with pytest.raises(ValueError):
+                iterated_difference(g, PointConfiguration.empty(2), self.FOUR_D)
+            with pytest.raises(ValueError):
+                difference(g, PointConfiguration.empty(2), self.FOUR_D[0])
+
+    @pytest.mark.parametrize("points", [FOUR_D, [1.0, 2.0], np.zeros((2, 2, 1)), np.zeros((3, 0)), 1.0])
+    def test_configuration(self, points):
+        with pytest.raises(ValueError):
+            PointConfiguration(2, points)
+
+    def test_add_atoms(self):
+        phi = PointConfiguration(2, [[0.5, 0.5]])
+        with pytest.raises(ValueError):
+            phi.add_atoms(self.FOUR_D)
+        with pytest.raises(ValueError):
+            phi.add_atoms([0.1, 0.2])
+        assert phi.add_atoms([[0.1, 0.2], [0.3, 0.4]]).points.tolist() == [[0.5, 0.5], [0.1, 0.2], [0.3, 0.4]]
+        assert len(phi.add_atoms([])) == len(phi.add_atoms(np.empty((0, 2)))) == 1
+
+    def test_single_points(self):
+        # add_atom and difference take one point as its coordinates
+        assert PointConfiguration.empty(1).add_atom(0.25).points.tolist() == [[0.25]]
+        assert difference(count_statistic(), PointConfiguration.empty(1), [0.25]) == 1.0
+
+    def test_caller_array_stays_writeable(self):
+        pts = np.zeros((2, 2))
+        phi = PointConfiguration(2, pts)
+        pts[0, 0] = 1.0
+        assert not phi.points.flags.writeable
+
+
 class TestCountFunctional:
     # two regions and a nonlinear f, so no difference vanishes identically
     TWO = CountFunctional([box_region([0.0, 0.0], [0.5, 0.5]), None],
@@ -334,7 +380,7 @@ class TestCountFunctional:
         assert count_statistic().value(phi) == 3.0
         assert hit_indicator(box_region([0.0, 0.0], [0.5, 0.5]), k=3).value(phi) == 0.0
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(7))
     def test_closed_form_equals_iterated_difference(self, k):
         gen = RngStream(21, k).generator()
         reps = 30
@@ -484,9 +530,11 @@ class TestGenericConfigurations:
     @pytest.mark.parametrize("dim, nodes", [(2, np.zeros((4, 3))), (2, np.zeros(4)), (1, np.zeros((3, 2))),
                                             (0, np.zeros((2, 1)))])
     def test_nodes_of_another_dimension_raise(self, dim, nodes):
+        # on both paths: the count functional's closed form would count them
         blk = _hand_block(dim, [2, 0, 1], 0, 40)
-        with pytest.raises(ValueError):
-            Statistic(eval=lambda phi: 0.0).node_differences(blk, nodes, np.ones(len(nodes)))
+        for g in (Statistic(eval=lambda phi: 0.0), count_statistic()):
+            with pytest.raises(ValueError):
+                g.node_differences(blk, nodes, np.ones(len(nodes)))
 
 
 class TestReplicateBlocks:
@@ -606,6 +654,26 @@ class TestConfiguration:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestOneReplicateSamplers:
+    """``sample_poisson`` and ``sample_binomial`` are the one replicate of the block engine."""
+
+    MEASURES = (IntensityMeasure.unit_square(scale=4.0), IntensityMeasure.disk([0.0, 0.0], 1.0, scale=3.0),
+                IntensityMeasure.interval(0.0, 1.0, scale=5.0, density=lambda p: 2.0 * p[:, 0], sup_density=2.0),
+                IntensityMeasure.singleton(scale=2.0))
+
+    def test_poisson(self):
+        for mu in self.MEASURES:
+            for i in range(5):
+                blk = next(poisson_blocks(mu, 1, RngStream(60, i)))
+                assert np.array_equal(sample_poisson(mu, RngStream(60, i)).points, blk.points)
+
+    def test_binomial(self):
+        for mu in self.MEASURES:
+            for m in (0, 1, 7):
+                blk = next(binomial_blocks(mu, m, 1, RngStream(61, m)))
+                assert np.array_equal(sample_binomial(mu, m, RngStream(61, m)).points, blk.points)
 
 
 def test_sampler_reproducible():

@@ -676,9 +676,9 @@ _GOLDEN_RADVEC = {
 }
 _GOLDEN_CLOSED = {  # x -> (dimone, alphadens1) at tol = 1e-7
     0.5: ((0.14699305810781044, 0.14699304677271952, 1.1335090921438251e-08, None, False),
-          (0.3147992533723844, 0.31479925486097615, -1.4885917498652645e-09, None, False)),
+          (0.3147992533723844, 0.31479925485637056, -1.4839861561810608e-09, None, False)),
     2.0: ((0.23873053003491101, 0.23873052542360307, 4.6113079466003626e-09, None, False),
-          (-0.012808002549648145, -0.012808001570998463, -9.786496821262425e-10, None, False)),
+          (-0.012808002549648145, -0.012808001571736463, -9.779116821873046e-10, None, False)),
 }
 
 
