@@ -221,9 +221,10 @@ def dnf_event(m: int, clauses: list[tuple[int, ...]]) -> BooleanEvent:
     return BooleanEvent(m, indicator)
 
 
-def random_monotone_dnf(m: int, rng: RngStream, max_clauses: int = 4) -> BooleanEvent:
+def random_monotone_dnf(m: int, rng: RngStream) -> BooleanEvent:
+    """A monotone DNF of 1 to 4 clauses, each of 1 to max(2, m // 2) distinct bits."""
     gen = rng.generator()
-    nclauses = int(gen.integers(1, max_clauses + 1))
+    nclauses = int(gen.integers(1, 5))
     clauses = []
     for _ in range(nclauses):
         width = int(gen.integers(1, max(2, m // 2) + 1))

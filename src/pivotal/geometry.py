@@ -18,11 +18,15 @@ side s draws from ``rng.substream(s).substream(b)``, the replicate count per
 block fixed by the mass (or m) and ``_BLOCK_POINTS``, counts before points.
 ``crofton_poisson_check`` samples K_{t+delta} on side 0 and K_t on side 1;
 ``crofton_binomial_check`` samples K_{t+delta} on side 0, K_{t-delta} on
-side 1 and K_t on side 2.
+side 1 and K_t on side 2.  Both use one fixed rule: the step ``_DELTA``,
+``_BOUNDARY_NODES`` nodes per boundary piece, and a boundary side over
+min(reps, ``_POOL``) replicates of K_t, or over two (both empty, so the mean
+is the node sum exactly and the standard error 0) where K_t has mass 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -31,7 +35,6 @@ import numpy as np
 
 from .point_process import (
     IntensityMeasure,
-    ReplicateBlock,
     Statistic,
     binomial_blocks,
     poisson_blocks,
@@ -41,6 +44,9 @@ from .quadrature import QuadratureError, _gl_nodes
 from .rng import RngStream
 from .summaries import mean_stderr, zscore
 
+_BOUNDARY_NODES = 32  # Gauss-Legendre nodes per edge or arc of a boundary
+_DELTA = 1e-2  # finite-difference step of the Crofton checks
+_POOL = 5000  # most replicates the Crofton boundary side averages over
 
 # -- shapes -------------------------------------------------------------------
 
@@ -209,29 +215,34 @@ def bounding_box(body: ConvexBody, pad: float = 0.0) -> np.ndarray:
 # -- smooth patches covering the parallel set ---------------------------------
 
 
-def _affine_patch(p0, e1, e2, n):
+@functools.cache
+def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
     x, w = _gl_nodes(n)
     u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
+def _affine_patch(p0, e1, e2, n):
+    u, wu = _unit_rule(n)
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
     U, V = np.meshgrid(u, u, indexing="ij")
     pts = p0 + U.ravel()[:, None] * e1 + V.ravel()[:, None] * e2
     return pts, np.outer(wu, wu).ravel() * jac
 
 
-def _sector_patch(center, rho0, rho1, phi0, phi1, n):
-    x, w = _gl_nodes(n)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
+def _sector_patch(center, radius, phi0, phi1, n):
+    u, wu = _unit_rule(n)
     phi = phi0 + u * (phi1 - phi0)
-    rho = rho0 + u * (rho1 - rho0)
-    P, R = np.meshgrid(phi, rho, indexing="ij")
+    P, R = np.meshgrid(phi, u * radius, indexing="ij")
     pts = np.stack([center[0] + R * np.cos(P), center[1] + R * np.sin(P)], axis=-1).reshape(-1, 2)
-    wts = (np.outer(wu, wu) * (phi1 - phi0) * (rho1 - rho0) * R).ravel()
+    wts = (np.outer(wu, wu) * (phi1 - phi0) * radius * R).ravel()
     return pts, wts
 
 
 def _triangle_patch(a, b, c, n):
-    x, w = _gl_nodes(n)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u, wu = _unit_rule(n)
     U, V = np.meshgrid(u, u, indexing="ij")
     jac2 = abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0])
     pts = a + U.ravel()[:, None] * (
@@ -253,7 +264,7 @@ def _parallel_patches(body: ConvexBody, t: float, n: int):
         for a, b, nrm, phi0, phi1 in walk:
             if nrm is not None:
                 patches.append(_affine_patch(a, b - a, s * nrm, n))
-            patches.append(_sector_patch(b, 0.0, s, phi0, phi1, n))
+            patches.append(_sector_patch(b, s, phi0, phi1, n))
     return patches
 
 
@@ -293,21 +304,19 @@ def parallel_mass(body: ConvexBody, t: float, h=None, tol: float = 1e-9) -> floa
 
 
 def _line_nodes(p0, p1, n):
-    x, w = _gl_nodes(n)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u, wu = _unit_rule(n)
     pts = p0 + u[:, None] * (p1 - p0)
     return pts, wu * float(np.linalg.norm(p1 - p0))
 
 
 def _arc_nodes(center, radius, phi0, phi1, n):
-    x, w = _gl_nodes(n)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
+    u, wu = _unit_rule(n)
     phi = phi0 + u * (phi1 - phi0)
     pts = np.stack([center[0] + radius * np.cos(phi), center[1] + radius * np.sin(phi)], axis=1)
     return pts, wu * radius * (phi1 - phi0)
 
 
-def boundary_nodes(body: ConvexBody, t: float, npoints: int = 32):
+def boundary_nodes(body: ConvexBody, t: float):
     """Quadrature nodes and weights on the boundary of K_t: per edge, the edge
     offset by s = r + t, then the corner arc at its second end; the full turn
     of a single vertex is cut into four quarter turns."""
@@ -316,20 +325,20 @@ def boundary_nodes(body: ConvexBody, t: float, npoints: int = 32):
     out = []
     for a, b, nrm, phi0, phi1 in _edges(v):
         if nrm is not None:
-            out.append(_line_nodes(a + s * nrm, b + s * nrm, npoints))
+            out.append(_line_nodes(a + s * nrm, b + s * nrm, _BOUNDARY_NODES))
         if s > 0:
             cuts = np.linspace(phi0, phi1, 2 if nrm is not None else 5)
-            out += [_arc_nodes(b, s, lo, hi, npoints) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            out += [_arc_nodes(b, s, lo, hi, _BOUNDARY_NODES) for lo, hi in zip(cuts[:-1], cuts[1:])]
     pts = np.vstack([p for p, _ in out])
     wts = np.concatenate([w for _, w in out])
     return pts, wts
 
 
-def boundary_integral(body: ConvexBody, t: float, f, npoints: int = 32) -> float:
+def boundary_integral(body: ConvexBody, t: float, f) -> float:
     """Integral of f over the boundary of K_t by exact parameterization."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    pts, wts = boundary_nodes(body, t, npoints)
+    pts, wts = boundary_nodes(body, t)
     return float(np.dot(wts, _eval_points(f, pts)))
 
 
@@ -340,48 +349,24 @@ class SteinerCheck:
     gap: float
 
 
-def steiner_derivative_check(body: ConvexBody, f, t: float, delta: float = 1e-3,
-                             npoints: int = 32) -> SteinerCheck:
+def steiner_derivative_check(body: ConvexBody, f, t: float, delta: float = 1e-3) -> SteinerCheck:
     """Central difference of t -> integral of f over K_t against the boundary integral."""
     if t <= 0 or delta <= 0 or delta >= t:
         raise ValueError("need 0 < delta < t")
-    fd = (integrate_parallel(body, t + delta, f, npoints)
-          - integrate_parallel(body, t - delta, f, npoints)) / (2.0 * delta)
-    bd = boundary_integral(body, t, f, npoints)
+    fd = (integrate_parallel(body, t + delta, f) - integrate_parallel(body, t - delta, f)) / (2.0 * delta)
+    bd = boundary_integral(body, t, f)
     return SteinerCheck(fd, bd, abs(fd - bd))
 
 
 # -- Poisson / binomial derivative checks --------------------------------------
 
 
-def intensity_on_parallel_set(body: ConvexBody, t: float, h=None,
-                              sup_density: float = 1.0, scale: float = 1.0) -> IntensityMeasure:
+def intensity_on_parallel_set(body: ConvexBody, t: float, h=None, sup_density: float = 1.0) -> IntensityMeasure:
     """Restriction of the density h (default 1) to K_t as an IntensityMeasure."""
-    base = steiner_mass(body, t) if h is None else parallel_mass(body, t, h, tol=1e-9)
-    region = parallel_region(body, t)
-    if h is None:
-        dens = None
-    else:
-        dens = lambda pts: np.asarray(h(pts), dtype=float)
     return IntensityMeasure(
-        dim=2, bounds=bounding_box(body, pad=t), scale=scale, density=dens,
-        sup_density=sup_density, contains=region, base_mass=base,
+        dim=2, bounds=bounding_box(body, pad=t), density=h, sup_density=sup_density,
+        contains=parallel_region(body, t), base_mass=parallel_mass(body, t, h),
     )
-
-
-def _finite_difference(t: float, delta: float) -> tuple[float, float, float]:
-    """delta, clipped to t/2 for t > 0; the lower radius; the denominator
-    (central difference for t > 0, one-sided at t = 0)."""
-    if t > 0:
-        delta = min(delta, t / 2.0)
-        return delta, t - delta, 2.0 * delta
-    return delta, 0.0, delta
-
-
-def _weighted(nodes: tuple[np.ndarray, np.ndarray], h) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes, with their weights times the density h (1 if None)."""
-    pts, wts = nodes
-    return pts, wts if h is None else wts * np.asarray(h(pts), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -395,6 +380,29 @@ class CroftonReport:
     reps: int
 
 
+def _crofton_setup(g: Statistic, body: ConvexBody, t: float, reps: int, h):
+    """The guards and fixed rule of both Crofton checks: delta (clipped to t/2
+    for t > 0), the lower radius, the central (t > 0) or one-sided (t = 0)
+    denominator, and K_t's boundary nodes with their weights times h (1 if None)."""
+    if g.bound is None:
+        raise ValueError("the check requires a bounded statistic")
+    if reps < 2:
+        raise ValueError("need reps >= 2")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    pts, wts = boundary_nodes(body, t)
+    if h is not None:
+        wts = wts * np.asarray(h(pts), dtype=float)
+    if t > 0:
+        delta = min(_DELTA, t / 2.0)
+        return delta, t - delta, 2.0 * delta, pts, wts
+    return _DELTA, 0.0, _DELTA, pts, wts
+
+
+def _report(lhs: float, lhs_se: float, rhs: float, rhs_se: float, delta: float, reps: int) -> CroftonReport:
+    return CroftonReport(lhs, lhs_se, rhs, rhs_se, zscore(lhs - rhs, math.hypot(lhs_se, rhs_se)), delta, reps)
+
+
 def crofton_poisson_check(
     g: Statistic,
     body: ConvexBody,
@@ -403,8 +411,6 @@ def crofton_poisson_check(
     rng: RngStream,
     h=None,
     sup_density: float = 1.0,
-    delta: float = 1e-2,
-    npoints: int = 32,
 ) -> CroftonReport:
     """Derivative in t of E g(eta_t) against the add-a-boundary-point integral.
 
@@ -415,18 +421,12 @@ def crofton_poisson_check(
     boundary, which for a segment is both of its sides (each inner point has
     two unit normals, as in ``perimeter``), and the difference is one-sided.
     Where K_t has mass 0, as for a segment at t = 0, every replicate of eta_t
-    is empty, so the boundary side is evaluated exactly on one empty
-    replicate, with standard error 0; otherwise it averages over a pool of
-    min(reps, 5000) replicates of eta_t.  ``sup_density`` must bound h on the
-    largest parallel set sampled, K_{t+delta}.
+    is empty, so the boundary side averages two empty replicates: its mean
+    is the node sum exactly and its standard error 0.  Otherwise it averages
+    over min(reps, 5000) replicates of eta_t.  ``sup_density`` must bound h
+    on the largest parallel set sampled, K_{t+delta}.
     """
-    if g.bound is None:
-        raise ValueError("the check requires a bounded statistic")
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    delta, tminus, denom = _finite_difference(t, delta)
+    delta, tminus, denom, pts, wh = _crofton_setup(g, body, t, reps, h)
     mu_plus = intensity_on_parallel_set(body, t + delta, h, sup_density)
     region_minus = parallel_region(body, tminus)
 
@@ -436,18 +436,11 @@ def crofton_poisson_check(
     ])
     lhs, lhs_se = mean_stderr(vals)
 
-    pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
     mu_t = intensity_on_parallel_set(body, t, h, sup_density)
-    if total_mass(mu_t) == 0.0:
-        empty = ReplicateBlock(np.empty((0, 2)), np.zeros(2, dtype=np.int64), np.empty((1, 0, 2)))
-        rhs, rhs_se = float(g.node_differences(empty, pts, wh)[0]), 0.0
-    else:
-        cvals = np.concatenate([g.node_differences(blk, pts, wh)
-                                for blk in poisson_blocks(mu_t, min(reps, 5000), rng.substream(1))])
-        rhs, rhs_se = mean_stderr(cvals)
-
-    z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
-    return CroftonReport(lhs, lhs_se, rhs, rhs_se, z, delta, reps)
+    pool = min(reps, _POOL) if total_mass(mu_t) > 0.0 else 2
+    rhs, rhs_se = mean_stderr(np.concatenate([g.node_differences(blk, pts, wh)
+                                              for blk in poisson_blocks(mu_t, pool, rng.substream(1))]))
+    return _report(lhs, lhs_se, rhs, rhs_se, delta, reps)
 
 
 def crofton_binomial_check(
@@ -459,8 +452,6 @@ def crofton_binomial_check(
     rng: RngStream,
     h=None,
     sup_density: float = 1.0,
-    delta: float = 1e-2,
-    npoints: int = 32,
 ) -> CroftonReport:
     """Derivative in t of E g(xi_t^(m)) for the m-point binomial process.
 
@@ -469,15 +460,11 @@ def crofton_binomial_check(
     points, over a pool of min(reps, 5000) replicates.  ``sup_density`` must
     bound h on the largest parallel set sampled, K_{t+delta}.
     """
-    if g.bound is None:
-        raise ValueError("the check requires a bounded statistic")
-    if reps < 2:
-        raise ValueError("need reps >= 2")
+    delta, tminus, denom, pts, wh = _crofton_setup(g, body, t, reps, h)
     if m < 1:
         raise ValueError("need m >= 1")
     if area(body) <= 0 and t == 0.0:
         raise ValueError("binomial process needs positive mass at the base radius")
-    delta, tminus, denom = _finite_difference(t, delta)
 
     def mean_g_at(radius: float, side: int) -> tuple[float, float]:
         mu = intensity_on_parallel_set(body, radius, h, sup_density)
@@ -491,7 +478,6 @@ def crofton_binomial_check(
 
     mu_t = intensity_on_parallel_set(body, t, h, sup_density)
     mass_t = total_mass(mu_t)
-    pts, wh = _weighted(boundary_nodes(body, t, npoints), h)
 
     def boundary_sums(blk) -> np.ndarray:
         # each replicate's first m - 1 points against the whole replicate
@@ -499,11 +485,6 @@ def crofton_binomial_check(
         keep[blk.offsets[1:] - 1] = False
         return g.node_differences(blk.restricted(keep), pts, wh, base=g.replicate_values(blk))
 
-    cvals = np.concatenate([boundary_sums(blk)
-                            for blk in binomial_blocks(mu_t, m, min(reps, 5000), rng.substream(2))])
-    rhs, rhs_se = mean_stderr(cvals)
-    rhs *= m / mass_t
-    rhs_se *= m / mass_t
-
-    z = zscore(lhs - rhs, math.hypot(lhs_se, rhs_se))
-    return CroftonReport(lhs, lhs_se, rhs, rhs_se, z, delta, reps)
+    rhs, rhs_se = mean_stderr(np.concatenate([boundary_sums(blk) for blk in
+                                              binomial_blocks(mu_t, m, min(reps, _POOL), rng.substream(2))]))
+    return _report(lhs, lhs_se, rhs * (m / mass_t), rhs_se * (m / mass_t), delta, reps)

@@ -132,11 +132,11 @@ def erlang_cdf(n: int, theta: float, x: float) -> tuple[float, float, float]:
 # -- compound Poisson ---------------------------------------------------------
 
 
-def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int, tol: float = 1e-14) -> float:
+def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int) -> float:
     """Mass at k by the defining mixture: sum over n of Po(theta;n) * Q^(*n)(k).
 
     The sum stops once the Poisson tail bound (times the trivial bound 1 on
-    convolution masses) drops below ``tol`` relative to the accumulated mass;
+    convolution masses) drops below 1e-14 relative to the accumulated mass;
     convolution powers are built iteratively and truncated at argument k.
     When the jump law puts no mass at 0, Q^(*n)(k) vanishes for n > k and the
     sum is finite outright.
@@ -159,7 +159,7 @@ def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int, tol: float = 
         # bound once n exceeds theta; cancellation-free
         if n + 2 > theta:
             tail_bound = term * (theta / (n + 1)) / (1.0 - theta / (n + 2))
-            if tail_bound <= tol * acc or tail_bound < 1e-280:
+            if tail_bound <= 1e-14 * acc or tail_bound < 1e-280:
                 break
     return acc
 

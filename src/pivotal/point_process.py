@@ -578,16 +578,21 @@ def iterated_difference(g: Statistic, phi: PointConfiguration, zs) -> float:
 
     The inclusion-exclusion subset sum: over the subsets S of the points, in
     bitmask order, the sum of (-1)^(k-|S|) g(phi + sum over S of delta_z),
-    each configuration one concatenation of phi's points and the rows of S.
-    Equals the inductive definition (one difference at a time) but needs no
-    recursion state; costs 2^k evaluations of g.  Symmetric in ``zs``.
+    phi itself for the empty subset and, for any other, one concatenation of
+    phi's points and the rows of S.  Equals the inductive definition (one
+    difference at a time) but needs no recursion state; costs 2^k
+    evaluations of g.  Symmetric in ``zs``.
     """
     zs = _point_rows(zs, phi.dim)
     signs, masks = _subsets(zs.shape[0])
     total = 0.0
-    for sign, sel in zip(signs, masks):
-        rows = zs.compress(sel, axis=0)  # faster than zs[sel] for these few rows
-        total += sign * g.value(PointConfiguration._wrap(phi.dim, np.concatenate((phi.points, rows))))
+    for mask, sign in enumerate(signs):
+        if mask:
+            rows = zs.compress(masks[mask], axis=0)  # faster than boolean indexing for these few rows
+            psi = PointConfiguration._wrap(phi.dim, np.concatenate((phi.points, rows)))
+        else:
+            psi = phi
+        total += sign * g.value(psi)
     return total
 
 

@@ -22,11 +22,11 @@ def zscore(gap: float, se: float) -> float:
     return gap / se
 
 
-def kolmogorov_sf(t: float, terms: int = 101) -> float:
-    """Asymptotic Kolmogorov survival function Q(t) = 2 sum (-1)^{j-1} exp(-2 j^2 t^2)."""
+def kolmogorov_sf(t: float) -> float:
+    """Asymptotic Kolmogorov survival function Q(t) = 2 sum_{j=1..101} (-1)^{j-1} exp(-2 j^2 t^2)."""
     if t <= 0:
         return 1.0
-    j = np.arange(1, terms + 1, dtype=float)
+    j = np.arange(1, 102, dtype=float)
     s = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * j * j * t * t))
     return float(min(1.0, max(0.0, s)))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pivotal import geometry
 from pivotal.geometry import (
     Box,
     ConvexPolygon,
@@ -307,6 +308,14 @@ class TestCroftonBinomial:
             with pytest.raises(ValueError):
                 crofton_binomial_check(g, DISK, 0.3, 2, reps, RngStream(100))
 
+    def test_negative_t_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "binomial_blocks", lambda *a, **kw: calls.append(a))
+        g = Statistic(eval=lambda phi: 1.0, bound=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            crofton_binomial_check(g, DISK, -0.005, 5, 20_000, RngStream(100))
+        assert calls == []
+
     def test_golden_values(self):
         B = ball_region([0.0, 0.0], 0.5)
         g1 = Statistic(eval=lambda phi: float(phi.count_in(B)), bound=1.0)
@@ -356,7 +365,7 @@ class TestIntensityOnParallelSet:
     def test_restriction_consistency(self):
         # points sampled on K_{t+d} restricted to K_t follow the K_t law
         from pivotal.point_process import sample_poisson
-        mu = intensity_on_parallel_set(SEG, 0.6, scale=3.0)
+        mu = intensity_on_parallel_set(SEG, 0.6).scaled(3.0)
         eta = sample_poisson(mu, RngStream(101))
         d = distance(SEG, eta.points)
         assert np.all(d <= 0.6 + 1e-12)

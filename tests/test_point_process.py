@@ -214,6 +214,16 @@ class TestDifferenceOperators:
             assert iterated_difference(g, phi, none) == g.value(phi) == 4.5
         assert iterated_difference(g, PointConfiguration(0, np.empty((3, 0))), np.empty((0, 0))) == 9.5
 
+    def test_empty_subset_is_phi_itself(self):
+        kept = []
+        g = Statistic(eval=lambda phi: kept.append(phi) or float(len(phi)))
+        phi = PointConfiguration(2, [[0.1, 0.2]])
+        for k in range(3):
+            kept.clear()
+            iterated_difference(g, phi, np.full((k, 2), 0.5))
+            assert len(kept) == 1 << k and kept[0] is phi
+            assert all(psi is not phi for psi in kept[1:])
+
     def test_second_difference_of_count_vanishes(self):
         g = count_statistic()
         phi = PointConfiguration(2, [[0.3, 0.3]])
