@@ -2,7 +2,14 @@
 
 Events live on {0,1}^m with a common success probability.  For m <= 24 all
 quantities (event probability as a polynomial in the success probability,
-expected signed pivotal counts) are computed exactly by enumeration.
+expected signed pivotal counts) are computed exactly by enumeration.  One
+pass over the 2^m outcomes gives both: per popcount j, the number of outcomes
+of A with j ones and the sums of N+ and N- over the outcomes with j ones.
+The last event enumerated keeps these 3(m + 1) integers, held by weak
+reference and matched by identity, so a run of calls on one event (its
+polynomial, then its Russo derivative at each theta) enumerates it once.
+The indicator must therefore stay a pure function of its input: one whose
+closure is mutated between calls gets the sums of the old one.
 
 The binomial and negative-binomial identity reports integrate the beta
 kernel t^a (1-t)^b, a polynomial of degree a + b, over [0, p].  An N-point
@@ -18,6 +25,7 @@ peak narrow against [0, p] is not missed.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,9 +91,12 @@ def pivotal_counts(event: BooleanEvent, x) -> tuple[int, int]:
     Coordinate i is (+)-pivotal if setting it to 1 puts the outcome in A while
     setting it to 0 leaves A; (-)-pivotal is the reverse.
     """
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
     if x.shape != (event.nbits,):
         raise ValueError(f"expected a vector of {event.nbits} bits")
+    if not np.all((x == 0) | (x == 1)):
+        raise ValueError("every entry of x must be 0 or 1")
+    x = x.astype(np.uint8)
     ups = np.tile(x, (event.nbits, 1))
     downs = ups.copy()
     ups[np.arange(event.nbits), np.arange(event.nbits)] = 1
@@ -143,9 +154,7 @@ def _success_probability(theta) -> np.ndarray:
 
 def event_polynomial(event: BooleanEvent) -> EventPolynomial:
     m = event.nbits
-    table = truth_table(event)
-    pop = _popcount(np.arange(1 << m, dtype=np.int64), m)
-    counts = np.bincount(pop[table], minlength=m + 1)
+    counts, _, _ = _popcount_sums(event)
     # exact integer expansion of sum_j c_j t^j (1-t)^(m-j)
     coeffs = [0] * (m + 1)
     for j in range(m + 1):
@@ -157,12 +166,26 @@ def event_polynomial(event: BooleanEvent) -> EventPolynomial:
     return EventPolynomial(m, counts, np.array(coeffs, dtype=float))
 
 
-def _signed_pivotal_by_popcount(event: BooleanEvent) -> tuple[np.ndarray, np.ndarray]:
-    """Per-popcount sums of N+ and N- over all outcomes (exact integers)."""
+# the last event enumerated: (weak reference to it, its popcount sums); it is
+# replaced whole, so concurrent callers can at worst enumerate twice
+_last_enumeration: tuple | None = None
+
+
+def _popcount_sums(event: BooleanEvent) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per popcount j: the outcomes of A with j ones, and the sums of N+ and N-
+    over all outcomes with j ones (exact integers, read-only arrays).
+
+    The last event enumerated is answered without a new enumeration when it is
+    the same object; a failed enumeration leaves nothing behind."""
+    global _last_enumeration
+    last = _last_enumeration
+    if last is not None and last[0]() is event:
+        return last[1]
     m = event.nbits
     table = truth_table(event)
     idx = np.arange(1 << m, dtype=np.int64)
     pop = _popcount(idx, m)
+    counts = np.bincount(pop[table], minlength=m + 1)
     nplus = np.zeros(1 << m, dtype=np.int64)
     nminus = np.zeros(1 << m, dtype=np.int64)
     for i in range(m):
@@ -173,7 +196,11 @@ def _signed_pivotal_by_popcount(event: BooleanEvent) -> tuple[np.ndarray, np.nda
         nminus += (down & ~up).astype(np.int64)
     eplus = np.bincount(pop, weights=nplus, minlength=m + 1)
     eminus = np.bincount(pop, weights=nminus, minlength=m + 1)
-    return eplus, eminus
+    sums = (counts, eplus, eminus)
+    for a in sums:
+        a.flags.writeable = False
+    _last_enumeration = (weakref.ref(event), sums)
+    return sums
 
 
 def russo_derivative(event: BooleanEvent, theta):
@@ -188,7 +215,7 @@ def russo_pivotal_expectations(event: BooleanEvent, theta):
     A theta outside [0, 1] (NaN included) raises ValueError."""
     theta = _success_probability(theta)
     m = event.nbits
-    eplus, eminus = _signed_pivotal_by_popcount(event)
+    _, eplus, eminus = _popcount_sums(event)
     j = np.arange(m + 1)
     t = theta[..., None]
     w = (t**j * (1.0 - t) ** (m - j)).reshape(-1, m + 1)
@@ -233,7 +260,9 @@ def random_monotone_dnf(m: int, rng: RngStream) -> BooleanEvent:
 
 
 def random_event(m: int, rng: RngStream) -> BooleanEvent:
-    """An arbitrary event drawn as a uniform random truth table."""
+    """An arbitrary event drawn as a uniform random truth table (0 <= m <= MAX_EXACT_BITS)."""
+    if not 0 <= m <= MAX_EXACT_BITS:
+        raise ValueError(f"a random truth table needs 0 <= m <= {MAX_EXACT_BITS} bits, got {m}")
     gen = rng.generator()
     table = gen.random(1 << m) < 0.5
     weights = 1 << np.arange(m, dtype=np.int64)

@@ -20,6 +20,9 @@ class LatticeDistribution:
         q = np.asarray(self.probs, dtype=float)
         q.flags.writeable = False
         object.__setattr__(self, "probs", q)
+        # NaN fails both the sign test and the sum test below
+        if not np.all(np.isfinite(q)):
+            raise ValueError("probabilities must be finite")
         if np.any(q < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(q.sum() - 1.0) > 1e-12:

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -55,6 +57,17 @@ class TestPivotalCounts:
             gen = rng.substream(100 + i).generator()
             x = (gen.random(6) < 0.5).astype(np.uint8)
             assert bn.pivotal_counts(ev, x) == brute_pivotal_counts(ev, x)
+
+    @pytest.mark.parametrize("x", [[0.7, 1, 0], [2, 0, 0], [-1, 0, 0], [np.nan, 0, 0], [1, 0, 0.5]])
+    def test_entries_other_than_zero_or_one_raise(self, x):
+        # a cast to uint8 read these as [0, 1, 0], [2, 0, 0], an OverflowError, ...
+        with pytest.raises(ValueError, match="0 or 1"):
+            bn.pivotal_counts(bn.threshold_event(3, 2), x)
+
+    def test_zero_one_entries_of_any_dtype(self):
+        ev = bn.threshold_event(3, 2)
+        for x in ([1, 0, 0], [1.0, 0.0, 0.0], [True, False, False], np.array([1, 0, 0], dtype=np.int64)):
+            assert bn.pivotal_counts(ev, x) == (2, 0)
 
     def test_relabeling_invariance(self):
         rng = RngStream(22)
@@ -163,8 +176,74 @@ class TestRussoDerivative:
         rng = RngStream(24)
         for i in range(10):
             ev = bn.random_monotone_dnf(8, rng.substream(i))
-            _, eminus = bn._signed_pivotal_by_popcount(ev)
+            _, _, eminus = bn._popcount_sums(ev)
             assert np.all(eminus == 0)
+
+
+class TestEnumerationMemo:
+    """The last event enumerated answers a run of calls on it."""
+
+    @staticmethod
+    def spy(calls, k=2):
+        def indicator(bits):
+            calls.append(bits.shape[0])
+            return bits.sum(axis=1) >= k
+
+        return indicator
+
+    def test_polynomial_then_russo_calls_enumerate_once(self):
+        calls = []
+        ev = bn.BooleanEvent(6, self.spy(calls))
+        poly = bn.event_polynomial(ev)
+        russo = [bn.russo_derivative(ev, th / 10.0) for th in range(1, 10)]
+        # one call for the table, one for the purity probe
+        assert calls == [64, 8]
+        assert russo == pytest.approx([float(poly.derivative(th / 10.0)) for th in range(1, 10)], abs=1e-13)
+
+    def test_distinct_events_are_enumerated_afresh(self):
+        a, b = bn.threshold_event(4, 1), bn.threshold_event(4, 3)
+        want = {id(a): bn.russo_derivative(a, 0.3), id(b): bn.russo_derivative(b, 0.3)}
+        for ev in (a, b, a):
+            assert bn.russo_derivative(ev, 0.3) == want[id(ev)]
+        # equal events (one shared indicator) are still told apart by identity
+        calls = []
+        indicator = self.spy(calls)
+        a, b = bn.BooleanEvent(3, indicator), bn.BooleanEvent(3, indicator)
+        assert a == b
+        sums = [bn._popcount_sums(ev) for ev in (a, b, a)]
+        assert calls == [8, 8] * 3
+        assert all(np.array_equal(x, y) for s in sums[1:] for x, y in zip(s, sums[0]))
+
+    def test_memo_keeps_no_event_alive(self):
+        ev = bn.threshold_event(5, 2)
+        bn.event_polynomial(ev)
+        ref = weakref.ref(ev)
+        del ev
+        gc.collect()
+        assert ref() is None
+
+    def test_memo_sums_are_read_only(self):
+        ev = bn.threshold_event(4, 2)
+        counts, eplus, eminus = bn._popcount_sums(ev)
+        for a in (counts, eplus, eminus, bn.event_polynomial(ev).counts):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_failed_enumeration_caches_nothing(self):
+        calls = []
+
+        def flaky(bits):
+            calls.append(bits.shape[0])
+            out = bits.sum(axis=1) >= 1
+            return ~out if len(calls) % 2 == 0 else out
+
+        ev = bn.BooleanEvent(4, flaky)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="pure"):
+                bn.russo_derivative(ev, 0.5)
+        assert calls == [16, 8, 16, 8]
+        last = bn._last_enumeration
+        assert last is None or last[0]() is not ev
 
 
 class TestThetaRange:
@@ -194,6 +273,17 @@ class TestThetaRange:
         plus, minus = self.ROUTES["russo_pivotal_expectations"](ends)
         assert (plus.tolist(), minus.tolist()) == ([2.0, 0.0], [0.0, 0.0])
         assert [self.ROUTES["russo_derivative"](th) for th in (0.0, 1.0)] == [2.0, 0.0]
+
+
+class TestRandomEvent:
+    @pytest.mark.parametrize("m", [-1, 25, 64])
+    def test_sizes_outside_the_exact_range_raise_before_drawing(self, m):
+        with pytest.raises(ValueError, match="0 <= m <= 24"):
+            bn.random_event(m, RngStream(26))
+
+    def test_zero_bits(self):
+        ev = bn.random_event(0, RngStream(26))
+        assert bn.truth_table(ev).shape == (1,)
 
 
 class TestIdentityReports:

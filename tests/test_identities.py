@@ -265,6 +265,11 @@ class TestLatticeDistribution:
         with pytest.raises(ValueError):
             LatticeDistribution(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [0.5, np.nan, 0.5], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_non_finite_probabilities_raise(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            LatticeDistribution(np.array(probs))
+
     def test_cdf_below_support(self):
         q = LatticeDistribution.uniform([1, 2])
         assert cpois_cdf(1.0, q, -0.5) == 0.0
