@@ -201,10 +201,10 @@ class TestEnumerationMemo:
         assert russo == pytest.approx([float(poly.derivative(th / 10.0)) for th in range(1, 10)], abs=1e-13)
 
     def test_distinct_events_are_enumerated_afresh(self):
-        a, b = bn.threshold_event(4, 1), bn.threshold_event(4, 3)
-        want = {id(a): bn.russo_derivative(a, 0.3), id(b): bn.russo_derivative(b, 0.3)}
-        for ev in (a, b, a):
-            assert bn.russo_derivative(ev, 0.3) == want[id(ev)]
+        # d/dt P(S_4 >= 1) = 4 (1-t)^3 and d/dt P(S_4 = 4) = 4 t^3
+        a, b = bn.threshold_event(4, 1), bn.threshold_event(4, 4)
+        for ev, want in ((a, 4 * 0.7**3), (b, 4 * 0.3**3), (a, 4 * 0.7**3)):
+            assert bn.russo_derivative(ev, 0.3) == pytest.approx(want, abs=1e-15)
         # equal events (one shared indicator) are still told apart by identity
         calls = []
         indicator = self.spy(calls)
