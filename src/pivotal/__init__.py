@@ -60,6 +60,7 @@ from .stable import (
 )
 from .geometry import (
     Box,
+    ConvexBody,
     ConvexPolygon,
     Disk,
     Segment,

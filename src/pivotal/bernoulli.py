@@ -249,12 +249,15 @@ def dnf_event(m: int, clauses: list[tuple[int, ...]]) -> BooleanEvent:
 
 
 def random_monotone_dnf(m: int, rng: RngStream) -> BooleanEvent:
-    """A monotone DNF of 1 to 4 clauses, each of 1 to max(2, m // 2) distinct bits."""
+    """A monotone DNF of 1 to 4 clauses, each of 1 to min(m, max(2, m // 2))
+    distinct bits (1 <= m <= MAX_EXACT_BITS)."""
+    if not 1 <= m <= MAX_EXACT_BITS:
+        raise ValueError(f"a random monotone DNF needs 1 <= m <= {MAX_EXACT_BITS} bits, got {m}")
     gen = rng.generator()
     nclauses = int(gen.integers(1, 5))
     clauses = []
     for _ in range(nclauses):
-        width = int(gen.integers(1, max(2, m // 2) + 1))
+        width = int(gen.integers(1, min(m, max(2, m // 2)) + 1))
         clauses.append(tuple(sorted(gen.choice(m, size=width, replace=False).tolist())))
     return dnf_event(m, clauses)
 

@@ -1,16 +1,16 @@
 """Planar convex bodies, parallel sets, boundary quadrature, and derivative
 checks for expectations of point-process functionals on expanding domains.
 
-Every body is read through one outline: a convex polygon of k >= 1 ccw
-vertices dilated by a disk of radius r.  A disk is its centre with r = its
-radius; a segment is its two ends, a box its four corners and a polygon its
-vertices, each with r = 0.  The parallel set K_t is the polygon dilated by
-s = r + t.  Its patches are the polygon's triangles about the centroid, a
-rectangle along each edge and a circular sector at each vertex; its boundary
-is each edge offset by s and an arc at each vertex.  So no indicator function
-is ever fed to a quadrature rule.  A segment has area 0 and perimeter 2L, and
-the boundary of its K_0 is both of its sides.  Integrands take an (n, 2)
-point array and return n values; any other shape raises TypeError.
+Every body is one ``ConvexBody``: a convex polygon of k >= 1 ccw vertices
+dilated by a disk of radius r.  ``Disk`` builds its centre with r = its
+radius; ``Segment``, ``Box`` and ``ConvexPolygon`` build the two ends, the
+four corners and the vertices, each with r = 0.  The parallel set K_t is the
+polygon dilated by s = r + t.  Its patches are the polygon's triangles about
+the centroid, a rectangle along each edge and a circular sector at each
+vertex; its boundary is each edge offset by s and an arc at each vertex, so
+no indicator function is ever fed to a quadrature rule.  A segment has area 0
+and perimeter 2L, and the boundary of its K_0 is both of its sides.  Integrands
+take an (n, 2) point array and return n values; other shapes raise TypeError.
 
 The Crofton checks draw their replicates from the block engine of
 :mod:`pivotal.point_process`: side s is ``rng.substream(s)`` and block b of
@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -52,88 +52,70 @@ _POOL = 5000  # most replicates the Crofton boundary side averages over
 
 
 @dataclass(frozen=True)
-class Disk:
-    center: np.ndarray
+class ConvexBody:
+    """A convex polygon of k >= 1 ccw vertices, shape (k, 2), dilated by a disk
+    of radius r >= 0 (r > 0 for one vertex); the vertices are a read-only copy."""
+
+    vertices: np.ndarray
     radius: float
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if c.size != 2:
-            raise ValueError("disk is planar")
-
-
-@dataclass(frozen=True)
-class Box:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.size != 2 or hi.size != 2:
-            raise ValueError("box is planar")
-        if np.any(hi <= lo):
-            raise ValueError("need lo < hi componentwise")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    vertices: np.ndarray  # (k, 2), ccw, strictly convex
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("need at least 3 planar vertices")
+        v = np.array(self.vertices, dtype=float)
+        r = self.radius
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1 or not np.all(np.isfinite(v)):
+            raise ValueError(f"vertices must be finite with shape (k, 2), k >= 1, got {v!r}")
+        if not 0 <= r < math.inf or (len(v) == 1 and r == 0):
+            raise ValueError(f"radius must be finite and >= 0, and > 0 for one vertex, got {r!r}")
         e = np.roll(v, -1, axis=0) - v
-        if np.any(np.linalg.norm(e, axis=1) < 1e-14):
+        if len(v) > 1 and np.any(np.linalg.norm(e, axis=1) < 1e-14):
             raise ValueError("repeated vertices")
-        crosses = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        if np.any(crosses <= 0):
-            raise ValueError("vertices must be strictly convex in ccw order")
+        if len(v) > 2:
+            nxt = np.roll(e, -1, axis=0)
+            crosses = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
+            # the turns of a convex outline add up to one full turn, a star's to two or more
+            if np.any(crosses <= 0) or np.arctan2(crosses, np.sum(e * nxt, axis=1)).sum() > 3.0 * math.pi:
+                raise ValueError("vertices must be strictly convex in ccw order")
         v.flags.writeable = False
         object.__setattr__(self, "vertices", v)
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.size != 2 or b.size != 2:
-            raise ValueError("segment is planar")
-        if np.allclose(a, b):
-            raise ValueError("endpoints must differ")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+def Disk(center, radius: float) -> ConvexBody:
+    """The disk of the given centre and radius > 0: one vertex dilated by r."""
+    c = np.asarray(center, dtype=float)
+    if c.size != 2:
+        raise ValueError("disk is planar")
+    return ConvexBody(c.reshape(1, 2), radius)
 
 
-ConvexBody = Union[Disk, Box, ConvexPolygon, Segment]
+def Box(lo, hi) -> ConvexBody:
+    """The rectangle with corners lo < hi componentwise: its four corners."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.size != 2 or hi.size != 2:
+        raise ValueError("box is planar")
+    if np.any(hi <= lo):
+        raise ValueError("need lo < hi componentwise")
+    (x0, y0), (x1, y1) = lo.reshape(2), hi.reshape(2)
+    return ConvexBody(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), 0.0)
 
 
-def _outline(body: ConvexBody) -> tuple[np.ndarray, float]:
-    """The body as (vertices, r): a convex polygon of k >= 1 ccw vertices,
-    shape (k, 2), dilated by a disk of radius r."""
-    if isinstance(body, Disk):
-        return body.center.reshape(1, 2), body.radius
-    if isinstance(body, Segment):
-        return np.stack([body.a, body.b]), 0.0
-    if isinstance(body, Box):
-        (x0, y0), (x1, y1) = body.lo, body.hi
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]), 0.0
-    return body.vertices, 0.0
+def ConvexPolygon(vertices) -> ConvexBody:
+    """The polygon of k >= 3 strictly convex ccw vertices, shape (k, 2)."""
+    v = np.asarray(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
+        raise ValueError("need at least 3 planar vertices")
+    return ConvexBody(v, 0.0)
+
+
+def Segment(a, b) -> ConvexBody:
+    """The segment between two distinct points: its two ends."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size != 2 or b.size != 2:
+        raise ValueError("segment is planar")
+    if np.allclose(a, b):
+        raise ValueError("endpoints must differ")
+    return ConvexBody(np.stack([a.reshape(2), b.reshape(2)]), 0.0)
 
 
 def _edges(v: np.ndarray) -> list:
@@ -155,7 +137,7 @@ def _edges(v: np.ndarray) -> list:
 def distance(body: ConvexBody, pts) -> np.ndarray:
     """Euclidean distance from each row of ``pts`` to the body (0 inside)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    v, r = _outline(body)
+    v, r = body.vertices, body.radius
     k = v.shape[0]
     if k == 1:
         d = np.linalg.norm(pts - v[0], axis=1)
@@ -187,7 +169,7 @@ def _polygon_perimeter(v: np.ndarray) -> float:
 def area(body: ConvexBody) -> float:
     """Lebesgue measure of the body (0 for a segment): Steiner's polynomial
     of the outline polygon at r."""
-    v, r = _outline(body)
+    v, r = body.vertices, body.radius
     x, y = v[:, 0], v[:, 1]
     # the shoelace sum of 1 or 2 vertices is 0, but the fused multiply-adds of a dot need not cancel
     polygon = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))) if len(v) > 2 else 0.0
@@ -196,8 +178,7 @@ def area(body: ConvexBody) -> float:
 
 def perimeter(body: ConvexBody) -> float:
     """Boundary length, both sides of a segment counted (2L)."""
-    v, r = _outline(body)
-    return _polygon_perimeter(v) + 2.0 * math.pi * r
+    return _polygon_perimeter(body.vertices) + 2.0 * math.pi * body.radius
 
 
 def steiner_mass(body: ConvexBody, t: float) -> float:
@@ -208,7 +189,7 @@ def steiner_mass(body: ConvexBody, t: float) -> float:
 
 
 def bounding_box(body: ConvexBody, pad: float = 0.0) -> np.ndarray:
-    v, r = _outline(body)
+    v, r = body.vertices, body.radius
     return np.stack([v.min(axis=0) - r - pad, v.max(axis=0) + r + pad], axis=1)
 
 
@@ -255,8 +236,7 @@ def _parallel_patches(body: ConvexBody, t: float, n: int):
     """Smooth patches whose union is K_t: the outline polygon's triangles about
     its centroid, then per edge the rectangle out to offset s = r + t and the
     sector of radius s at the edge's second end."""
-    v, r = _outline(body)
-    s = r + t
+    v, s = body.vertices, body.radius + t
     walk = _edges(v)
     centroid = v.mean(axis=0)
     patches = [_triangle_patch(centroid, a, b, n) for a, b, *_ in walk] if len(v) > 2 else []
@@ -320,8 +300,7 @@ def boundary_nodes(body: ConvexBody, t: float):
     """Quadrature nodes and weights on the boundary of K_t: per edge, the edge
     offset by s = r + t, then the corner arc at its second end; the full turn
     of a single vertex is cut into four quarter turns."""
-    v, r = _outline(body)
-    s = r + t
+    v, s = body.vertices, body.radius + t
     out = []
     for a, b, nrm, phi0, phi1 in _edges(v):
         if nrm is not None:

@@ -17,9 +17,11 @@ class LatticeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.probs, dtype=float)
+        q = np.array(self.probs, dtype=float)  # a copy, so the caller's array stays writeable
         q.flags.writeable = False
         object.__setattr__(self, "probs", q)
+        if q.ndim != 1:
+            raise ValueError(f"probabilities must be a 1-D array, got shape {q.shape}")
         # NaN fails both the sign test and the sum test below
         if not np.all(np.isfinite(q)):
             raise ValueError("probabilities must be finite")
@@ -209,25 +211,35 @@ def cpois_pmf_polyrec(theta: float, q: LatticeDistribution, k: int) -> float:
     return math.exp(-theta * (1.0 - q.q(0))) * value
 
 
+def _lattice_floor(x: float) -> int:
+    return int(math.floor(x + 1e-12))
+
+
 def cpois_cdf(theta: float, q: LatticeDistribution, x: float) -> float:
     """Distribution function of the compound sum at x (lattice support)."""
     if x < 0:
         return 0.0
-    kmax = int(math.floor(x + 1e-12))
-    return float(panjer_pmfs(theta, q, kmax).sum())
+    return float(panjer_pmfs(theta, q, _lattice_floor(x)).sum())
 
 
 def cpois_cdf_ode_residual(theta: float, q: LatticeDistribution, x: float, delta: float) -> float:
     """Residual of the rate equation for the compound distribution function.
 
     Central difference in theta of F(theta, x) minus
-    sum_z F(theta, x - z) q_z - F(theta, x); O(delta^2) plus roundoff.
+    sum_z F(theta, x - z) q_z - F(theta, x); O(delta^2) plus roundoff.  Every
+    F(theta, y) with y <= x sums the first floor(y) + 1 masses of one Panjer
+    vector.
     """
     if not 0.0 < delta < theta:
         raise ValueError("need 0 < delta < theta")
     fd = (cpois_cdf(theta + delta, q, x) - cpois_cdf(theta - delta, q, x)) / (2.0 * delta)
-    rhs = -cpois_cdf(theta, q, x)
+    p = panjer_pmfs(theta, q, max(_lattice_floor(x), 0))
+
+    def cdf(y: float) -> float:
+        return float(p[: _lattice_floor(y) + 1].sum()) if y >= 0 else 0.0
+
+    rhs = -cdf(x)
     for z in range(q.probs.size):
         if q.probs[z] > 0.0:
-            rhs += q.probs[z] * cpois_cdf(theta, q, x - z)
+            rhs += q.probs[z] * cdf(x - z)
     return fd - rhs

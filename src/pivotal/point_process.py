@@ -173,15 +173,18 @@ class IntensityMeasure:
 
     @staticmethod
     def disk(center, radius: float, scale: float = 1.0) -> "IntensityMeasure":
+        """Uniform on the ball about ``center`` in dimension d = center.size,
+        with the ball's volume pi^(d/2) r^d / Gamma(d/2 + 1) as its mass."""
         c = np.asarray(center, dtype=float)
+        d = c.size
         bounds = np.stack([c - radius, c + radius], axis=1)
 
         def inside(pts):
             return np.sum((pts - c) ** 2, axis=1) <= radius * radius
 
         return IntensityMeasure(
-            dim=c.size, bounds=bounds, scale=scale, contains=inside,
-            base_mass=math.pi * radius * radius if c.size == 2 else None,
+            dim=d, bounds=bounds, scale=scale, contains=inside,
+            base_mass=math.pi * radius * radius if d == 2 else math.pi ** (d / 2) * radius**d / math.gamma(d / 2 + 1),
         )
 
     @staticmethod

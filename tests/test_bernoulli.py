@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import warnings
 import weakref
@@ -284,6 +285,29 @@ class TestRandomEvent:
     def test_zero_bits(self):
         ev = bn.random_event(0, RngStream(26))
         assert bn.truth_table(ev).shape == (1,)
+
+
+class TestRandomMonotoneDnf:
+    # blake2b-8 digests of np.packbits(truth table) of random_monotone_dnf(m, RngStream(19, m))
+    RECORDED = {
+        2: "bfe893145eef9752", 3: "03ade32a89d43ebd", 4: "ddf3656bdb46132a", 5: "2eda28ec7b671759",
+        6: "ed50e0d61975d594", 7: "0ae28c9733c5cb76", 8: "46794d48c53d11b9", 9: "1130d667aff8cbbc",
+        10: "7ec349206da04da2", 11: "843c3bd84df96e9f", 12: "37918764d280be14",
+    }
+
+    def test_one_bit(self):
+        for i in range(50):
+            assert bn.truth_table(bn.random_monotone_dnf(1, RngStream(7, i))).tolist() == [False, True]
+
+    @pytest.mark.parametrize("m", [-1, 0, 25])
+    def test_sizes_outside_the_exact_range_raise(self, m):
+        with pytest.raises(ValueError, match="1 <= m <= 24"):
+            bn.random_monotone_dnf(m, RngStream(7))
+
+    def test_draws_unchanged(self):
+        digests = {m: hashlib.blake2b(np.packbits(bn.truth_table(bn.random_monotone_dnf(m, RngStream(19, m))))
+                                      .tobytes(), digest_size=8).hexdigest() for m in range(2, 13)}
+        assert digests == self.RECORDED
 
 
 class TestIdentityReports:

@@ -6,6 +6,7 @@ import pytest
 from pivotal import geometry
 from pivotal.geometry import (
     Box,
+    ConvexBody,
     ConvexPolygon,
     CroftonReport,
     Disk,
@@ -43,8 +44,8 @@ class TestMembership:
     def test_inside_for_all_radii(self):
         for body in SHAPES:
             x = (bounding_box(body)[:, 0] + bounding_box(body)[:, 1]) / 2.0
-            if isinstance(body, Segment):
-                x = (body.a + body.b) / 2.0
+            if len(body.vertices) == 2:
+                x = body.vertices.mean(axis=0)
             for t in (0.0, 0.1, 2.0):
                 assert contains(body, t, x)
 
@@ -391,3 +392,63 @@ class TestShapeValidation:
     def test_box_orientation(self):
         with pytest.raises(ValueError):
             Box(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("vertices, radius", [
+        ([[0.0, 0.0]], 0.0),  # a single vertex needs r > 0
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 0.0),  # (k, 3)
+        ([[0.0, 0.0], [2.0, 0.0]], -0.1),  # negative radius
+        ([[0.0, 0.0], [0.0, 0.0]], 0.5),  # a repeated vertex
+        ([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]], 0.0),  # clockwise
+        (np.empty((0, 2)), 1.0),  # no vertex
+        ([[0.0, 0.0], [np.nan, 0.0]], 0.0),
+        ([[0.0, 0.0]], np.nan),
+        ([[0.0, 0.0]], np.inf),
+    ])
+    def test_convex_body_rejects(self, vertices, radius):
+        with pytest.raises(ValueError):
+            ConvexBody(np.asarray(vertices, dtype=float), radius)
+
+    def test_star_polygon_rejected(self):
+        # a pentagram turns left at every vertex, but twice around in all
+        angles = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+        pentagon = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        assert area(ConvexPolygon(pentagon)) > 0
+        with pytest.raises(ValueError, match="strictly convex"):
+            ConvexPolygon(pentagon[[0, 2, 4, 1, 3]])
+
+    def test_constructors_copy_their_input(self):
+        center, vertices = np.zeros(2), PENT.vertices.copy()
+        disk, pent = Disk(center, 1.0), ConvexPolygon(vertices)
+        assert center.flags.writeable and vertices.flags.writeable
+        center[0] = vertices[0, 0] = 9.0
+        assert disk.vertices.tolist() == [[0.0, 0.0]] and pent.vertices[0, 0] == 0.0
+        assert not disk.vertices.flags.writeable
+
+    def test_constructors_build_one_outline(self):
+        assert (DISK.vertices.tolist(), DISK.radius) == ([[0.0, 0.0]], 1.0)
+        assert SQUARE.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        assert (SEG.vertices.tolist(), SEG.radius) == ([[0.0, 0.0], [2.0, 0.0]], 0.0)
+        assert all(type(body) is ConvexBody for body in SHAPES)
+
+
+class TestStadium:
+    """A segment of length L dilated by r: reachable only as a ConvexBody."""
+
+    L, R = 2.0, 0.3
+    BODY = ConvexBody([[0, 0], [2, 0]], 0.3)
+
+    def test_area_and_perimeter(self):
+        assert area(self.BODY) == pytest.approx(2 * self.L * self.R + math.pi * self.R**2, abs=1e-14)
+        assert perimeter(self.BODY) == pytest.approx(2 * self.L + 2 * math.pi * self.R, abs=1e-14)
+
+    def test_patch_quadrature_is_the_area(self):
+        ones = lambda p: np.ones(p.shape[0])  # noqa: E731
+        assert integrate_parallel(self.BODY, 0.0, ones) == pytest.approx(area(self.BODY), abs=1e-12)
+
+    def test_is_the_segment_grown_by_r(self):
+        for t in (0.0, 0.25, 1.0):
+            assert steiner_mass(self.BODY, t) == pytest.approx(steiner_mass(SEG, self.R + t), abs=1e-12)
+            f = lambda p: 1.0 + p[:, 0] ** 2  # noqa: E731
+            assert boundary_integral(self.BODY, t, f) == pytest.approx(boundary_integral(SEG, self.R + t, f),
+                                                                       abs=1e-10)
+        assert contains(self.BODY, 0.0, [1.0, 0.29]) and not contains(self.BODY, 0.0, [1.0, 0.31])

@@ -252,6 +252,19 @@ class TestCompoundPoissonOde:
         q = LatticeDistribution.uniform([1, 2])
         assert abs(cpois_cdf_ode_residual(1.0, q, 3.0, 1e-3)) <= 1e-5
 
+    def test_one_panjer_vector_gives_every_cdf(self):
+        # the residual's slice sums equal a cpois_cdf call per support point, bit for bit
+        gen = RngStream(34).generator()
+        for _ in range(40):
+            q = random_lattice(gen, support_max=int(gen.integers(0, 8)))
+            theta, x = float(gen.uniform(0.1, 6.0)), float(gen.choice([-0.5, 0.0, 2.5, 7.0, 30.0]))
+            rhs = -cpois_cdf(theta, q, x)
+            for z in range(q.probs.size):
+                if q.probs[z] > 0.0:
+                    rhs += q.probs[z] * cpois_cdf(theta, q, x - z)
+            fd = (cpois_cdf(theta + 1e-3, q, x) - cpois_cdf(theta - 1e-3, q, x)) / 2e-3
+            assert cpois_cdf_ode_residual(theta, q, x, 1e-3) == fd - rhs
+
     def test_delta_validation(self):
         q = LatticeDistribution.delta(1)
         with pytest.raises(ValueError):
@@ -269,6 +282,17 @@ class TestLatticeDistribution:
     def test_non_finite_probabilities_raise(self, probs):
         with pytest.raises(ValueError, match="finite"):
             LatticeDistribution(np.array(probs))
+
+    def test_caller_array_stays_writeable(self):
+        a = np.array([0.5, 0.5])
+        q = LatticeDistribution(a)
+        assert a.flags.writeable and not q.probs.flags.writeable
+        a[0] = 0.9
+        assert q.q(0) == 0.5
+
+    def test_probabilities_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            LatticeDistribution(np.array([[0.5], [0.5]]))
 
     def test_cdf_below_support(self):
         q = LatticeDistribution.uniform([1, 2])

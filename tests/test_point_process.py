@@ -47,6 +47,14 @@ class TestTotalMass:
         # the factory carries the exact value
         assert total_mass(IntensityMeasure.disk([0.0, 0.0], 1.0)) == pytest.approx(math.pi, abs=1e-14)
 
+    @pytest.mark.parametrize("d, volume", [(1, 3.0), (2, math.pi * 1.5 * 1.5), (3, 4.5 * math.pi)])
+    def test_disk_mass_in_every_dimension(self, d, volume):
+        mu = IntensityMeasure.disk(np.zeros(d), 1.5, scale=2.0)
+        assert total_mass(mu) == pytest.approx(2.0 * volume, rel=1e-14)
+        pts = np.concatenate([blk.points for blk in poisson_blocks(mu, 50, RngStream(23, d))])
+        assert pts.shape[1] == d and np.all(np.linalg.norm(pts, axis=1) <= 1.5)
+        assert pts.shape[0] / 50 == pytest.approx(2.0 * volume, rel=0.3)
+
     def test_linear_density(self):
         mu = IntensityMeasure.interval(0.0, 1.0, density=lambda p: 2.0 * p[:, 0], sup_density=2.0)
         assert total_mass(mu, tol=1e-10) == pytest.approx(1.0, abs=1e-9)
