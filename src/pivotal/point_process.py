@@ -173,8 +173,9 @@ class IntensityMeasure:
 
     @staticmethod
     def disk(center, radius: float, scale: float = 1.0) -> "IntensityMeasure":
-        """Uniform on the ball about ``center`` in dimension d = center.size,
-        with the ball's volume pi^(d/2) r^d / Gamma(d/2 + 1) as its mass."""
+        """Uniform on the ball about ``center`` in d = center.size dimensions; its mass is the ball's volume."""
+        if not radius > 0:
+            raise ValueError(f"radius must be positive, got {radius!r}")
         c = np.asarray(center, dtype=float)
         d = c.size
         bounds = np.stack([c - radius, c + radius], axis=1)

@@ -55,6 +55,12 @@ class TestTotalMass:
         assert pts.shape[1] == d and np.all(np.linalg.norm(pts, axis=1) <= 1.5)
         assert pts.shape[0] / 50 == pytest.approx(2.0 * volume, rel=0.3)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, np.nan])
+    def test_disk_radius_must_be_positive(self, d, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            IntensityMeasure.disk(np.zeros(d), radius)
+
     def test_linear_density(self):
         mu = IntensityMeasure.interval(0.0, 1.0, density=lambda p: 2.0 * p[:, 0], sup_density=2.0)
         assert total_mass(mu, tol=1e-10) == pytest.approx(1.0, abs=1e-9)
