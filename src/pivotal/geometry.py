@@ -51,7 +51,7 @@ _POOL = 5000  # most replicates the Crofton boundary side averages over
 # -- shapes -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexBody:
     """A convex polygon of k >= 1 ccw vertices, shape (k, 2), dilated by a disk
     of radius r >= 0 (r > 0 for one vertex); the vertices are a read-only copy."""
@@ -108,13 +108,13 @@ def ConvexPolygon(vertices) -> ConvexBody:
 
 
 def Segment(a, b) -> ConvexBody:
-    """The segment between two distinct points: its two ends."""
+    """The segment between two distinct points: its two ends, which the
+    validator, like any two vertices, rejects as repeated when they are less
+    than 1e-14 apart, at any distance from the origin."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != 2 or b.size != 2:
         raise ValueError("segment is planar")
-    if np.allclose(a, b):
-        raise ValueError("endpoints must differ")
     return ConvexBody(np.stack([a.reshape(2), b.reshape(2)]), 0.0)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .quadrature import peak_gauss_legendre
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """A probability distribution on {0, 1, ..., len(probs)-1}."""
 

@@ -46,6 +46,15 @@ row stays valid after the call.  A ``CountFunctional``, g(phi) =
 f(phi(B_1), ..., phi(B_r)), overrides them with closed forms in the region
 memberships of the points, a whole block at a time, with the same values bit
 for bit.
+
+Region counts: a region given to ``count_in`` must be a pure, row-wise
+membership test, mapping an (n, dim) array to n booleans (another shape
+raises TypeError).  A configuration memoises each region's membership and
+count, and a configuration that ``node_differences`` or ``pivotal_points``
+grows or thins by one row counts as its replicate's count plus or minus that
+row's membership.  So g = phi.count_in(B) asks B once per replicate and once
+per node set, never once per grown configuration, and every count is the
+same exact integer as a fresh count.
 """
 
 from __future__ import annotations
@@ -86,17 +95,26 @@ def _point_rows(points, dim: int) -> np.ndarray:
     raise ValueError(f"points must be rows of {dim} coordinates, got an array of shape {pts.shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointConfiguration:
-    """A finite multiset of points in R^dim (the empty configuration is valid)."""
+    """A finite multiset of points in R^dim (the empty configuration is valid).
+
+    A configuration that the ``Statistic`` defaults derive by one row records
+    its parts ``(base, rows, j, sign)``: it is ``base`` with row j of ``rows``
+    (a configuration without parts) added (sign 1) or left out (sign -1).
+    """
 
     dim: int
     points: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        pts = _point_rows(self.points, self.dim).view()  # a view: the caller's array stays writeable
+        pts = np.array(_point_rows(self.points, self.dim))  # a copy: the caller's array stays writeable
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    def __reduce__(self):
+        # pickle and copy rebuild the points alone, without the memo or the parts
+        return PointConfiguration, (self.dim, self.points)
 
     @classmethod
     def _wrap(cls, dim: int, pts: np.ndarray) -> "PointConfiguration":
@@ -121,12 +139,37 @@ class PointConfiguration:
         return PointConfiguration._wrap(self.dim, np.concatenate((self.points, zs)))
 
     def count_in(self, region: Callable[[np.ndarray], np.ndarray]) -> int:
-        if len(self) == 0:
-            return 0
-        return int(np.count_nonzero(region(self.points)))
+        """The number of points in ``region``, a pure row-wise membership test
+        mapping an (n, dim) array to n booleans (another shape raises TypeError),
+        memoised per region object as the module docstring says."""
+        return self._region(region)[2]
+
+    def _region(self, region) -> tuple:
+        """(region, membership or None, count), memoised; the entry holds the
+        region, so no other object takes its id while the entry lives."""
+        memo = self.__dict__.setdefault("_memo", {})
+        entry = memo.get(id(region))
+        if entry is None:
+            parts = self.__dict__.get("_parts")
+            if parts is None:
+                inside = _inside(region, self.points)
+                entry = (region, inside, int(np.count_nonzero(inside)))
+            else:
+                base, rows, j, sign = parts
+                entry = (region, None, base._region(region)[2] + sign * rows._region(region)[1].item(j))
+            memo[id(region)] = entry
+        return entry
 
 
-@dataclass(frozen=True)
+def _derived(dim: int, pts: np.ndarray, base: PointConfiguration, rows: PointConfiguration, j: int,
+             sign: int) -> PointConfiguration:
+    """The configuration of the read-only array ``pts``, with its parts recorded."""
+    phi = object.__new__(PointConfiguration)
+    phi.__dict__.update(dim=dim, points=pts, _parts=(base, rows, j, sign))
+    return phi
+
+
+@dataclass(frozen=True, eq=False)
 class IntensityMeasure:
     """A measure theta * h(x) dx on a region given by a bounding box and membership test.
 
@@ -335,7 +378,7 @@ def _blocks(mu, reps, rng, mean_count, draw_counts, added) -> Iterator["Replicat
         yield ReplicateBlock(_sample_points(mu, int(offsets[-1]), gen), offsets, extra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReplicateBlock:
     """Configurations of consecutive replicates, concatenated (ragged)."""
 
@@ -389,13 +432,16 @@ class Statistic:
         w_p (g(phi + delta_p) - b), where b is the replicate's entry of ``base``,
         or g(phi) if ``base`` is None."""
         dim = blk.points.shape[1]
-        nodes = _point_rows(nodes, dim)
-        base = self.replicate_values(blk) if base is None else base
+        rows = PointConfiguration(dim, nodes)
+        value = self.value
+        base = None if base is None else np.asarray(base, dtype=float).tolist()
+        weights = np.asarray(weights, dtype=float).tolist()  # Python floats: the products of float64 scalars, faster
         acc = np.zeros(blk.reps)
         for i in range(blk.reps):
-            s, b = 0.0, base[i]
-            for grown, w in zip(_grown(blk.configuration(i).points, nodes), weights):
-                s += w * (self.value(PointConfiguration._wrap(dim, grown)) - b)
+            phi = blk.configuration(i)
+            s, b = 0.0, value(phi) if base is None else base[i]
+            for j, (grown, w) in enumerate(zip(_grown(phi.points, rows.points), weights)):
+                s += w * (value(_derived(dim, grown, phi, rows, j, 1)) - b)
             acc[i] = s
         return acc
 
@@ -403,14 +449,15 @@ class Statistic:
         """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
         and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
         dim = blk.points.shape[1]
+        value = self.value
         r, a = np.zeros(blk.reps), np.zeros(blk.reps)
         for i in range(blk.reps):
             eta = blk.configuration(i)
-            if self.value(eta) == 1.0:
-                for fewer, more in zip(_thinned(eta.points), _grown(eta.points, eta.points)):
-                    if self.value(PointConfiguration._wrap(dim, fewer)) == 0.0:
+            if value(eta) == 1.0:
+                for j, (fewer, more) in enumerate(zip(_thinned(eta.points), _grown(eta.points, eta.points))):
+                    if value(_derived(dim, fewer, eta, eta, j, -1)) == 0.0:
                         r[i] += 1.0
-                    if self.value(PointConfiguration._wrap(dim, more)) == 0.0:
+                    if value(_derived(dim, more, eta, eta, j, 1)) == 0.0:
                         a[i] += 1.0
         return r, a
 
@@ -524,11 +571,22 @@ class CountFunctional(Statistic):
 def _memberships(regions: tuple, pts: np.ndarray) -> np.ndarray:
     """(n, r) 0/1 integer array: point i lies in region j."""
     out = np.ones((pts.shape[0], len(regions)), dtype=np.int64)
-    if pts.shape[0]:
-        for j, region in enumerate(regions):
-            if region is not None:
-                out[:, j] = np.asarray(region(pts), dtype=bool)
+    for j, region in enumerate(regions):
+        if region is not None:
+            out[:, j] = _inside(region, pts)
     return out
+
+
+def _inside(region, pts: np.ndarray) -> np.ndarray:
+    """The n booleans of ``region`` on the n rows of ``pts`` (none asked for no
+    rows); a region that answers in another shape raises TypeError."""
+    if pts.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    inside = np.asarray(region(pts), dtype=bool)
+    if inside.shape != (pts.shape[0],):
+        raise TypeError(f"a region must map {pts.shape[0]} points to {pts.shape[0]} booleans, "
+                        f"got shape {inside.shape}")
+    return inside
 
 
 def count_statistic() -> CountFunctional:

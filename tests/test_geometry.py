@@ -383,6 +383,12 @@ class TestShapeValidation:
         with pytest.raises(ValueError):
             Segment(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
+    def test_segment_far_from_the_origin(self):
+        # distinct ends are told apart by length, not relative to their coordinates
+        assert perimeter(Segment([1e5, 0.0], [1e5 + 0.5, 0.0])) == 1.0
+        with pytest.raises(ValueError):
+            Segment([1e5, 0.0], [1e5 + 1e-15, 0.0])
+
     def test_3d_rejected(self):
         with pytest.raises(ValueError):
             Disk(np.zeros(3), 1.0)
@@ -423,6 +429,11 @@ class TestShapeValidation:
         center[0] = vertices[0, 0] = 9.0
         assert disk.vertices.tolist() == [[0.0, 0.0]] and pent.vertices[0, 0] == 0.0
         assert not disk.vertices.flags.writeable
+
+    def test_bodies_compare_by_identity(self):
+        a, b = Disk([0.0, 0.0], 1.0), Disk([0.0, 0.0], 1.0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_constructors_build_one_outline(self):
         assert (DISK.vertices.tolist(), DISK.radius) == ([[0.0, 0.0]], 1.0)

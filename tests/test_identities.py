@@ -290,6 +290,11 @@ class TestLatticeDistribution:
         a[0] = 0.9
         assert q.q(0) == 0.5
 
+    def test_identity_equality(self):
+        a, b = LatticeDistribution.uniform([1, 2]), LatticeDistribution.uniform([1, 2])
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_probabilities_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
             LatticeDistribution(np.array([[0.5], [0.5]]))

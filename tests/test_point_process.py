@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -561,6 +562,97 @@ class TestGenericConfigurations:
                 g.node_differences(blk, nodes, np.ones(len(nodes)))
 
 
+class TestRegionCounts:
+    """``count_in`` memoises a region's membership per configuration, and counts
+    a configuration that the ``Statistic`` defaults derive by one row as its
+    base's count plus or minus that row's membership."""
+
+    NODES = RngStream(42).generator().random((6, 2))
+    REGIONS = {
+        "ball": lambda dim: ball_region(np.full(dim, 0.5), 0.4),
+        "box": lambda dim: box_region(np.zeros(dim), np.full(dim, 0.6)),
+        "row_sum": lambda dim: lambda pts: pts.sum(axis=1) < 0.4 * dim,
+    }
+
+    @staticmethod
+    def _spy(region):
+        calls = []
+
+        def spy(pts):
+            calls.append(pts.shape[0])
+            return region(pts)
+
+        return spy, calls
+
+    @pytest.mark.parametrize("given_base", [False, True])
+    def test_node_differences_ask_once_per_replicate_and_once_per_node_set(self, given_base):
+        spy, calls = self._spy(ball_region([0.5, 0.5], 0.4))
+        g = Statistic(eval=lambda phi: float(phi.count_in(spy)))
+        g.node_differences(_PLANE, self.NODES, np.ones(6), np.zeros(_PLANE.reps) if given_base else None)
+        # the nonempty replicates (sizes 3, 1, 5, 2, 4) and the 6 nodes, once each
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
+
+    def test_pivotal_points_ask_once_per_replicate(self):
+        spy, calls = self._spy(ball_region([0.5, 0.5], 0.4))
+        g = Statistic(eval=lambda phi: float(phi.count_in(spy) >= 1), bound=1.0, is_event=True)
+        g.pivotal_points(_PLANE)
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_derived_counts_equal_fresh_counts(self, dim):
+        blk = _hand_block(dim, [0, 3, 1, 0, 5, 2], 0, 43 + dim)
+        blk.points[1] = blk.points[0]  # a point of multiplicity two
+        regions = [make(dim) for make in self.REGIONS.values()]
+        seen = []
+
+        def counting(phi):
+            seen.append((phi, [phi.count_in(region) for region in regions]))
+            return 1.0
+
+        g = Statistic(eval=counting)
+        g.node_differences(blk, RngStream(44).generator().random((4, dim)), np.ones(4))
+        g.pivotal_points(blk)
+        # 6 replicates and 6 x 4 grown by a node, then 6 replicates and 11 x 2 thinned or grown by a copy
+        assert len(seen) == 6 + 24 + 6 + 22
+        assert sum(len(phi) == 0 for phi, _ in seen) == 4 + 1  # the empty replicates and a thinned singleton
+        for phi, counts in seen:
+            fresh = [int(np.count_nonzero(region(np.array(phi.points)))) if len(phi) else 0 for region in regions]
+            assert counts == fresh
+            assert [phi.count_in(region) for region in regions] == fresh
+
+    def test_memo_per_configuration_and_region_object(self):
+        spy, calls = self._spy(box_region([0.0, 0.0], [0.5, 0.5]))
+        twin, twin_calls = self._spy(box_region([0.0, 0.0], [0.5, 0.5]))
+        phi = PointConfiguration(2, [[0.1, 0.1], [0.7, 0.2], [0.3, 0.4]])
+        assert phi.count_in(spy) == phi.count_in(spy) == phi.count_in(twin) == 2
+        assert calls == [3] and twin_calls == [3]
+        # pickling and copying keep the points and drop the memo (spy is a local function)
+        copied = pickle.loads(pickle.dumps(phi))
+        assert copied.points.tolist() == phi.points.tolist() and not copied.points.flags.writeable
+        assert copied.count_in(spy) == 2 and calls == [3, 3]
+
+    def test_caller_writes_do_not_reach_the_configuration(self):
+        pts = np.zeros((2, 2))
+        phi = PointConfiguration(2, pts)
+        quarter = box_region([0.0, 0.0], [0.5, 0.5])
+        assert phi.count_in(quarter) == 2
+        pts[:] = 1.0
+        assert phi.points.tolist() == [[0.0, 0.0], [0.0, 0.0]] and phi.count_in(quarter) == 2
+
+    @pytest.mark.parametrize("answer", [lambda pts: True, lambda pts: np.ones((pts.shape[0], 1), dtype=bool),
+                                        lambda pts: np.ones(pts.shape[0] + 1, dtype=bool)])
+    def test_region_of_another_shape_raises(self, answer):
+        # a scalar answer was counted once by count_in and broadcast to every point by the count functional
+        phi = PointConfiguration(2, [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
+        g = CountFunctional([answer], lambda c: c[:, 0].astype(float))
+        with pytest.raises(TypeError):
+            phi.count_in(answer)
+        with pytest.raises(TypeError):
+            g.eval(phi)
+        with pytest.raises(TypeError):
+            g.replicate_values(_PLANE)
+
+
 class TestReplicateBlocks:
     def test_blocks_cover_the_replicates(self):
         lam = IntensityMeasure.unit_square()
@@ -678,6 +770,14 @@ class TestConfiguration:
         done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_identity_equality(self):
+        # frozen dataclasses over arrays compare by identity, so each can be hashed and kept in a set
+        for make in (lambda: PointConfiguration(2, [[0.0, 0.0]]), IntensityMeasure.unit_square,
+                     lambda: _hand_block(2, [1, 2], 1, 5)):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
 
 class TestOneReplicateSamplers:
