@@ -49,12 +49,13 @@ for bit.
 
 Region counts: a region given to ``count_in`` must be a pure, row-wise
 membership test, mapping an (n, dim) array to n booleans (another shape
-raises TypeError).  A configuration memoises each region's membership and
-count, and a configuration that ``node_differences`` or ``pivotal_points``
-grows or thins by one row counts as its replicate's count plus or minus that
-row's membership.  So g = phi.count_in(B) asks B once per replicate and once
-per node set, never once per grown configuration, and every count is the
-same exact integer as a fresh count.
+raises TypeError).  A configuration memoises each region's count, keyed by
+the region object, and the membership of its points.  A configuration that
+``node_differences`` or ``pivotal_points`` grows or thins by one row keeps no
+membership: it counts as its replicate's count plus or minus that row's.
+So g = phi.count_in(B) asks B once per replicate and once per node set,
+never once per grown configuration, and every count is the same exact
+integer as a fresh count.
 """
 
 from __future__ import annotations

@@ -626,7 +626,7 @@ class TestRegionCounts:
         phi = PointConfiguration(2, [[0.1, 0.1], [0.7, 0.2], [0.3, 0.4]])
         assert phi.count_in(spy) == phi.count_in(spy) == phi.count_in(twin) == 2
         assert calls == [3] and twin_calls == [3]
-        # pickling and copying keep the points and drop the memo (spy is a local function)
+        # pickling keeps the points and drops the memo (spy is a local function)
         copied = pickle.loads(pickle.dumps(phi))
         assert copied.points.tolist() == phi.points.tolist() and not copied.points.flags.writeable
         assert copied.count_in(spy) == 2 and calls == [3, 3]
