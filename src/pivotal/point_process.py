@@ -35,8 +35,8 @@ Block protocol: estimators and checks evaluate a statistic g on a
 ``ReplicateBlock`` only through four ``Statistic`` methods: ``replicate_values``
 (g at each replicate), ``differences`` (the iterated add-point difference over
 the added points), ``node_differences`` (weighted add-point differences at
-fixed nodes) and ``pivotal_points``.  A restriction of every replicate is the
-view ``ReplicateBlock.restricted``.  The ``Statistic`` defaults evaluate g
+fixed nodes) and ``pivotal_points``.  The engine's blocks, and the blocks
+``restricted`` from them, are read-only.  The ``Statistic`` defaults evaluate g
 configuration by configuration, once per configuration.  ``node_differences``
 and ``pivotal_points`` build a replicate's configurations grown by one point
 (a node, or a copy of one of its points) or thinned by one in read-only
@@ -53,9 +53,9 @@ raises TypeError).  A configuration memoises each region's count, keyed by
 the region object, and the membership of its points.  A configuration that
 ``node_differences`` or ``pivotal_points`` grows or thins by one row keeps no
 membership: it counts as its replicate's count plus or minus that row's.
-So g = phi.count_in(B) asks B once per replicate and once per node set,
-never once per grown configuration, and every count is the same exact
-integer as a fresh count.
+So g = phi.count_in(B), like ``CountFunctional.eval``, asks B once per
+replicate and once per node set, never once per grown configuration, and
+every count is the same exact integer as a fresh count.
 """
 
 from __future__ import annotations
@@ -376,7 +376,7 @@ def _blocks(mu, reps, rng, mean_count, draw_counts, added) -> Iterator["Replicat
         gen = rng.substream(b).generator()
         extra = _sample_points(nu, r * k, gen).reshape(r, k, mu.dim)
         offsets = np.concatenate(([0], np.cumsum(draw_counts(gen, r))))
-        yield ReplicateBlock(_sample_points(mu, int(offsets[-1]), gen), offsets, extra)
+        yield ReplicateBlock(*_read_only(_sample_points(mu, int(offsets[-1]), gen), offsets, extra))
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,7 +399,14 @@ class ReplicateBlock:
         """Each replicate's points where ``keep`` (one boolean per point) holds; the same added points."""
         keep = np.asarray(keep, dtype=bool)
         kept_before = np.concatenate(([0], np.cumsum(keep)))
-        return ReplicateBlock(self.points[keep], kept_before[self.offsets], self.added)
+        return ReplicateBlock(*_read_only(self.points[keep], kept_before[self.offsets]), self.added)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only in place, so no write leaves a configuration's memoised count stale."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -508,7 +515,7 @@ class CountFunctional(Statistic):
         regions = tuple(regions)
 
         def count_value(phi: PointConfiguration) -> float:
-            return f(_memberships(regions, phi.points).sum(axis=0, keepdims=True))[0]
+            return f(np.array([[len(phi) if b is None else phi.count_in(b) for b in regions]], dtype=np.int64))[0]
 
         super().__init__(count_value, bound, is_event, name)
         object.__setattr__(self, "regions", regions)

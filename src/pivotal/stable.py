@@ -46,7 +46,7 @@ Gamma(k - 2/alpha)/Gamma(k) has the closed form
 Gamma(n+1-2/alpha) / ((2/alpha - 1) Gamma(n)) (telescoping).  N is the
 shortest length whose bound falls below a tolerance; the same formula covers
 alpha < 1, alpha = 1 and alpha > 1.  For alpha >= 1 the spectral measure must
-be centered and N is capped (default 10^5) with the achieved bound reported.
+be centered and N is capped at 10^5 with the achieved bound reported.
 
 LePage draw contract: ``sample_stable_many`` splits the samples into blocks
 of ``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.
@@ -78,6 +78,7 @@ _BATCH_ELEMENTS = 4_000_000
 _CHUNK_ELEMENTS = 1 << 16
 _EXACT_BLOCK = 1 << 16
 _NBLOCKS = 50
+_PLAN_CAP = 100_000  # the longest series a plan picks for itself
 
 
 class EnvelopeError(ValueError):
@@ -197,7 +198,6 @@ def truncation_plan(
     params: StableParams,
     trunc_tol: float = 1e-3,
     nterms: int | None = None,
-    cap: int = 100_000,
 ) -> TruncationPlan:
     """Pick the series length and its split over the atoms for the requested tolerance.
 
@@ -217,21 +217,20 @@ def truncation_plan(
     def std_bound(n: int) -> float:
         return math.sqrt(sum(c * tail_meansq_sum(nj, alpha) for c, nj in zip(atom_scale, split(n))))
 
-    capped = False
-    if nterms is None:
+    capped = nterms is None and std_bound(_PLAN_CAP) > trunc_tol
+    if capped:
+        nterms = _PLAN_CAP
+    elif nterms is None:
         lo, hi = nmin, nmin
-        while std_bound(hi) > trunc_tol and hi < cap:
-            hi = min(2 * hi, cap)
-        if std_bound(hi) > trunc_tol:
-            nterms, capped = cap, True
-        else:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if std_bound(mid) <= trunc_tol:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            nterms = lo
+        while std_bound(hi) > trunc_tol:
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if std_bound(mid) <= trunc_tol:
+                hi = mid
+            else:
+                lo = mid + 1
+        nterms = lo
     else:
         nterms = max(nterms, nmin)
     return TruncationPlan(nterms, split(nterms), std_bound(nterms), capped)
@@ -588,6 +587,18 @@ def _block_residual(params: StableParams, reps: int, rng: RngStream, sides) -> I
     return IdentityResidual(lhs, rhs, mean, stderr, abs(lhs + rhs) < abs(lhs - rhs))
 
 
+def _shifted_ball_counts(xi: np.ndarray, u: np.ndarray, r: float, s: np.ndarray) -> np.ndarray:
+    """#{i : |xi_i + s u| <= r} at each node s, u a unit vector, in any dimension: with
+    p = <xi_i, u> and D = r^2 - |xi_i - p u|^2, |xi_i + s u|^2 = (s + p)^2 + r^2 - D, so
+    sample i counts on the interval [-p - sqrt(D), -p + sqrt(D)] when D >= 0, and never else."""
+    p = xi @ u
+    perp = xi - p[:, None] * u
+    disc = r * r - np.sum(perp * perp, axis=1)
+    keep = disc >= 0.0
+    p, half = p[keep], np.sqrt(disc[keep])
+    return np.searchsorted(np.sort(-p - half), s, side="right") - np.searchsorted(np.sort(-p + half), s, side="left")
+
+
 def radvec_residual(
     params: StableParams,
     r: float,
@@ -601,12 +612,11 @@ def radvec_residual(
 
     Both sides are estimated block by block from exact samples (the Monte
     Carlo block contract of the module docstring).  The radial quadrature
-    runs on [eps_low, tail_start]; beyond tail_start the bracket is within MC
-    noise of P(|xi| <= r), whose contribution is added in closed form.
-    ``nterms`` is accepted and ignored: it set the LePage series length when
-    the samples came from that series.  The one caller that still passes it
-    is the benchmark's ``radvec/*`` operations (``perfbench/workloads.py``),
-    so it stays until they drop it.
+    runs on [eps_low, tail_start], and counts each shifted ball |xi + s u_j| <= r
+    by intervals of s (``_shifted_ball_counts``) in every dimension; beyond
+    tail_start the bracket is within MC noise of P(|xi| <= r), whose
+    contribution is added in closed form.  ``nterms`` is ignored: it set the
+    LePage series length, and the benchmark's ``radvec/*`` operations still pass it.
     """
     if r <= 0:
         raise ValueError("need r > 0")
@@ -619,38 +629,20 @@ def radvec_residual(
     eps_low = (5e-3 if symmetric else 1e-6) * r
     tail_start = max(8.0 * r, (500.0 * theta * (1.0 + theta)) ** (1.0 / alpha), math.e)
     s_nodes, s_weights = _radial_nodes(alpha, eps_low, tail_start)
-    probs = spec.probabilities
-    dirs = spec.directions
 
     def sides(xi):
         # reps^(-1/5) smoothing by default; the small constant keeps the
         # curvature bias of the central difference below the reported stderr
         # even when r sits in a steep flank of the density
         h = 0.8 * r * reps ** (-0.2) if bandwidth is None else bandwidth
-        radius = np.abs(xi[:, 0]) if params.dim == 1 else np.linalg.norm(xi, axis=1)
-        radius.sort()
+        radius = np.sort(np.sqrt(np.sum(xi * xi, axis=1)))
         n = float(len(xi))
         cdf_at = lambda t: np.searchsorted(radius, t, side="right") / n
         f_hat = (cdf_at(r + h) - cdf_at(r - h)) / (2.0 * h)
         f_r = cdf_at(r)
-
         integral = 0.0
-        if params.dim == 1:
-            x_sorted = np.sort(xi[:, 0])
-            for p, u in zip(probs, dirs):
-                # P(|xi + s u| <= r) = P(xi in [-s u - r, -s u + r])
-                lo = np.searchsorted(x_sorted, -s_nodes * u[0] - r, side="left")
-                hi = np.searchsorted(x_sorted, -s_nodes * u[0] + r, side="right")
-                shifted = (hi - lo) / n
-                integral += p * float(np.dot(s_weights, f_r - shifted))
-        else:
-            # |xi + s u|^2 = |xi|^2 + 2 s <xi, u> + s^2, vectorized over nodes
-            sq = np.sum(xi * xi, axis=1)
-            for p, u in zip(probs, dirs):
-                proj = xi @ u
-                d2 = sq[:, None] + 2.0 * np.outer(proj, s_nodes) + s_nodes**2
-                shifted = np.count_nonzero(d2 <= r * r, axis=0) / n
-                integral += p * float(np.dot(s_weights, f_r - shifted))
+        for p, u in zip(spec.probabilities, spec.directions):
+            integral += p * float(np.dot(s_weights, f_r - _shifted_ball_counts(xi, u, r, s_nodes) / n))
         integral += f_r * tail_start**-alpha  # bracket -> P(|xi| <= r) past the cutoff
         return r * f_hat, alpha * theta * integral
 

@@ -620,6 +620,16 @@ class TestRegionCounts:
             assert counts == fresh
             assert [phi.count_in(region) for region in regions] == fresh
 
+    def test_count_functional_evaluates_through_the_memo(self):
+        # g.eval counts a configuration by count_in, so a derived one asks nothing more
+        spy, calls = self._spy(ball_region([0.5, 0.5], 0.4))
+        g = CountFunctional([spy, None], lambda c: c[:, 0] + 0.5 * c[:, 1])
+        blk = _hand_block(2, [5] * 10, 0, 46)
+        nodes = RngStream(47).generator().random((8, 2))
+        generic = Statistic(eval=g.eval).node_differences(blk, nodes, np.ones(8))
+        assert sorted(calls) == [5] * 10 + [8]
+        assert generic.tolist() == g.node_differences(blk, nodes, np.ones(8)).tolist()
+
     def test_memo_per_configuration_and_region_object(self):
         spy, calls = self._spy(box_region([0.0, 0.0], [0.5, 0.5]))
         twin, twin_calls = self._spy(box_region([0.0, 0.0], [0.5, 0.5]))
@@ -665,6 +675,30 @@ class TestReplicateBlocks:
             for b in blocks:
                 assert b.points.shape == (b.offsets[-1], 2) and b.added.shape == (b.reps, 1, 2)
                 assert b.offsets[0] == 0 and np.all(np.diff(b.offsets) >= 0)
+
+    def test_library_blocks_are_read_only(self):
+        mu = IntensityMeasure.unit_square(scale=5.0)
+        blocks = [next(poisson_blocks(mu, 10, RngStream(48), added=(mu, 2))),
+                  next(binomial_blocks(mu, 3, 10, RngStream(49)))]
+        blocks += [b.restricted(b.points[:, 0] < 0.5) for b in blocks]
+        quarter = box_region([0.0, 0.0], [0.5, 0.5])
+        for b in blocks:
+            for a in (b.points, b.offsets, b.added):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+            # so a configuration's memoised count cannot go stale under it
+            phi = b.configuration(int(np.argmax(np.diff(b.offsets))))
+            before = phi.count_in(quarter)
+            with pytest.raises(ValueError, match="read-only"):
+                b.points[:] = 0.9
+            assert before == phi.count_in(quarter) == int(np.count_nonzero(quarter(np.array(phi.points))))
+
+    def test_restricting_a_hand_block_leaves_it_as_it_is(self):
+        blk = _hand_block(2, [2, 3], 1, 50)
+        sub = blk.restricted(blk.points[:, 0] < 0.5)
+        assert not (sub.points.flags.writeable or sub.offsets.flags.writeable)
+        assert sub.added is blk.added
+        assert blk.points.flags.writeable and blk.offsets.flags.writeable and blk.added.flags.writeable
 
     def test_no_block_exceeds_the_limit(self):
         dense = IntensityMeasure.unit_square(scale=200.0)

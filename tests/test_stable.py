@@ -121,8 +121,8 @@ class TestTailSums:
 
     def test_cap_reported(self):
         params = StableParams(1.5, SpectralMeasure.symmetric_pair(1.0))
-        plan = truncation_plan(params, trunc_tol=1e-6, cap=1000)
-        assert plan.capped and plan.nterms == 1000
+        plan = truncation_plan(params, trunc_tol=1e-6)
+        assert plan.capped and plan.nterms == 100_000
 
     @pytest.mark.parametrize("alpha, spec", [(0.5, UNCENTRED_3), (1.2, CENTRED_3)])
     def test_plan_splits_over_atoms(self, alpha, spec):
@@ -639,6 +639,66 @@ class TestRadiusIdentity:
             radvec_residual(params, -1.0, 1000, RngStream(85))
         with pytest.raises(ValueError):
             radvec_residual(params, 1.0, 10, RngStream(85))
+
+
+def _distance_counts(xi, u, r, s):
+    """The reference count: |xi + s u|^2 = |xi|^2 + 2 s <xi, u> + s^2 <= r^2 over an (n, nodes) matrix."""
+    d2 = np.sum(xi * xi, axis=1)[:, None] + 2.0 * np.outer(xi @ u, s) + s**2
+    return np.count_nonzero(d2 <= r * r, axis=0)
+
+
+def _exact_inside(x, u, r, s):
+    """|x + s u|^2 - r^2 in exact rational arithmetic, and a few ulps of its largest term."""
+    gap = sum((Fraction(a) + Fraction(s) * Fraction(b)) ** 2 for a, b in zip(x, u)) - Fraction(r) ** 2
+    return gap, 8.0 * np.finfo(float).eps * ((np.linalg.norm(x) + abs(s)) ** 2 + r * r)
+
+
+class TestShiftedBallCounts:
+    """stable._shifted_ball_counts, the interval count of the radius identity's right side."""
+
+    @pytest.mark.parametrize("name, params", _RADVEC_CASES + [
+        ("axis_3d", StableParams(0.8, SpectralMeasure.axis_symmetric(1.0, dim=3)))])
+    def test_matches_the_distance_matrix(self, name, params):
+        s = stable._radial_nodes(params.alpha, 1e-6, 50.0)[0]
+        for j in range(3):
+            xi = sample_stable_exact(params, 4000, RngStream(160, j))
+            for u in params.spectral.directions:
+                for r in (1.0, 0.3, 2.5):
+                    got = stable._shifted_ball_counts(xi, u, r, s)
+                    assert got.tolist() == _distance_counts(xi, u, r, s).tolist()
+
+    @pytest.mark.parametrize("name, params", _RADVEC_CASES + [("uncentred_3", StableParams(0.5, UNCENTRED_3))])
+    def test_exact_away_from_the_sphere(self, name, params):
+        # samples on the sphere |xi + s u| = r of a node s, moved by up to 2^12 ulps per
+        # coordinate; about half of them stay within a few ulps of it and are left out
+        gen = np.random.default_rng(161)
+        s_all = stable._radial_nodes(params.alpha, 1e-6, 50.0)[0]
+        nodes = s_all[:: len(s_all) // 6]
+        near = 0  # samples checked at their own node
+        for u in params.spectral.directions:
+            for s in nodes:
+                for r in (1.0, 0.7):
+                    v = gen.normal(size=(24, params.dim))
+                    xi = -s * u + r * v / np.linalg.norm(v, axis=1, keepdims=True)
+                    steps = gen.integers(-(2**12), 2**12 + 1, size=xi.shape) >> gen.integers(0, 13, size=xi.shape)
+                    xi = xi + steps * np.spacing(xi)
+                    for x in xi:
+                        got = stable._shifted_ball_counts(x[None, :], u, r, nodes)
+                        for count, t in zip(got.tolist(), nodes.tolist()):
+                            gap, few_ulps = _exact_inside(x, u, r, t)
+                            if abs(gap) > few_ulps:
+                                assert count == int(gap <= 0), (x.tolist(), u.tolist(), r, t)
+                                near += t == s
+        assert near > 0.3 * params.spectral.weights.size * nodes.size * 2 * 24
+
+    def test_empty_and_missed(self):
+        u = np.array([1.0, 0.0])
+        s = np.array([0.0, 1.0, 5.0])
+        assert stable._shifted_ball_counts(np.empty((0, 2)), u, 1.0, s).tolist() == [0, 0, 0]
+        # |y| > r: no shift along u reaches the ball, and no square root of a negative number is taken
+        with np.errstate(invalid="raise"):
+            assert stable._shifted_ball_counts(np.array([[0.0, 3.0]]), u, 1.0, s).tolist() == [0, 0, 0]
+        assert stable._shifted_ball_counts(np.array([[-1.0, 0.0]]), u, 1.0, s).tolist() == [1, 1, 0]
 
 
 class TestMonteCarloBlocks:
