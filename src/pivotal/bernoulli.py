@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import _GL_SIZES, gauss_legendre, peak_gauss_legendre
+from .quadrature import GL_SIZES, gauss_legendre, peak_gauss_legendre, row_values
 from .rng import RngStream
 
 MAX_EXACT_BITS = 24
@@ -46,16 +46,6 @@ class BooleanEvent:
 
     nbits: int
     indicator: Callable
-
-
-def _eval_indicator(event: BooleanEvent, bits: np.ndarray) -> np.ndarray:
-    out = np.asarray(event.indicator(bits))
-    if out.shape != (bits.shape[0],):
-        raise TypeError(
-            f"indicator must map a bit matrix of shape {bits.shape} to values of "
-            f"shape {(bits.shape[0],)}, got shape {out.shape}"
-        )
-    return out.astype(bool)
 
 
 def _popcount(idx: np.ndarray, m: int) -> np.ndarray:
@@ -76,10 +66,10 @@ def truth_table(event: BooleanEvent) -> np.ndarray:
     if m > MAX_EXACT_BITS:
         raise ValueError(f"exact enumeration capped at {MAX_EXACT_BITS} bits, got {m}")
     idx = np.arange(1 << m, dtype=np.int64)
-    table = _eval_indicator(event, _bits_matrix(m, idx))
+    table = row_values(event.indicator, _bits_matrix(m, idx), "indicator", bool)
     # the indicator must be a pure function: re-evaluate a few outcomes
     probe = idx[:: max(1, (1 << m) // 8)][:8]
-    again = _eval_indicator(event, _bits_matrix(m, probe))
+    again = row_values(event.indicator, _bits_matrix(m, probe), "indicator", bool)
     if not np.array_equal(table[probe], again):
         raise ValueError("indicator is not a pure function of its input")
     return table
@@ -101,8 +91,8 @@ def pivotal_counts(event: BooleanEvent, x) -> tuple[int, int]:
     downs = ups.copy()
     ups[np.arange(event.nbits), np.arange(event.nbits)] = 1
     downs[np.arange(event.nbits), np.arange(event.nbits)] = 0
-    in_up = _eval_indicator(event, ups)
-    in_down = _eval_indicator(event, downs)
+    in_up = row_values(event.indicator, ups, "indicator", bool)
+    in_down = row_values(event.indicator, downs, "indicator", bool)
     nplus = int(np.count_nonzero(in_up & ~in_down))
     nminus = int(np.count_nonzero(in_down & ~in_up))
     return nplus, nminus
@@ -322,7 +312,7 @@ def _beta_integral(a: int, b: int, log_prefactor: float, p: float) -> float:
     if p == 0.0:
         return 0.0
     kernel = _beta_kernel(a, b, log_prefactor)
-    npoints = next((n for n in _GL_SIZES if 2 * n - 1 >= a + b), None)
+    npoints = next((n for n in GL_SIZES if 2 * n - 1 >= a + b), None)
     if npoints is not None:
         return gauss_legendre(kernel, 0.0, p, npoints)
     sd = math.sqrt((a + 1) * (b + 1) / (a + b + 3)) / (a + b + 2)

@@ -10,7 +10,9 @@ the centroid, a rectangle along each edge and a circular sector at each
 vertex; its boundary is each edge offset by s and an arc at each vertex, so
 no indicator function is ever fed to a quadrature rule.  A segment has area 0
 and perimeter 2L, and the boundary of its K_0 is both of its sides.  Integrands
-take an (n, 2) point array and return n values; other shapes raise TypeError.
+take an (n, 2) point array and return n finite values: other shapes raise
+TypeError and non-finite values QuadratureError
+(:func:`pivotal.quadrature.integrand_values`).
 
 The Crofton checks draw their replicates from the block engine of
 :mod:`pivotal.point_process`: side s is ``rng.substream(s)`` and block b of
@@ -26,7 +28,6 @@ is the node sum exactly and the standard error 0) where K_t has mass 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,7 +41,7 @@ from .point_process import (
     poisson_blocks,
     total_mass,
 )
-from .quadrature import QuadratureError, _gl_nodes
+from .quadrature import QuadratureError, gauss_legendre_rule, integrand_values, panel_rule
 from .rng import RngStream
 from .summaries import mean_stderr, zscore
 
@@ -196,13 +197,13 @@ def bounding_box(body: ConvexBody, pad: float = 0.0) -> np.ndarray:
 # -- smooth patches covering the parallel set ---------------------------------
 
 
-@functools.cache
+_UNIT = np.array([0.0, 1.0])
+
+
 def _unit_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    x, w = _gl_nodes(n)
-    u, wu = 0.5 * (x + 1.0), 0.5 * w
-    u.flags.writeable = wu.flags.writeable = False
-    return u, wu
+    u, half = panel_rule(_UNIT, n)
+    return u[0], half[0] * gauss_legendre_rule(n)[1]
 
 
 def _affine_patch(p0, e1, e2, n):
@@ -248,20 +249,11 @@ def _parallel_patches(body: ConvexBody, t: float, n: int):
     return patches
 
 
-def _eval_points(f, pts: np.ndarray) -> np.ndarray:
-    """``f`` on the (n, dim) node array; its values must have shape (n,)."""
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise TypeError(f"integrand must map points of shape {pts.shape} to values of shape "
-                        f"({pts.shape[0]},), got shape {vals.shape}")
-    return vals
-
-
 def integrate_parallel(body: ConvexBody, t: float, f, npoints: int = 32) -> float:
     """Integral of ``f`` over the parallel set via smooth-patch Gauss-Legendre."""
     total = 0.0
     for pts, wts in _parallel_patches(body, t, npoints):
-        total += float(np.dot(wts, _eval_points(f, pts)))
+        total += float(np.dot(wts, integrand_values(f, pts)))
     return total
 
 
@@ -318,7 +310,7 @@ def boundary_integral(body: ConvexBody, t: float, f) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     pts, wts = boundary_nodes(body, t)
-    return float(np.dot(wts, _eval_points(f, pts)))
+    return float(np.dot(wts, integrand_values(f, pts)))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, row_values
 from .rng import RngStream
 
 MAX_ITERATED_DIFFERENCE = 20
@@ -523,17 +523,11 @@ class CountFunctional(Statistic):
 
     def counts(self, block: ReplicateBlock) -> np.ndarray:
         """(reps, r) region counts of the block's replicates."""
-        mem = _memberships(self.regions, block.points)
-        cum = np.zeros((mem.shape[0] + 1, mem.shape[1]), dtype=np.int64)
-        np.cumsum(mem, axis=0, out=cum[1:])
-        return cum[block.offsets[1:]] - cum[block.offsets[:-1]]
+        return _replicate_sums(_memberships(self.regions, block.points), block.offsets)
 
     def values(self, counts: np.ndarray) -> np.ndarray:
         """f on an (N, r) array of counts, checked."""
-        v = np.asarray(self.f(counts), dtype=float)
-        if v.shape != (counts.shape[0],):
-            raise TypeError(f"f must map counts of shape {counts.shape} to values of shape "
-                            f"({counts.shape[0]},), got shape {v.shape}")
+        v = row_values(self.f, counts, "f")
         if self.bound is not None:
             bad = ~(np.abs(v) <= self.bound + 1e-12)
             if bad.any():
@@ -567,7 +561,7 @@ class CountFunctional(Statistic):
 
     def pivotal_points(self, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
         mem = _memberships(self.regions, blk.points)
-        counts = self.counts(blk)
+        counts = _replicate_sums(mem, blk.offsets)
         owner = np.repeat(np.arange(blk.reps), np.diff(blk.offsets))
         held = self.values(counts)[owner] == 1.0
         around = counts[owner]
@@ -585,16 +579,19 @@ def _memberships(regions: tuple, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _replicate_sums(mem: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(reps, r) sums of the membership rows of each replicate."""
+    cum = np.zeros((mem.shape[0] + 1, mem.shape[1]), dtype=np.int64)
+    np.cumsum(mem, axis=0, out=cum[1:])
+    return cum[offsets[1:]] - cum[offsets[:-1]]
+
+
 def _inside(region, pts: np.ndarray) -> np.ndarray:
     """The n booleans of ``region`` on the n rows of ``pts`` (none asked for no
     rows); a region that answers in another shape raises TypeError."""
     if pts.shape[0] == 0:
         return np.zeros(0, dtype=bool)
-    inside = np.asarray(region(pts), dtype=bool)
-    if inside.shape != (pts.shape[0],):
-        raise TypeError(f"a region must map {pts.shape[0]} points to {pts.shape[0]} booleans, "
-                        f"got shape {inside.shape}")
-    return inside
+    return row_values(region, pts, "region", bool)
 
 
 def count_statistic() -> CountFunctional:

@@ -1,32 +1,37 @@
 """Quadrature kernels: Gauss-Legendre, adaptive Simpson, power-law singular integrals.
 
-Integrand contract: every routine here calls its integrand on a 1-D float
-array of nodes and expects back an array of the same shape.  An integrand
-that returns a scalar, or any other shape, raises ``TypeError``; there is no
-point-by-point retry.  A non-finite value raises :class:`QuadratureError`.
+Row contract: the library calls each user function (integrand, region,
+indicator, count functional) on an array of n rows through ``row_values``,
+which raises ``TypeError`` unless n values come back; there is no
+point-by-point retry.  Integrands take a 1-D node array (an (n, 2) point
+array in ``geometry``), and ``integrand_values`` also raises
+:class:`QuadratureError` on a non-finite value.  ``gauss_legendre_rule``
+caches every Gauss-Legendre rule once, read-only, and ``panel_rule`` maps
+it onto the panels between ascending cuts.
 
 Adaptive Simpson refines breadth first.  Level d holds every interval still
 live at depth d as arrays (endpoints, the three Simpson values, the coarse
 estimate), evaluates the integrand once on all their half-interval
 midpoints, and applies the same per-interval test |S2 - S1| <= 15 eps with
-eps = tol / 2^(d-1) that a depth-first recursion applies at depth d.  The
-test of an interval depends only on its own endpoints and values, never on
-the order in which intervals are visited, so both orders reach the same
-leaves.  The value is then reduced bottom up, each split interval taking the
-sum of its left and right child, which is the recursion's own
-``left + right`` summation tree: given the same integrand values the result
-is the same to the bit, and so is the reported depth.
+eps = tol / 2^(d-1) that a depth-first recursion applies at depth
+d <= ``_MAX_DEPTH``.  The test of an interval depends only on its own
+endpoints and values, never on the order in which intervals are visited, so
+both orders reach the same leaves.  The value is then reduced bottom up,
+each split interval taking the sum of its left and right child, which is the
+recursion's own ``left + right`` summation tree: given the same integrand
+values the result is the same to the bit, and so is the reported depth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-_GL_SIZES = (8, 16, 32, 64)
-_gl_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+GL_SIZES = (8, 16, 32, 64)  # the rules gauss_legendre accepts
+_MAX_DEPTH = 40  # deepest level of adaptive_simpson
 _PANEL_OFFSETS = np.arange(-45.0, 46.0)  # cuts of peak_gauss_legendre, in scales
 
 
@@ -34,24 +39,44 @@ class QuadratureError(RuntimeError):
     """Raised when a quadrature routine cannot meet its tolerance."""
 
 
-def _gl_nodes(npoints: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per size."""
-    if npoints not in _gl_cache:
-        _gl_cache[npoints] = np.polynomial.legendre.leggauss(npoints)
-    return _gl_cache[npoints]
+@functools.cache
+def gauss_legendre_rule(npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only npoints-point Gauss-Legendre nodes and weights on [-1, 1],
+    computed once per size."""
+    x, w = np.polynomial.legendre.leggauss(npoints)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
-def _eval_nodes(f: Callable, x: np.ndarray) -> np.ndarray:
-    """``f`` on the node array ``x``; its values must be finite and have x's shape."""
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
+def panel_rule(cuts: np.ndarray, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The npoints-point rule on each nonempty panel [lo, hi] between ascending
+    ``cuts``: the (panels, npoints) nodes lo + half + half * x and the panels'
+    half-widths half; panel i's weights are half[i] * w, with (x, w) from
+    ``gauss_legendre_rule(npoints)``."""
+    lo, hi = cuts[:-1], cuts[1:]
+    keep = hi > lo
+    lo, half = lo[keep], 0.5 * (hi[keep] - lo[keep])
+    x, _ = gauss_legendre_rule(npoints)
+    return (lo + half)[:, None] + half[:, None] * x, half
+
+
+def row_values(f: Callable, x: np.ndarray, what: str = "integrand", dtype=float) -> np.ndarray:
+    """``f(x)`` as an array of ``dtype``; it must hold one value per row of ``x``."""
+    vals = np.asarray(f(x), dtype=dtype)
+    if vals.shape != (x.shape[0],):
         raise TypeError(
-            f"integrand must map a node array of shape {x.shape} to values of the "
-            f"same shape, got shape {vals.shape}"
+            f"{what} must map an array of shape {x.shape} to values of shape "
+            f"({x.shape[0]},), got shape {vals.shape}"
         )
+    return vals
+
+
+def integrand_values(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``row_values`` of the integrand ``f``, which must also be finite."""
+    vals = row_values(f, x)
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise QuadratureError(f"non-finite integrand at x={float(x[bad][0])!r}")
+        raise QuadratureError(f"non-finite integrand at x={x[bad][0].tolist()!r}")
     return vals
 
 
@@ -72,11 +97,11 @@ def gauss_legendre(f: Callable, a: float, b: float, npoints: int = 32) -> float:
     """
     if not a < b:
         raise ValueError("require a < b")
-    if npoints not in _GL_SIZES:
-        raise ValueError(f"npoints must be one of {_GL_SIZES}, got {npoints}")
-    x, w = _gl_nodes(npoints)
+    if npoints not in GL_SIZES:
+        raise ValueError(f"npoints must be one of {GL_SIZES}, got {npoints}")
+    x, w = gauss_legendre_rule(npoints)
     y = 0.5 * (b - a) * x + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(w, _eval_nodes(f, y)))
+    return 0.5 * (b - a) * float(np.dot(w, integrand_values(f, y)))
 
 
 def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -93,7 +118,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 40,
     full_output: bool = False,
 ):
     """Adaptive Simpson quadrature with the standard |S2-S1|/15 error estimate.
@@ -103,7 +127,7 @@ def adaptive_simpson(
     the module docstring).  Returns the integral, or
     ``(integral, achieved_depth)`` when ``full_output`` is set.  Raises
     :class:`QuadratureError` on a non-finite integrand value, or if the
-    intervals cut off at ``max_depth`` leave more than ``tol`` of unresolved
+    intervals cut off at depth ``_MAX_DEPTH`` leave more than ``tol`` of unresolved
     error.
     """
     if tol <= 0:
@@ -113,17 +137,17 @@ def adaptive_simpson(
     if a > b:
         raise ValueError("require a <= b")
 
-    fa, fm, fb = _eval_nodes(f, np.array([a, 0.5 * (a + b), b]))
+    fa, fm, fb = integrand_values(f, np.array([a, 0.5 * (a + b), b]))
     x0, x2 = np.array([float(a)]), np.array([float(b)])
     f0, f1, f2 = np.array([fa]), np.array([fm]), np.array([fb])
     whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
     eps, depth = tol, 1
     levels: list[tuple[np.ndarray, np.ndarray]] = []  # (interval values, split mask)
-    unconverged = 0.0  # error budget spent on intervals cut off at max_depth
+    unconverged = 0.0  # error budget spent on intervals cut off at _MAX_DEPTH
     while True:
         n = x0.size
         x1 = 0.5 * (x0 + x2)
-        fmid = _eval_nodes(f, np.concatenate((0.5 * (x0 + x1), 0.5 * (x1 + x2))))
+        fmid = integrand_values(f, np.concatenate((0.5 * (x0 + x1), 0.5 * (x1 + x2))))
         fl, fr = fmid[:n], fmid[n:]
         left = (x1 - x0) / 6.0 * (f0 + 4.0 * fl + f1)
         right = (x2 - x1) / 6.0 * (f1 + 4.0 * fr + f2)
@@ -131,7 +155,7 @@ def adaptive_simpson(
         err = both - whole
         value = both + err / 15.0
         split = np.abs(err) > 15.0 * eps
-        if depth >= max_depth and split.any():
+        if depth >= _MAX_DEPTH and split.any():
             # localized non-smoothness (e.g. a jump): the intervals are now so
             # narrow that their residual error is at most |err|; spend budget,
             # added left to right as the recursion would
@@ -149,7 +173,7 @@ def adaptive_simpson(
     if unconverged > tol:
         raise QuadratureError(
             f"adaptive Simpson: unresolved error {unconverged:.3e} > tol {tol:.3e} "
-            f"after max_depth={max_depth}"
+            f"after depth {_MAX_DEPTH}"
         )
     # each split interval's value is the sum of its two children's, bottom up
     child = levels[-1][0]
@@ -175,12 +199,9 @@ def peak_gauss_legendre(
     anchor = min(max(mode, a), b)
     scale = sd if anchor == mode or abs(end_slope) * sd <= 1.0 else 1.0 / abs(end_slope)
     cuts = np.concatenate(([a], np.clip(anchor + scale * _PANEL_OFFSETS, a, b), [b]))  # ascending
-    lo, hi = cuts[:-1], cuts[1:]
-    keep = hi > lo
-    lo, half = lo[keep], 0.5 * (hi[keep] - lo[keep])
-    x, w = _gl_nodes(16)
-    nodes = (lo + half)[:, None] + half[:, None] * x
-    vals = _eval_nodes(f, nodes.ravel()).reshape(nodes.shape)
+    nodes, half = panel_rule(cuts, 16)
+    _, w = gauss_legendre_rule(16)
+    vals = integrand_values(f, nodes.ravel()).reshape(nodes.shape)
     return float(half @ (vals @ w))
 
 

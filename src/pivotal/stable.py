@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _gl_nodes, adaptive_simpson, power_singular_integral
+from .quadrature import adaptive_simpson, gauss_legendre_rule, panel_rule, power_singular_integral
 from .rng import RngStream
 from .summaries import mean_stderr
 
@@ -85,7 +85,7 @@ class EnvelopeError(ValueError):
     """A declared integrand envelope was violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Finite measure on the unit sphere: atoms ``directions`` with ``weights``."""
 
@@ -552,18 +552,17 @@ def _radial_nodes(alpha: float, eps: float, smax: float):
     """Radial quadrature nodes/weights for alpha * s^(-alpha-1) ds on [eps, smax],
     log-substituted on both sides of s = 1 in pieces of log-length <= 1.5.
     Returns (s, w) with sum w_i g(s_i) ~ int_eps^smax g(s) alpha s^(-alpha-1) ds."""
-    glx, glw = _gl_nodes(16)
+    _, glw = gauss_legendre_rule(16)
     ss, ww = [], []
     # s = e^(sign u) for u in (0, umax]; umax <= 0 (eps >= 1 or smax <= 1) leaves a side empty
     for umax, sign in ((math.log(1.0 / eps), -1.0), (math.log(smax), 1.0)):
-        n = max(1, int(math.ceil(umax / 1.5))) if umax > 0.0 else 0
-        for i in range(n):
-            u0, u1 = i * umax / n, (i + 1) * umax / n
-            uh = 0.5 * (u1 - u0)
-            u = 0.5 * (u0 + u1) + uh * glx
-            ss.append(np.exp(sign * u))
-            # jacobian: alpha s^(-alpha-1) ds -> alpha e^(-sign*alpha*u) du
-            ww.append(uh * glw * alpha * np.exp(-sign * alpha * u))
+        if umax <= 0.0:
+            continue
+        n = math.ceil(umax / 1.5)
+        u, uh = panel_rule(np.arange(n + 1) * umax / n, 16)
+        ss.append(np.exp(sign * u).ravel())
+        # jacobian: alpha s^(-alpha-1) ds -> alpha e^(-sign*alpha*u) du
+        ww.append((uh[:, None] * glw * alpha * np.exp(-sign * alpha * u)).ravel())
     return np.concatenate(ss), np.concatenate(ww)
 
 

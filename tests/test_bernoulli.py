@@ -21,8 +21,8 @@ def brute_pivotal_counts(event, x):
         up[i] = 1
         down = x.copy()
         down[i] = 0
-        in_up = bool(bn._eval_indicator(event, up[None, :])[0])
-        in_down = bool(bn._eval_indicator(event, down[None, :])[0])
+        in_up = bool(event.indicator(up[None, :])[0])
+        in_down = bool(event.indicator(down[None, :])[0])
         nplus += in_up and not in_down
         nminus += in_down and not in_up
     return nplus, nminus
@@ -77,7 +77,7 @@ class TestPivotalCounts:
         perm = gen.permutation(6)
 
         def relabeled(bits):
-            return bn._eval_indicator(ev, bits[:, perm])
+            return ev.indicator(bits[:, perm])
 
         ev_rel = bn.BooleanEvent(6, relabeled)
         for trial in range(20):

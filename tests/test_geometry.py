@@ -27,6 +27,7 @@ from pivotal.geometry import (
     steiner_mass,
 )
 from pivotal.point_process import CountFunctional, Statistic, ball_region, total_mass
+from pivotal.quadrature import QuadratureError
 from pivotal.rng import RngStream
 
 DISK = Disk(np.array([0.0, 0.0]), 1.0)
@@ -95,6 +96,12 @@ class TestMasses:
                 patch = integrate_parallel(body, t, ones)
                 assert abs(patch - steiner_mass(body, t)) <= 1e-8
 
+    @pytest.mark.parametrize("n", [5, 16, 32])
+    def test_unit_rule_is_the_mapped_rule(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        u, wu = geometry._unit_rule(n)
+        assert u.tolist() == (0.5 * (x + 1.0)).tolist() and wu.tolist() == (0.5 * w).tolist()
+
     def test_any_patch_order(self):
         # patch quadrature takes any number of nodes, not only the orders
         # gauss_legendre accepts
@@ -107,6 +114,14 @@ class TestMasses:
         # a function of one point is not retried point by point
         with pytest.raises(TypeError, match="shape"):
             integrate_parallel(DISK, 0.3, lambda p: 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        f = lambda p: np.where(p[:, 0] > 0.5, bad, 1.0)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_parallel(DISK, 0.3, f)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            parallel_mass(DISK, 0.3, f)
 
     def test_nonconstant_density(self):
         # h(x, y) = x + 2 over the unit square at t = 0: exact value 2.5
@@ -153,6 +168,11 @@ class TestBoundary:
     def test_scalar_integrand_raises(self):
         with pytest.raises(TypeError, match="shape"):
             boundary_integral(DISK, 0.3, lambda p: 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            boundary_integral(DISK, 0.3, lambda p: np.where(p[:, 1] > 0.0, bad, 1.0))
 
     def test_segment_bare_boundary_is_both_sides(self):
         # the boundary of K_0 is the segment twice: 2 * int_0^2 x^2 dx

@@ -598,6 +598,17 @@ class TestRegionCounts:
         g.pivotal_points(_PLANE)
         assert sorted(calls) == [1, 2, 3, 4, 5]
 
+    def test_count_functional_pivotal_points_ask_once(self):
+        # the counts come from the one membership array of the block's points
+        spy, calls = self._spy(ball_region([0.5, 0.5], 0.4))
+        g = hit_indicator(spy)
+        blk = next(binomial_blocks(IntensityMeasure.unit_square(), 5, 10, RngStream(48)))
+        assert blk.reps == 10
+        r, a = g.pivotal_points(blk)
+        assert calls == [50]
+        plain = Statistic(eval=g.eval, bound=1.0, is_event=True).pivotal_points(blk)
+        assert r.tolist() == plain[0].tolist() and a.tolist() == plain[1].tolist()
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_derived_counts_equal_fresh_counts(self, dim):
         blk = _hand_block(dim, [0, 3, 1, 0, 5, 2], 0, 43 + dim)

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pivotal import quadrature
 from pivotal.quadrature import (
+    GL_SIZES,
     QuadratureError,
     adaptive_simpson,
     gauss_legendre,
+    gauss_legendre_rule,
+    panel_rule,
     peak_gauss_legendre,
     power_singular_integral,
 )
@@ -47,6 +51,24 @@ class TestGaussLegendre:
             gauss_legendre(lambda x: x, 0.0, 1.0, 10)
 
 
+class TestRules:
+    def test_one_read_only_cache(self):
+        for n in GL_SIZES:
+            x, w = gauss_legendre_rule(n)
+            assert gauss_legendre_rule(n)[0] is x and gauss_legendre_rule(n)[1] is w
+            for arr in (x, w):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+
+    def test_panel_rule_drops_empty_panels(self):
+        nodes, half = panel_rule(np.array([0.0, 0.0, 1.0, 3.0, 3.0]), 8)
+        x, w = gauss_legendre_rule(8)
+        assert nodes.shape == (2, 8) and half.tolist() == [0.5, 1.0]
+        assert nodes[1].tolist() == (2.0 + x).tolist()
+        # the panel weights half * w integrate x^3 over [0, 3] exactly
+        assert float(np.sum(half[:, None] * w * nodes**3)) == pytest.approx(81.0 / 4.0, rel=1e-14)
+
+
 class TestAdaptiveSimpson:
     def test_closed_forms(self):
         assert adaptive_simpson(lambda x: np.exp(-x), 0.0, 1.0, tol=1e-12) == pytest.approx(
@@ -67,10 +89,10 @@ class TestAdaptiveSimpson:
         val = adaptive_simpson(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, tol=1e-9)
         assert val == pytest.approx(0.7, abs=1e-8)
 
-    def test_unresolvable_raises(self):
+    def test_unresolvable_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 6)
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda x: np.where(x > 1 / math.pi, 1.0, 0.0), 0.0, 1.0,
-                             tol=1e-13, max_depth=6)
+            adaptive_simpson(lambda x: np.where(x > 1 / math.pi, 1.0, 0.0), 0.0, 1.0, tol=1e-13)
 
     def test_non_finite_raises(self):
         with pytest.raises(QuadratureError):
@@ -203,17 +225,19 @@ class TestBreadthFirstMatchesRecursion:
         # intervals cut off at max_depth whose unresolved error stays within tol
         (lambda x: 1.0 if x > 1 / math.pi else 0.0, 0.0, 1.0, 1e-4, 12),
     ])
-    def test_same_value_and_depth(self, g, a, b, tol, max_depth):
+    def test_same_value_and_depth(self, g, a, b, tol, max_depth, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", max_depth)
         want = _recursive_simpson(g, a, b, tol=tol, max_depth=max_depth, full_output=True)
-        got = adaptive_simpson(_pointwise(g), a, b, tol=tol, max_depth=max_depth, full_output=True)
+        got = adaptive_simpson(_pointwise(g), a, b, tol=tol, full_output=True)
         assert got == want
 
-    def test_max_depth_raises_in_both(self):
+    def test_max_depth_raises_in_both(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 6)
         g = lambda x: 1.0 if x > 1 / math.pi else 0.0
         with pytest.raises(QuadratureError):
             _recursive_simpson(g, 0.0, 1.0, tol=1e-13, max_depth=6)
         with pytest.raises(QuadratureError):
-            adaptive_simpson(_pointwise(g), 0.0, 1.0, tol=1e-13, max_depth=6)
+            adaptive_simpson(_pointwise(g), 0.0, 1.0, tol=1e-13)
 
     def test_binomial_beta_kernel_grid(self):
         # the incomplete-beta integrals of criterion c02, k <= n <= 30

@@ -60,6 +60,16 @@ class TestSpectralMeasure:
         assert np.linalg.norm(spec.mean_direction) < 1e-15
         assert spec.total_mass == pytest.approx(2.0)
 
+    def test_compares_by_identity_and_hashes(self):
+        # value equality compared the atom arrays, so == on two atoms raised ValueError
+        spec = SpectralMeasure.symmetric_pair(1.0)
+        twin = SpectralMeasure.symmetric_pair(1.0)
+        assert spec == spec and spec != twin
+        params = StableParams(1.5, spec)
+        assert hash(params) == hash(StableParams(1.5, spec))
+        assert params == StableParams(1.5, spec) and params != StableParams(1.5, twin)
+        assert len({params, StableParams(1.5, spec)}) == 1
+
 
 class TestTailSums:
     def test_closed_forms_match_partial_sums(self):
@@ -639,6 +649,31 @@ class TestRadiusIdentity:
             radvec_residual(params, -1.0, 1000, RngStream(85))
         with pytest.raises(ValueError):
             radvec_residual(params, 1.0, 10, RngStream(85))
+
+
+def _radial_nodes_by_panel(alpha, eps, smax):
+    """The radial rule panel by panel, with each panel's midpoint 0.5 * (u0 + u1)."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    ss, ww = [], []
+    for umax, sign in ((math.log(1.0 / eps), -1.0), (math.log(smax), 1.0)):
+        n = max(1, math.ceil(umax / 1.5)) if umax > 0.0 else 0
+        for i in range(n):
+            u0, u1 = i * umax / n, (i + 1) * umax / n
+            uh = 0.5 * (u1 - u0)
+            u = 0.5 * (u0 + u1) + uh * x
+            ss.append(np.exp(sign * u))
+            ww.append(uh * w * alpha * np.exp(-sign * alpha * u))
+    return np.concatenate(ss), np.concatenate(ww)
+
+
+class TestRadialNodes:
+    def test_equal_to_the_panel_by_panel_rule(self):
+        # the panel rule's midpoint lo + half equals 0.5 * (u0 + u1) exactly: u1 - u0 is exact for u1 <= 2 u0
+        gen = np.random.default_rng(162)
+        for _ in range(300):
+            args = (gen.uniform(0.05, 1.95), 10 ** gen.uniform(-9, -0.01), 10 ** gen.uniform(0.01, 4))
+            got, want = stable._radial_nodes(*args), _radial_nodes_by_panel(*args)
+            assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
 
 
 def _distance_counts(xi, u, r, s):
