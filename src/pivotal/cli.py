@@ -4,11 +4,11 @@ Usage: ``pivotal --config cfg.json --out results/ [--seed N] [--suite name ...]`
 
 The config is JSON with top-level keys ``seed`` (required), ``reps``,
 ``suites`` (list), ``tolerances`` (optional overrides) and one optional block
-per suite with suite-specific parameters; ``load_config`` rejects unknown
-keys, wrong types and out-of-range values.  One CSV row is written per check
-plus a JSON summary, both replacing any earlier reports in the output
-directory; reruns with the same config and seed produce byte-identical
-output.  Exit codes are listed in ``EXIT_CODES``.
+per suite.  ``suites`` owns its schema: ``load_config`` reads the file,
+applies ``--seed`` and ``--suite``, and ``suites.check_config`` does the rest.
+One CSV row is written per check plus a JSON summary, both replacing any
+earlier reports in the output directory; reruns with the same config and
+seed produce byte-identical output.  Exit codes are listed in ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -22,21 +22,10 @@ from pathlib import Path
 from .point_process import DeclarationError
 from .quadrature import QuadratureError
 from .stable import EnvelopeError
-from .suites import SUITES, CheckResult, SuiteConfig, number_in
+from .suites import SUITES, CheckResult, SuiteConfig, check_config
 
 CSV_HEADER = ["suite", "check_id", "param_json", "lhs", "rhs",
               "lhs_stderr", "rhs_stderr", "z_or_gap", "threshold", "pass"]
-
-_TOLERANCE_KEYS = {
-    "identity": "tol_identity",
-    "relative": "tol_relative",
-    "ode": "tol_ode",
-    "quadrature": "tol_quadrature",
-    "stable_quadrature": "tol_stable_quad",
-    "golden_gap": "golden_gap",
-    "z": "zmax",
-    "ks_p": "ks_floor",
-}
 
 
 EXIT_CODES = """exit codes:
@@ -54,53 +43,21 @@ class ConfigError(ValueError):
 
 def load_config(path: str | Path, seed_override: int | None = None,
                 suites_override: list[str] | None = None) -> tuple[SuiteConfig, list[str]]:
+    """The checked config at ``path``, with ``--seed`` and ``--suite`` replacing its seed and suites."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is None:
-        raise ConfigError("a seed is required (config key 'seed' or --seed)")
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-
-    reps = raw.get("reps", 20000)
-    if not (isinstance(reps, int) and number_in(reps, 2)):
-        raise ConfigError("reps must be an integer >= 2")
-
-    names = suites_override if suites_override else raw.get("suites", [])
-    if isinstance(names, str):
-        names = [names]
-    if not isinstance(names, list):
-        raise ConfigError("suites must be a list of suite names")
-    if "all" in names:
-        names = list(SUITES)
-    if not names:
-        raise ConfigError("no suites selected")
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-
-    cfg = SuiteConfig(seed=seed, reps=reps,
-                      options={k: v for k, v in raw.items()
-                               if k not in ("seed", "reps", "suites", "tolerances")})
+    if seed_override is not None:
+        raw["seed"] = seed_override
+    if suites_override:
+        raw["suites"] = suites_override
     try:
-        cfg.validate_options()
+        return check_config(raw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
-    for key, value in tolerances.items():
-        if key not in _TOLERANCE_KEYS:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        if not number_in(value):
-            raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
-        setattr(cfg, _TOLERANCE_KEYS[key], float(value))
-    return cfg, list(names)
 
 
 def _fmt(x: float) -> str:

@@ -246,9 +246,10 @@ class IntensityMeasure:
         return out
 
     def density_at(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.ones(pts.shape[0]) if self.density is None else np.asarray(self.density(pts), dtype=float)
+        """h on the rows of ``pts``, 0 outside ``contains``; both are asked through ``row_values``."""
+        vals = np.ones(pts.shape[0]) if self.density is None else row_values(self.density, pts, "density")
         if self.contains is not None:
-            vals = np.where(np.asarray(self.contains(pts), dtype=bool), vals, 0.0)
+            vals = np.where(row_values(self.contains, pts, "region", bool), vals, 0.0)
         return vals
 
     @functools.cached_property

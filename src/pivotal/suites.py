@@ -6,16 +6,17 @@ one CheckResult row per case.  Its callers are the ``run_*`` suites of the
 command-line runner, with the config's values and streams derived from
 ``SuiteConfig.rng(suite)``, and the acceptance gate, with its own.  A row
 compares a gap with a tolerance, a z-score with a z threshold, or a KS
-p-value with a floor.  The keys of each suite's config block, with their
-defaults and valid values, are one table in ``OPTIONS``: ``run_*`` read
-their values through ``SuiteConfig.suite_options`` and the runner's
-``load_config`` validates a config against it.
+p-value with a floor.  This module owns the runner's config schema: each
+key, with its default and valid values, is in the table ``SETTINGS`` (top
+level) or in its block's table in ``OPTIONS`` (``tolerances`` and one per
+suite).  ``check_config`` checks a config against them in one loop, and
+``run_*`` read the blocks through ``SuiteConfig.suite_options``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,57 +68,37 @@ def _crofton_row(check_id, params, rep: geo.CroftonReport, zmax, rhs_ok: bool = 
 
 
 def number_in(value, lo=0.0, hi=math.inf) -> bool:
-    """A real number, not a bool, in [lo, hi]."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and lo <= value <= hi
+    """A finite real number, not a bool, in [lo, hi]."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and lo <= value <= hi and -math.inf < value < math.inf)
 
 
 def _count(default, lo, hi=math.inf):
     return default, (lambda v: isinstance(v, int) and number_in(v, lo, hi)), f"an integer in [{lo}, {hi}]"
 
 
+# a table of config keys: key -> (default, is_valid(value), what the value
+# must be); a callable default is computed from the SuiteConfig
+_TOLERANCE_OPTIONS = {key: (default, number_in, "a finite nonnegative number") for key, default in (
+    ("identity", 1e-10), ("relative", 1e-12), ("ode", 1e-5), ("quadrature", 1e-6),
+    ("stable_quadrature", 1e-3), ("golden_gap", 0.02), ("z", 4.0), ("ks_p", 0.01))}
+
+
 @dataclass
 class SuiteConfig:
+    """A config that ``check_config`` accepted: its seed, its reps and its blocks by name."""
     seed: int
-    reps: int = 20000
-    tol_identity: float = 1e-10
-    tol_relative: float = 1e-12
-    tol_ode: float = 1e-5
-    tol_quadrature: float = 1e-6
-    tol_stable_quad: float = 1e-3
-    golden_gap: float = 0.02
-    zmax: float = 4.0
-    ks_floor: float = 0.01
-    options: dict = field(default_factory=dict)
+    reps: int
+    options: dict
 
     def rng(self, suite: str) -> RngStream:
         return RngStream(self.seed, SUITE_INDEX[suite])
 
-    def suite_options(self, suite: str) -> dict:
-        """The suite's config block, each option it leaves unset at its default."""
-        block = self.options.get(suite, {})
-        return {key: block.get(key, default(self) if callable(default) else default)
-                for key, (default, _, _) in OPTIONS[suite].items()}
-
-    def validate_options(self) -> None:
-        """Raise ValueError unless each block names a suite and sets only that
-        suite's options, each to a valid value, and a configured Crofton shape
-        and density can be sampled."""
-        for suite, block in self.options.items():
-            if suite not in OPTIONS or not isinstance(block, dict):
-                raise ValueError(f"config key {suite!r} is neither a setting nor a suite block")
-            for key, value in block.items():
-                if key not in OPTIONS[suite]:
-                    raise ValueError(f"unknown key {key!r} in block {suite!r}")
-                _, valid, expected = OPTIONS[suite][key]
-                try:
-                    ok = valid(value)
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{suite}.{key}: {exc}") from exc
-                if not ok:
-                    raise ValueError(f"{suite}.{key} must be {expected}")
-        opts = self.suite_options("crofton")
-        if opts["shape"] is not None:
-            configured_shape(opts["shape"], opts["h"], float(opts["t"]))
+    def suite_options(self, block: str) -> dict:
+        """The block (a suite's or ``tolerances``), each option it leaves unset at its default."""
+        given = self.options.get(block, {})
+        return {key: given.get(key, default(self) if callable(default) else default)
+                for key, (default, _, _) in OPTIONS[block].items()}
 
 
 # -- identities ---------------------------------------------------------------
@@ -204,7 +185,8 @@ def check_compound_poisson(rng: RngStream, nlaws, kmax, nrate, tol_relative, tol
 
 
 def run_identities(cfg: SuiteConfig) -> list[CheckResult]:
-    tol = cfg.tol_identity
+    tols = cfg.suite_options("tolerances")
+    tol = tols["identity"]
     return (check_binomial_identity([(2, 1, 0.5), (10, 3, 0.1), (10, 3, 0.9), (25, 1, 0.5),
                                      (30, 15, 0.5), (30, 30, 0.9)], tol)
             + check_negbin_identity([(1, 1, 0.5), (3, 5, 0.3), (10, 10, 0.5), (20, 20, 0.9)],
@@ -212,7 +194,7 @@ def run_identities(cfg: SuiteConfig) -> list[CheckResult]:
             + check_poisson_erlang([(0.5, 1), (2.0, 3), (20.0, 30)],
                                    [(1, 2.0, 0.5), (3, 1.5, 2.0), (30, 20.0, 10.0)], tol)
             + check_compound_poisson(cfg.rng("identities"), nlaws=1, kmax=25, nrate=2,
-                                     tol_relative=cfg.tol_relative, tol_ode=cfg.tol_ode))
+                                     tol_relative=tols["relative"], tol_ode=tols["ode"]))
 
 
 # -- russo --------------------------------------------------------------------
@@ -257,8 +239,6 @@ def check_threshold_pivotal_counts() -> list[CheckResult]:
     return rows
 
 
-# options of a suite's config block: key -> (default, is_valid(value), what the
-# value must be); a callable default is computed from the SuiteConfig
 _RUSSO_OPTIONS = {
     "events": _count(30, 1, 1000),
     "max_bits": _count(10, 2, bn.MAX_EXACT_BITS),
@@ -271,7 +251,7 @@ _RUSSO_OPTIONS = {
 def run_russo(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("russo")
     return (check_russo_derivative(cfg.rng("russo"), opts["events"], opts["max_bits"], opts["thetas"],
-                                   cfg.tol_identity)
+                                   cfg.suite_options("tolerances")["identity"])
             + check_threshold_pivotal_counts())
 
 
@@ -347,10 +327,11 @@ _POISSON_DERIVATIVE_OPTIONS = {"reps": _count(lambda cfg: cfg.reps, 2)}
 
 def run_poisson_derivative(cfg: SuiteConfig) -> list[CheckResult]:
     reps = cfg.suite_options("poisson-derivative")["reps"]
+    zmax = cfg.suite_options("tolerances")["z"]
     rng = cfg.rng("poisson-derivative")
-    return (check_location_estimators(rng, 1.5, reps, cfg.zmax)
-            + check_perturbation_series(rng.substream(5), (0.25, 1.0), max(2000, reps // 4), 6, cfg.zmax)
-            + check_count_derivatives(rng, reps, cfg.zmax))
+    return (check_location_estimators(rng, 1.5, reps, zmax)
+            + check_perturbation_series(rng.substream(5), (0.25, 1.0), max(2000, reps // 4), 6, zmax)
+            + check_count_derivatives(rng, reps, zmax))
 
 
 # -- stable -------------------------------------------------------------------
@@ -451,12 +432,13 @@ _STABLE_OPTIONS = {"samples": _count(10000, 2), "radvec_reps": _count(100_000, 1
 def run_stable(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("stable")
     nsamples, radvec_reps = opts["samples"], opts["radvec_reps"]
+    tols = cfg.suite_options("tolerances")
     rng = cfg.rng("stable")
-    return (check_half_index_law(rng, nsamples, cfg.golden_gap, (0.5, 1.0, 2.0, 5.0), cfg.tol_stable_quad)
-            + check_stable_properties(rng.substream(10), (0.5, 0.8, 1.5), (1.0,), nsamples, cfg.ks_floor,
-                                      (0.5, 2.0, 4.0), cfg.tol_quadrature, nterms=10_000)
-            + check_radius_density(rng.substream(100), radvec_reps, cfg.zmax)
-            + check_cdf_identity_mc(rng, radvec_reps, cfg.zmax))
+    return (check_half_index_law(rng, nsamples, tols["golden_gap"], (0.5, 1.0, 2.0, 5.0), tols["stable_quadrature"])
+            + check_stable_properties(rng.substream(10), (0.5, 0.8, 1.5), (1.0,), nsamples, tols["ks_p"],
+                                      (0.5, 2.0, 4.0), tols["quadrature"], nterms=10_000)
+            + check_radius_density(rng.substream(100), radvec_reps, tols["z"])
+            + check_cdf_identity_mc(rng, radvec_reps, tols["z"]))
 
 
 # -- crofton ------------------------------------------------------------------
@@ -499,16 +481,19 @@ def configured_shape(shape: dict, density: str | None, t: float):
     """The configured body, its density h and an envelope of h on every set
     the Crofton checks sample: out to radius max(t, 0.2) + delta (delta <=
     1e-2).  Raises ValueError if h has no mass on K_{max(t, 0.2) - delta},
-    the smallest set the binomial check samples when it runs."""
+    the smallest set the binomial check samples when it runs, or if the
+    envelope's mass on the largest set is not finite."""
     body = parse_shape(shape)
     h, sup = parse_density(density)
+    tb = max(t, 0.2)
     if sup is None:
-        tb = max(t, 0.2)
         box = geo.bounding_box(body, pad=tb + 1e-2)
         corners = np.array([[x, y] for x in box[0] for y in box[1]])
         sup = float(np.max(h(corners)))
         if (geo.area(body) > 0 or t > 0) and not geo.integrate_parallel(body, tb - 1e-2, h) > 0:
             raise ValueError(f"density {density!r} has no mass on K_{tb - 1e-2:g}")
+    if not math.isfinite(sup * geo.steiner_mass(body, tb + 1e-2)):
+        raise ValueError(f"the envelope of h = {density or 'const:1'} has no finite mass on K_{tb + 1e-2:g}")
     return body, h, sup
 
 
@@ -596,7 +581,7 @@ def check_crofton_shape(rng: RngStream, shape: dict, density, t, m, reps, zmax) 
 _CROFTON_OPTIONS = {
     "reps": _count(lambda cfg: min(cfg.reps, 10000), 2),
     "m": _count(10, 1),
-    "t": (0.5, number_in, "a nonnegative number"),
+    "t": (0.5, number_in, "a finite nonnegative number"),
     "shape": (None, lambda v: isinstance(v, dict) and parse_shape(v) is not None, "a planar shape"),
     "h": (None, lambda v: isinstance(v, str) and parse_density(v) is not None, "a density spec"),
 }
@@ -604,13 +589,13 @@ _CROFTON_OPTIONS = {
 
 def run_crofton(cfg: SuiteConfig) -> list[CheckResult]:
     opts = cfg.suite_options("crofton")
-    reps = opts["reps"]
+    reps, zmax = opts["reps"], cfg.suite_options("tolerances")["z"]
     rng = cfg.rng("crofton")
     rows = (check_steiner()
-            + check_crofton_poisson(rng, reps, max(100, reps // 50), cfg.zmax)
-            + check_crofton_binomial(rng.substream(10), [(1, 0.2), (5, 0.2)], reps, cfg.zmax))
+            + check_crofton_poisson(rng, reps, max(100, reps // 50), zmax)
+            + check_crofton_binomial(rng.substream(10), [(1, 0.2), (5, 0.2)], reps, zmax))
     if opts["shape"] is not None:
-        rows += check_crofton_shape(rng, opts["shape"], opts["h"], float(opts["t"]), opts["m"], reps, cfg.zmax)
+        rows += check_crofton_shape(rng, opts["shape"], opts["h"], float(opts["t"]), opts["m"], reps, zmax)
     return rows
 
 
@@ -621,5 +606,50 @@ SUITES: dict[str, Callable[[SuiteConfig], list[CheckResult]]] = {
     "stable": run_stable,
     "crofton": run_crofton,
 }
-OPTIONS = {"identities": {}, "russo": _RUSSO_OPTIONS, "poisson-derivative": _POISSON_DERIVATIVE_OPTIONS,
-           "stable": _STABLE_OPTIONS, "crofton": _CROFTON_OPTIONS}
+OPTIONS = {"tolerances": _TOLERANCE_OPTIONS, "identities": {}, "russo": _RUSSO_OPTIONS,
+           "poisson-derivative": _POISSON_DERIVATIVE_OPTIONS, "stable": _STABLE_OPTIONS,
+           "crofton": _CROFTON_OPTIONS}
+
+
+# the top-level keys; a default of None marks one that must be set
+SETTINGS = {
+    "seed": (None, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "reps": _count(20000, 2),
+    "suites": (None, lambda v: isinstance(v, list) and len(v) > 0 and all(n == "all" or n in SUITES for n in v),
+               f"a suite name or a nonempty list of them, from {sorted(SUITES)} or 'all'"),
+}
+
+
+def check_config(config: dict) -> tuple[SuiteConfig, list[str]]:
+    """The SuiteConfig of a parsed config and the suites it selects; raises
+    ValueError unless every key is in a table with a valid value, every
+    required setting is set and a configured Crofton shape can be sampled."""
+    if isinstance(config.get("suites"), str):
+        config = {**config, "suites": [config["suites"]]}
+    entries = []
+    for key, value in config.items():
+        if key in SETTINGS:
+            entries.append((key, SETTINGS[key], value))
+        elif key in OPTIONS and isinstance(value, dict):
+            entries += [(f"{key}.{k}", OPTIONS[key].get(k), v) for k, v in value.items()]
+        else:
+            raise ValueError(f"config key {key!r} is neither a setting nor a block given as an object")
+    for name, spec, value in entries:
+        if spec is None:
+            raise ValueError(f"unknown config key {name!r}")
+        _, valid, expected = spec
+        try:
+            ok = valid(value)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        if not ok:
+            raise ValueError(f"{name} must be {expected}")
+    for key, (default, _, _) in SETTINGS.items():
+        if default is None and key not in config:
+            raise ValueError(f"{key!r} is required: set it in the config or on the command line")
+    cfg = SuiteConfig(config["seed"], config.get("reps", SETTINGS["reps"][0]),
+                      {key: value for key, value in config.items() if key in OPTIONS})
+    crofton = cfg.suite_options("crofton")
+    if crofton["shape"] is not None:
+        configured_shape(crofton["shape"], crofton["h"], float(crofton["t"]))
+    return cfg, list(SUITES) if "all" in config["suites"] else config["suites"]

@@ -58,8 +58,10 @@ class TestConfig:
     def test_tolerance_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, dict(BASE, tolerances={"identity": 1e-8, "z": 5.0}))
         parsed, _ = load_config(cfg)
-        assert parsed.tol_identity == 1e-8
-        assert parsed.zmax == 5.0
+        tolerances = parsed.suite_options("tolerances")
+        assert tolerances["identity"] == 1e-8
+        assert tolerances["z"] == 5.0
+        assert tolerances["ks_p"] == 0.01  # the default
         bad = write_cfg(tmp_path, dict(BASE, tolerances={"wat": 1.0}))
         with pytest.raises(ConfigError):
             load_config(bad)
@@ -89,6 +91,14 @@ class TestConfigValidation:
         dict(BASE, russo=[8]),
         dict(BASE, tolerances={"z": "four"}),
         dict(BASE, reps=1),
+        # JSON's 1e999 parses to inf
+        dict(BASE, tolerances={"z": 1e999}),
+        dict(BASE, crofton={"t": 1e999}),
+        # finite, but K_t has no finite mass
+        dict(BASE, crofton={"shape": DISK, "t": 1e300}),
+        dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0], "radius": 1e200}}),
+        dict(BASE, seed=True),
+        dict(BASE, suites=["all", "nope"]),
     ])
     def test_rejected(self, tmp_path, payload):
         with pytest.raises(ConfigError):
@@ -101,6 +111,14 @@ class TestConfigValidation:
             crofton={"reps": 20, "shape": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
                      "h": "affine:1,0.5,0", "t": 0.3, "m": 4})))
         assert cfg.suite_options("crofton")["m"] == 4
+
+    def test_infinite_value_is_exit_2_before_any_suite(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "reps": 300, "suites": ["identities", "crofton"], '
+                       '"crofton": {"shape": {"kind": "disk", "center": [0, 0], "radius": 1}, "t": 1e999}}')
+        assert run(cfg, tmp_path / "out", verbose=False) == 2
+        assert capsys.readouterr().err == "config error: crofton.t must be a finite nonnegative number\n"
+        assert not (tmp_path / "out").exists()
 
     def test_value_error_in_suite_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(cfg):
@@ -169,6 +187,45 @@ class TestRunner:
         assert summary["checks"] == len(written) - 1
         assert summary["passed"] == sum(r[-1] == "true" for r in written[1:])
         assert summary["failures"] == ["c1"]
+
+    def test_every_tolerance_reaches_its_rows(self, tmp_path):
+        # values no check uses as a fixed bound, so a row carries one exactly
+        # when its threshold is that tolerance
+        tolerances = {"identity": 3e-9, "relative": 3e-11, "ode": 3e-4, "quadrature": 3e-5,
+                      "stable_quadrature": 3e-2, "golden_gap": 0.3, "z": 30, "ks_p": 3e-3}
+        uses = {
+            "identity": {("identities", c) for c in (
+                "binomial_tail_vs_beta_integral", "negbin_binomial_tail_vs_integral",
+                "negbin_sum_below_k_vs_integral", "negbin_sum_through_k_exceeds_integral",
+                "poisson_tail_vs_integral", "erlang_three_way")}
+            | {("russo", "derivative_matches_polynomial_monotone_dnf"),
+               ("russo", "derivative_matches_polynomial_arbitrary")},
+            "relative": {("identities", "cpois_direct_vs_panjer"), ("identities", "cpois_polyrec_vs_panjer")},
+            "ode": {("identities", "cpois_cdf_rate_equation")},
+            "quadrature": {("stable", "levy_measure_homogeneity")},
+            "stable_quadrature": {("stable", "cdf_identity_quadrature"), ("stable", "density_identity_quadrature")},
+            "golden_gap": {("stable", "golden_cdf_vs_erfc")},
+            "z": {("poisson-derivative", c) for c in (
+                "location_count", "location_void", "location_hit", "pivotal_points_vs_locations",
+                "erlang_arrival_derivative", "second_derivative_count_squared")}
+            | {("stable", c) for c in (
+                "radius_density_identity_positive_half", "radius_density_identity_symmetric_1d",
+                "radius_density_identity_axis_2d", "cdf_identity_monte_carlo")}
+            | {("crofton", c) for c in (
+                "poisson_count_disk", "poisson_count_segment_t0", "binomial_count_disk",
+                "poisson_count_configured_shape", "binomial_count_configured_shape")},
+            "ks_p": {("stable", "scaling_ks"), ("stable", "strict_stability_ks")},
+        }
+        cfg = write_cfg(tmp_path, {
+            "seed": 3, "reps": 200, "suites": ["all"], "tolerances": tolerances,
+            "russo": {"events": 3, "max_bits": 6}, "stable": {"samples": 50, "radvec_reps": 100},
+            "crofton": {"reps": 800, "shape": DISK, "m": 3}})
+        assert run(cfg, tmp_path / "out", verbose=False) == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "results.csv").open()))
+        for key, value in tolerances.items():
+            carriers = {(r["suite"], r["check_id"]) for r in rows if float(r["threshold"]) == value}
+            assert carriers == uses[key], key
+            assert all(float(r["threshold"]) == value for r in rows if (r["suite"], r["check_id"]) in uses[key])
 
     def test_affine_density_envelope_covers_sampled_radii(self, tmp_path):
         # the checks sample the box at radius max(t, 0.2) + delta, where the

@@ -160,6 +160,15 @@ class TestEnvelope:
         with pytest.raises(DeclarationError):
             point_process._sample_points(mu, 5, RngStream(17).generator())
 
+    @pytest.mark.parametrize("answer", ["density", "contains"])
+    def test_one_answer_per_batch_raises(self, answer):
+        # a scalar for the whole proposal batch would be broadcast to every
+        # proposal, and with base_mass declared no quadrature calls it first
+        mu = IntensityMeasure(dim=2, bounds=[[0.0, 1.0], [0.0, 1.0]], base_mass=0.5,
+                              **{answer: lambda p: p[0, 0] < 0.5})
+        with pytest.raises(TypeError):
+            list(point_process.binomial_blocks(mu, 2000, 1, RngStream(18)))
+
 
 class TestBinomialSampler:
     def test_zero_points(self):
