@@ -50,12 +50,20 @@ be centered and N is capped at 10^5 with the achieved bound reported.
 
 LePage draw contract: ``sample_stable_many`` splits the samples into blocks
 of ``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.
-Within a block the atoms are drawn in order, atom j as a row-major
-(block, N_j) array of exponential inter-arrival times of mean 1/w_j, so a
-one-atom law draws (block, N) exponentials.  The kernel takes each atom's
-array in row chunks of about ``_CHUNK_ELEMENTS`` elements; NumPy's
-generators fill arrays sequentially, so the chunking does not change the
-draws, only the order in which the terms are summed.
+Within a block the atoms are drawn in order.  Atom j draws its last kept
+arrival G = Gamma_{j,N_j} as one ``gamma(N_j, 1/w_j, size=block)`` array,
+then a row-major (block, N_j - 1) array of ``random``, in row chunks of about
+``_CHUNK_ELEMENTS`` elements; nothing else is drawn.  Given G, the first
+N_j - 1 arrivals are i.i.d. uniform on (0, G) (the order-statistics property
+of the Poisson process; Kallenberg 2002), and the series ignores their order:
+sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) = G^(-1/alpha) + sum_{k < N_j}
+(G U_k)^(-1/alpha), with U_k = 1 - ``random`` in (0, 1] (``random`` can
+return 0).  So the pair (series, G), and with it the compensated sample, has
+exactly the law of the truncated arrival series.  G multiplies U_k before the
+power: G^(-1/alpha) U_k^(-1/alpha) overflows at small alpha where
+(G U_k)^(-1/alpha) does not.  NumPy's generators fill arrays sequentially, so
+the chunking does not change the draws, only the order in which the terms are
+summed.  Every sample is finite, or the sampler raises ``FloatingPointError``.
 
 Monte Carlo block contract: the identity estimators (``radvec_residual``,
 the Monte Carlo routes of ``dimone_residual`` and ``alphadens1_residual``)
@@ -236,33 +244,44 @@ def truncation_plan(
     return TruncationPlan(nterms, split(nterms), std_bound(nterms), capped)
 
 
+def _neg_power(x: np.ndarray, alpha: float) -> np.ndarray:
+    """x^(-1/alpha) in place."""
+    if alpha == 1.0:
+        np.reciprocal(x, out=x)
+    elif alpha == 0.5:
+        np.multiply(x, x, out=x)
+        np.reciprocal(x, out=x)
+    else:
+        np.power(x, -1.0 / alpha, out=x)
+    return x
+
+
 def _sample_batch(params: StableParams, nbatch: int, atom_terms: tuple[int, ...],
                   gen: np.random.Generator) -> np.ndarray:
     spec = params.spectral
     alpha = params.alpha
     sums = np.empty((nbatch, len(atom_terms)))
     last = np.empty_like(sums)  # each atom's last kept arrival time
-    for j, (w, n) in enumerate(zip(spec.weights, atom_terms)):
-        rows = max(1, _CHUNK_ELEMENTS // n)
-        for r0 in range(0, nbatch, rows):
-            r1 = min(r0 + rows, nbatch)
-            g = gen.exponential(scale=1.0 / w, size=(r1 - r0, n))
-            np.cumsum(g, axis=1, out=g)
-            last[r0:r1, j] = g[:, -1]
-            if alpha == 1.0:
-                np.reciprocal(g, out=g)
-            elif alpha == 0.5:
-                np.multiply(g, g, out=g)
-                np.reciprocal(g, out=g)
-            else:
-                np.power(g, -1.0 / alpha, out=g)
-            g.sum(axis=1, out=sums[r0:r1, j])
-    # subtract each atom's compensator up to its last kept arrival
-    if alpha == 1.0:
-        sums -= spec.weights * np.log(last)
-    else:
-        sums -= spec.weights * last ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)
-    return sums @ spec.directions
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j, (w, n) in enumerate(zip(spec.weights, atom_terms)):
+            last[:, j] = gen.gamma(n, 1.0 / w, size=nbatch)
+            sums[:, j] = _neg_power(last[:, j].copy(), alpha)
+            rows = max(1, _CHUNK_ELEMENTS // (n - 1))
+            for r0 in range(0, nbatch, rows):
+                r1 = min(r0 + rows, nbatch)
+                g = gen.random((r1 - r0, n - 1))
+                np.subtract(1.0, g, out=g)
+                g *= last[r0:r1, j, None]
+                sums[r0:r1, j] += _neg_power(g, alpha).sum(axis=1)
+        # subtract each atom's compensator up to its last kept arrival
+        if alpha == 1.0:
+            sums -= spec.weights * np.log(last)
+        else:
+            sums -= spec.weights * last ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)
+        out = sums @ spec.directions
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError(f"a LePage draw at alpha = {alpha} is not finite")
+    return out
 
 
 def sample_stable_many(

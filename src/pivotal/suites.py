@@ -623,7 +623,8 @@ SETTINGS = {
 def check_config(config: dict) -> tuple[SuiteConfig, list[str]]:
     """The SuiteConfig of a parsed config and the suites it selects; raises
     ValueError unless every key is in a table with a valid value, every
-    required setting is set and a configured Crofton shape can be sampled."""
+    required setting is set, a configured Crofton shape can be sampled and
+    the Crofton keys that only a shape uses (``t``, ``m``, ``h``) come with one."""
     if isinstance(config.get("suites"), str):
         config = {**config, "suites": [config["suites"]]}
     entries = []
@@ -652,4 +653,6 @@ def check_config(config: dict) -> tuple[SuiteConfig, list[str]]:
     crofton = cfg.suite_options("crofton")
     if crofton["shape"] is not None:
         configured_shape(crofton["shape"], crofton["h"], float(crofton["t"]))
+    elif stray := [key for key in ("t", "m", "h") if key in config.get("crofton", {})]:
+        raise ValueError(f"crofton.{stray[0]} is used only with crofton.shape")
     return cfg, list(SUITES) if "all" in config["suites"] else config["suites"]

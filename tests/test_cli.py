@@ -99,6 +99,10 @@ class TestConfigValidation:
         dict(BASE, crofton={"shape": {"kind": "disk", "center": [0, 0], "radius": 1e200}}),
         dict(BASE, seed=True),
         dict(BASE, suites=["all", "nope"]),
+        # used only with a shape
+        dict(BASE, crofton={"t": 0.3}),
+        dict(BASE, crofton={"m": 4}),
+        dict(BASE, crofton={"reps": 20, "h": "const:1"}),
     ])
     def test_rejected(self, tmp_path, payload):
         with pytest.raises(ConfigError):

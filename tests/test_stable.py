@@ -263,8 +263,23 @@ def _merged_samples(params, nsamples, rng, nterms):
     return x
 
 
-def _per_atom_reference(params, nsamples, rng, nterms):
-    """The per-atom draw contract, atom by atom on whole blocks.
+def _order_statistic_arrivals(gen, w, rows, n):
+    """The draw contract: the last kept arrival G ~ Gamma(n, 1/w), then n - 1
+    arrivals G (1 - U); G is the last column."""
+    last = gen.gamma(n, 1.0 / w, size=rows)
+    return np.column_stack([last[:, None] * (1.0 - gen.random((rows, n - 1))), last])
+
+
+def _cumsum_arrivals(gen, w, rows, n):
+    """The arrival times as cumulated exponential gaps of mean 1/w: the
+    series itself, and the law oracle for the order-statistics draws."""
+    return np.cumsum(gen.exponential(scale=1.0 / w, size=(rows, n)), axis=1)
+
+
+def _per_atom_reference(params, nsamples, rng, nterms, arrivals=_order_statistic_arrivals):
+    """Per-atom LePage samples, atom by atom on whole blocks, from the
+    (rows, N_j) ``arrivals`` of each atom, whose last column is the last kept
+    arrival.
 
     Also returns each sample's sum of |terms| and |compensators|, which
     bounds the rounding that a different summation order can introduce.
@@ -280,7 +295,7 @@ def _per_atom_reference(params, nsamples, rng, nterms):
         x = np.zeros((take, spec.dim))
         size = np.zeros(take)
         for w, u, n in zip(spec.weights, spec.directions, plan.atom_terms):
-            gam = np.cumsum(gen.exponential(scale=1.0 / w, size=(take, n)), axis=1)
+            gam = arrivals(gen, w, take, n)
             last = gam[:, -1]
             if alpha == 1.0:
                 comp = w * np.log(last)
@@ -294,31 +309,23 @@ def _per_atom_reference(params, nsamples, rng, nterms):
     return np.concatenate(out), np.concatenate(scale)
 
 
-class _ExponentialsOnly:
-    """A generator that hands out exponentials and nothing else; it records
-    the number of values drawn."""
+class _Recording:
+    """A generator that records each call (the method and its arguments) and
+    keeps every gamma array it hands out."""
 
     def __init__(self, seed):
         self.gen = RngStream(seed).generator()
-        self.drawn = 0
+        self.calls = []
+        self.gammas = []
 
-    def exponential(self, scale, size):
-        self.drawn += math.prod(size)
-        return self.gen.exponential(scale=scale, size=size)
+    def gamma(self, shape, scale, size):
+        self.calls.append(("gamma", (shape, scale, size)))
+        self.gammas.append(self.gen.gamma(shape, scale, size=size))
+        return self.gammas[-1]
 
-
-class _Prefix:
-    """A generator whose inter-arrival rows are the first columns of rows of
-    ``width`` exponentials: a series of any length up to ``width`` is then a
-    prefix of the same arrivals."""
-
-    def __init__(self, seed, width):
-        self.gen = RngStream(seed).generator()
-        self.width = width
-
-    def exponential(self, scale, size):
-        rows, n = size
-        return self.gen.exponential(scale=scale, size=(rows, self.width))[:, :n].copy()
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.gen.random(size)
 
 
 class TestLepageKernel:
@@ -355,12 +362,54 @@ class TestLepageKernel:
         rows, _ = sample_stable_many(params, 400, RngStream(87), nterms=nterms)
         assert np.array_equal(whole, rows)
 
-    def test_kernel_draws_only_the_exponentials(self):
+    def test_kernel_draws_one_gamma_then_uniforms_per_atom(self, monkeypatch):
+        # 250 samples in chunks of at most 2000 uniforms: each atom draws its
+        # gamma array, then (rows, N_j - 1) uniforms until 250 rows are drawn
+        monkeypatch.setattr(stable, "_CHUNK_ELEMENTS", 2000)
         params = StableParams(0.8, UNCENTRED_3)
         plan = truncation_plan(params, nterms=300)
-        gen = _ExponentialsOnly(88)
+        gen = _Recording(88)
         stable._sample_batch(params, 250, plan.atom_terms, gen)
-        assert gen.drawn == 250 * sum(plan.atom_terms)
+        want = []
+        for w, n in zip(UNCENTRED_3.weights, plan.atom_terms):
+            rows = 2000 // (n - 1)
+            want.append(("gamma", (n, 1.0 / w, 250)))
+            want += [("random", (min(rows, 250 - r0), n - 1)) for r0 in range(0, 250, rows)]
+        assert gen.calls == want
+
+    @pytest.mark.parametrize("alpha, spec, nterms", [
+        (0.5, SpectralMeasure.positive_half_line(1.0), 100),
+        (0.8, UNCENTRED_3, 100),
+        (1.0, CENTRED_3, 100),
+        (1.5, SpectralMeasure.symmetric_pair(1.0), 100),
+    ])
+    def test_law_matches_the_arrival_series(self, alpha, spec, nterms):
+        # the order-statistics draws against the cumulated exponential gaps
+        # at the same plan, 2 x 10^5 samples a side, projected on a direction
+        # that every atom of the planar measures reaches
+        params = StableParams(alpha, spec)
+        got, _ = sample_stable_many(params, 200_000, RngStream(85, 1), nterms=nterms)
+        want, _ = _per_atom_reference(params, 200_000, RngStream(85, 2), nterms, _cumsum_arrivals)
+        axis = np.array([0.6, 0.8]) if spec.dim == 2 else np.array([1.0])
+        _, p = ks_two_sample(got @ axis, want @ axis)
+        assert p > 0.01
+
+    def test_a_zero_uniform_stays_finite(self):
+        # random() = 0 is the arrival G (1 - 0) = G, not 0^(-1/alpha) = inf
+        gen = _EdgeDraws(gamma=[10.0], random=[0.0, 0.5])
+        x = stable._sample_batch(StableParams(0.5, SpectralMeasure.positive_half_line(1.0)), 4, (10,), gen)
+        assert np.all(np.isfinite(x))
+
+    def test_an_infinite_draw_raises(self):
+        # at alpha = 0.02 the uniform arrival G 2^-53 has the term
+        # (G 2^-53)^(-50), far above the largest double
+        params = StableParams(0.02, SpectralMeasure.positive_half_line(1.0))
+        plan = truncation_plan(params, nterms=200)
+        finite = _EdgeDraws(gamma=[200.0], random=[0.5])
+        assert np.all(np.isfinite(stable._sample_batch(params, 3, plan.atom_terms, finite)))
+        gen = _EdgeDraws(gamma=[200.0], random=[0.5, 1.0 - 2.0**-53])
+        with pytest.raises(FloatingPointError):
+            stable._sample_batch(params, 3, plan.atom_terms, gen)
 
     @pytest.mark.parametrize("alpha, spec, nterms, seed", [
         (0.5, UNCENTRED_3, 300, 1),
@@ -380,12 +429,12 @@ class TestLepageKernel:
 
 
 class _EdgeDraws:
-    """A generator that hands out fixed uniforms, then fixed exponentials, each
-    tiled over the requested shape; it records the calls in order."""
+    """A generator that hands out fixed values per method (``random``,
+    ``standard_exponential``, ``gamma``), each tiled over the requested shape;
+    it records the calls in order."""
 
-    def __init__(self, uniforms, exponentials):
-        self.values = {"random": np.asarray(uniforms, dtype=float),
-                       "standard_exponential": np.asarray(exponentials, dtype=float)}
+    def __init__(self, **values):
+        self.values = {name: np.asarray(v, dtype=float) for name, v in values.items()}
         self.calls = []
 
     def _tile(self, name, shape):
@@ -397,6 +446,9 @@ class _EdgeDraws:
 
     def standard_exponential(self, shape):
         return self._tile("standard_exponential", shape)
+
+    def gamma(self, shape, scale, size):
+        return self._tile("gamma", size)
 
 
 def _cauchy_projection(spec, axis):
@@ -473,7 +525,7 @@ class TestExactSampler:
         assert np.array_equal(got, want)
 
     def test_uniforms_then_exponentials_one_array_each(self):
-        gen = _EdgeDraws([0.25], [1.0])
+        gen = _EdgeDraws(random=[0.25], standard_exponential=[1.0])
         stable._exact_block(0.8, UNCENTRED_3.weights, 7, gen)
         assert gen.calls == [("random", (7, 3)), ("standard_exponential", (7, 3))]
 
@@ -489,7 +541,7 @@ class TestExactSampler:
         # and 45 above its largest
         uniforms = [0.0, 1.0 - 2.0**-53, 2.0**-53, 0.5, 0.5 - 2.0**-53]
         exponentials = [2.0**-64, 1.0, 45.0]
-        gen = _EdgeDraws(uniforms, exponentials)
+        gen = _EdgeDraws(random=uniforms, standard_exponential=exponentials)
         y = stable._exact_block(alpha, spec.weights, 15, gen)  # every pairing of the two lists
         assert np.all(np.isfinite(y))
         if alpha < 1.0:
@@ -497,7 +549,7 @@ class TestExactSampler:
 
     def test_an_infinite_draw_raises(self):
         # W = 0 sends the positive law to +infinity
-        gen = _EdgeDraws([0.3], [0.0])
+        gen = _EdgeDraws(random=[0.3], standard_exponential=[0.0])
         with pytest.raises(FloatingPointError):
             stable._exact_block(0.5, np.array([1.0]), 4, gen)
 
@@ -505,13 +557,26 @@ class TestExactSampler:
 class TestTruncationBound:
     @pytest.mark.parametrize("alpha, nterms", [(0.5, None), (0.8, 50)])
     def test_rms_gap_to_a_long_continuation_meets_the_bound(self, alpha, nterms):
-        # the N-term sample and an M-term sample of the same arrivals differ
-        # by a martingale increment of RMS sqrt(bound(N)^2 - bound(M)^2)
+        # the N-term sample and its M-term continuation (the arrivals after
+        # the last kept one G, as G plus fresh exponential gaps) differ by a
+        # martingale increment of RMS sqrt(bound(N)^2 - bound(M)^2)
         params = StableParams(alpha, SpectralMeasure.positive_half_line(1.0))
         short = truncation_plan(params, nterms=nterms)
         long = truncation_plan(params, nterms=1500)
-        a = stable._sample_batch(params, 10_000, short.atom_terms, _Prefix(91, 1500))
-        b = stable._sample_batch(params, 10_000, long.atom_terms, _Prefix(91, 1500))
+        gen = _Recording(91)
+        a = stable._sample_batch(params, 10_000, short.atom_terms, gen)[:, 0]
+        last, = gen.gammas
+
+        def compensator(g):
+            return g ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)
+
+        fresh = RngStream(92).generator()
+        b = np.empty_like(a)
+        for r0 in range(0, 10_000, 1000):
+            g = last[r0:r0 + 1000, None] + np.cumsum(
+                fresh.exponential(size=(1000, long.nterms - short.nterms)), axis=1)
+            b[r0:r0 + 1000] = (a[r0:r0 + 1000] + (g ** (-1.0 / alpha)).sum(axis=1)
+                               - compensator(g[:, -1]) + compensator(last[r0:r0 + 1000]))
         rms = math.sqrt(float(np.mean((a - b) ** 2)))
         assert rms <= 1.15 * short.tail_std_bound
         assert rms >= 0.85 * math.sqrt(short.tail_std_bound**2 - long.tail_std_bound**2)
