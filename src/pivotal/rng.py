@@ -4,7 +4,7 @@ Every stochastic routine in this package takes an explicit :class:`RngStream`.
 A stream is a value type ``(master_seed, stream_index)``; the generator it
 yields is a NumPy ``Philox`` bit generator keyed bit-exactly by those two
 64-bit words, so results are reproducible across platforms and independent of
-how work is partitioned across workers.
+how work is partitioned across workers, as in ``stable.sample_stable_many``.
 
 Derivation contract (stable, part of the public interface):
 

@@ -52,18 +52,20 @@ LePage draw contract: ``sample_stable_many`` splits the samples into blocks
 of ``_BATCH_ELEMENTS // N`` and draws block i from ``rng.substream(i)``.
 Within a block the atoms are drawn in order.  Atom j draws its last kept
 arrival G = Gamma_{j,N_j} as one ``gamma(N_j, 1/w_j, size=block)`` array,
-then a row-major (block, N_j - 1) array of ``random``, in row chunks of about
-``_CHUNK_ELEMENTS`` elements; nothing else is drawn.  Given G, the first
-N_j - 1 arrivals are i.i.d. uniform on (0, G) (the order-statistics property
-of the Poisson process; Kallenberg 2002), and the series ignores their order:
-sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) = G^(-1/alpha) + sum_{k < N_j}
-(G U_k)^(-1/alpha), with U_k = 1 - ``random`` in (0, 1] (``random`` can
-return 0).  So the pair (series, G), and with it the compensated sample, has
-exactly the law of the truncated arrival series.  G multiplies U_k before the
-power: G^(-1/alpha) U_k^(-1/alpha) overflows at small alpha where
-(G U_k)^(-1/alpha) does not.  NumPy's generators fill arrays sequentially, so
-the chunking does not change the draws, only the order in which the terms are
-summed.  Every sample is finite, or the sampler raises ``FloatingPointError``.
+then a row-major (block, N_j - 1) array of ``random``; nothing else is drawn.
+Given G, the first N_j - 1 arrivals are i.i.d. uniform on (0, G) (order
+statistics of the Poisson process; Kallenberg 2002), and the series ignores
+their order: sum_{k <= N_j} Gamma_{j,k}^(-1/alpha) = G^(-1/alpha) +
+sum_{k < N_j} (G U_k)^(-1/alpha), with U_k = 1 - ``random`` in (0, 1]
+(``random`` can return 0), so each compensated sample has exactly the law of
+the truncated arrival series.  G multiplies U_k before the power, where
+G^(-1/alpha) U_k^(-1/alpha) would overflow at small alpha.  The uniforms are
+summed in row chunks of about ``_CHUNK_ELEMENTS``, in at most W parts on
+threads (W: the CPUs the process may use); the part from row r draws from a
+copy of the Philox generator jumped r (N_j - 1) outputs past the gamma array
+(``random`` takes one 64-bit output per double).  No chunk splits a row, so
+the draws and every row sum are the same at any W and chunk size.  Every
+sample is finite, or the sampler raises ``FloatingPointError``.
 
 Monte Carlo block contract: the identity estimators (``radvec_residual``,
 the Monte Carlo routes of ``dimone_residual`` and ``alphadens1_residual``)
@@ -73,7 +75,9 @@ samples, block b from ``rng.substream(b)``, and never the reps % 50 left over.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,23 +260,58 @@ def _neg_power(x: np.ndarray, alpha: float) -> np.ndarray:
     return x
 
 
+def _jumped(gen: np.random.Generator, outputs: int) -> np.random.Generator:
+    """A copy of Philox ``gen`` (left as it is), ``outputs`` 64-bit outputs on; four per counter step."""
+    bits = np.random.Philox()
+    bits.state = gen.bit_generator.state
+    spent = min(outputs, 4 - bits.state["buffer_pos"])  # what is left of the buffer
+    bits.random_raw(spent, output=False)
+    if outputs > spent:  # advance() empties the buffer
+        bits.advance((outputs - spent) // 4)
+        bits.random_raw((outputs - spent) % 4, output=False)
+    return np.random.Generator(bits)
+
+
+@functools.cache
+def _pool(pid: int):
+    """(W, threads): W usable CPUs (1 with no affinity call), no threads at W = 1; per pid, as forks lack them."""
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    from concurrent.futures import ThreadPoolExecutor
+    return workers, ThreadPoolExecutor(workers) if workers > 1 else None
+
+
+def _add_uniform_terms(gen: np.random.Generator, alpha: float, last, sums, rows: int, buf) -> None:
+    """Add one part's row sums of (G U)^(-1/alpha) to ``sums``, ``rows`` rows of uniforms at a time."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # errstate is per thread
+        for r0 in range(0, last.size, rows):
+            g = gen.random(out=buf[:min(rows, last.size - r0)])
+            np.subtract(1.0, g, out=g)
+            g *= last[r0:r0 + rows, None]
+            sums[r0:r0 + rows] += _neg_power(g, alpha).sum(axis=1)
+
+
 def _sample_batch(params: StableParams, nbatch: int, atom_terms: tuple[int, ...],
                   gen: np.random.Generator) -> np.ndarray:
     spec = params.spectral
     alpha = params.alpha
+    workers, pool = _pool(os.getpid())
     sums = np.empty((nbatch, len(atom_terms)))
     last = np.empty_like(sums)  # each atom's last kept arrival time
+    parts = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for j, (w, n) in enumerate(zip(spec.weights, atom_terms)):
             last[:, j] = gen.gamma(n, 1.0 / w, size=nbatch)
             sums[:, j] = _neg_power(last[:, j].copy(), alpha)
             rows = max(1, _CHUNK_ELEMENTS // (n - 1))
-            for r0 in range(0, nbatch, rows):
-                r1 = min(r0 + rows, nbatch)
-                g = gen.random((r1 - r0, n - 1))
-                np.subtract(1.0, g, out=g)
-                g *= last[r0:r1, j, None]
-                sums[r0:r1, j] += _neg_power(g, alpha).sum(axis=1)
+            chunks = -(-nbatch // rows)  # in at most W parts of whole chunks, each from its own jumped copy
+            edges = sorted({min(nbatch, k * chunks // workers * rows) for k in range(workers + 1)})
+            for r0, r1 in zip(edges, edges[1:]):
+                args = (_jumped(gen, r0 * (n - 1)), alpha, last[r0:r1, j], sums[r0:r1, j], rows,
+                        np.empty((min(rows, r1 - r0), n - 1)))  # allocated here, not in the worker's arena
+                parts.append(pool.submit(_add_uniform_terms, *args) if pool else _add_uniform_terms(*args))
+            gen = _jumped(gen, nbatch * (n - 1))
+        for part in filter(None, parts):  # the futures; a part run inline returns None
+            part.result()
         # subtract each atom's compensator up to its last kept arrival
         if alpha == 1.0:
             sums -= spec.weights * np.log(last)
@@ -297,8 +336,7 @@ def sample_stable_many(
     out = np.empty((nsamples, params.dim))
     for index, start in enumerate(range(0, nsamples, batch)):
         stop = min(start + batch, nsamples)
-        gen = rng.substream(index).generator()
-        out[start:stop] = _sample_batch(params, stop - start, plan.atom_terms, gen)
+        out[start:stop] = _sample_batch(params, stop - start, plan.atom_terms, rng.substream(index).generator())
     return out, plan
 
 

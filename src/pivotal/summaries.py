@@ -32,11 +32,13 @@ def kolmogorov_sf(t: float) -> float:
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value; NaN raises ``ValueError``."""
     x = np.sort(np.asarray(a, dtype=float))
     y = np.sort(np.asarray(b, dtype=float))
     if x.size < 2 or y.size < 2:
         raise ValueError("need at least 2 samples per side")
+    if np.isnan(x[-1]) or np.isnan(y[-1]):  # NaN sorts last and has no rank; +-inf ranks as any value
+        raise ValueError("a KS sample holds NaN")
     grid = np.concatenate([x, y])
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size

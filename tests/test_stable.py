@@ -1,5 +1,11 @@
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,23 +315,80 @@ def _per_atom_reference(params, nsamples, rng, nterms, arrivals=_order_statistic
     return np.concatenate(out), np.concatenate(scale)
 
 
-class _Recording:
-    """A generator that records each call (the method and its arguments) and
-    keeps every gamma array it hands out."""
+def _serial_replay(params, nbatch, atom_terms, gen):
+    """The LePage draw contract on one generator in one thread: per atom the
+    gamma array of last kept arrivals G, then the (rows, N_j - 1) uniforms in
+    row chunks of ``_CHUNK_ELEMENTS``, each row summed as the kernel sums it."""
+    spec = params.spectral
+    alpha = params.alpha
+    sums = np.empty((nbatch, len(atom_terms)))
+    last = np.empty_like(sums)
+    for j, (w, n) in enumerate(zip(spec.weights, atom_terms)):
+        last[:, j] = gen.gamma(n, 1.0 / w, size=nbatch)
+        sums[:, j] = stable._neg_power(last[:, j].copy(), alpha)
+        rows = max(1, stable._CHUNK_ELEMENTS // (n - 1))
+        for r0 in range(0, nbatch, rows):
+            g = last[r0:r0 + rows, j, None] * (1.0 - gen.random((min(rows, nbatch - r0), n - 1)))
+            sums[r0:r0 + rows, j] += stable._neg_power(g, alpha).sum(axis=1)
+    if alpha == 1.0:
+        return (sums - spec.weights * np.log(last)) @ spec.directions
+    return (sums - spec.weights * last ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)) @ spec.directions
 
-    def __init__(self, seed):
-        self.gen = RngStream(seed).generator()
-        self.calls = []
-        self.gammas = []
 
-    def gamma(self, shape, scale, size):
-        self.calls.append(("gamma", (shape, scale, size)))
-        self.gammas.append(self.gen.gamma(shape, scale, size=size))
-        return self.gammas[-1]
+@contextlib.contextmanager
+def _workers(count):
+    """Run the LePage kernel at ``count`` workers: the CPU affinity it reads
+    is faked, and its pool is built afresh and shut down afterwards."""
+    real = os.sched_getaffinity
+    os.sched_getaffinity = lambda pid: set(range(count))
+    stable._pool.cache_clear()
+    try:
+        assert stable._pool(os.getpid())[0] == count
+        yield
+    finally:
+        pool = stable._pool(os.getpid())[1]
+        if pool is not None:
+            pool.shutdown()
+        stable._pool.cache_clear()
+        os.sched_getaffinity = real
 
-    def random(self, size):
-        self.calls.append(("random", size))
-        return self.gen.random(size)
+
+class TestPool:
+    def test_one_worker_per_usable_cpu(self):
+        workers, pool = stable._pool(os.getpid())
+        assert workers == len(os.sched_getaffinity(0))
+        assert (pool is None) == (workers == 1)
+
+    def test_importing_builds_no_pool(self):
+        code = "import sys, pivotal; sys.exit('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(stable.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestJumped:
+    @pytest.mark.parametrize("drawn", range(9))  # every buffer position, fresh and refilled
+    def test_matches_sequential_outputs(self, drawn):
+        seq = RngStream(84).generator().bit_generator.random_raw(drawn + 44)
+        for outputs in range(40):
+            gen = RngStream(84).generator()
+            gen.bit_generator.random_raw(drawn)
+            copy = stable._jumped(gen, outputs)
+            assert np.array_equal(copy.bit_generator.random_raw(4), seq[drawn + outputs:drawn + outputs + 4])
+            # the source is where it was
+            assert np.array_equal(gen.bit_generator.random_raw(4), seq[drawn:drawn + 4])
+
+    def test_a_long_jump(self):
+        gen = RngStream(84).generator()
+        gen.bit_generator.random_raw(5)
+        copy = stable._jumped(gen, 10**7 + 3)
+        gen.bit_generator.random_raw(10**7 + 3, output=False)
+        assert np.array_equal(copy.bit_generator.random_raw(6), gen.bit_generator.random_raw(6))
+
+    def test_one_output_per_double(self):
+        gen = RngStream(84).generator()
+        gen.gamma(30.0, size=7)  # leaves the buffer part spent
+        want = stable._jumped(gen, 0).random(20)[13:]
+        assert np.array_equal(stable._jumped(gen, 13).random(7), want)
 
 
 class TestLepageKernel:
@@ -363,19 +426,36 @@ class TestLepageKernel:
         assert np.array_equal(whole, rows)
 
     def test_kernel_draws_one_gamma_then_uniforms_per_atom(self, monkeypatch):
-        # 250 samples in chunks of at most 2000 uniforms: each atom draws its
-        # gamma array, then (rows, N_j - 1) uniforms until 250 rows are drawn
+        # 250 samples in chunks of at most 2000 uniforms, at every worker
+        # count: each atom draws its gamma array, then (rows, N_j - 1)
+        # uniforms until 250 rows are drawn, all from one stream
         monkeypatch.setattr(stable, "_CHUNK_ELEMENTS", 2000)
         params = StableParams(0.8, UNCENTRED_3)
         plan = truncation_plan(params, nterms=300)
-        gen = _Recording(88)
-        stable._sample_batch(params, 250, plan.atom_terms, gen)
-        want = []
-        for w, n in zip(UNCENTRED_3.weights, plan.atom_terms):
-            rows = 2000 // (n - 1)
-            want.append(("gamma", (n, 1.0 / w, 250)))
-            want += [("random", (min(rows, 250 - r0), n - 1)) for r0 in range(0, 250, rows)]
-        assert gen.calls == want
+        want = _serial_replay(params, 250, plan.atom_terms, RngStream(88).generator())
+        for count in (1, 2, 4):
+            with _workers(count):
+                got = stable._sample_batch(params, 250, plan.atom_terms, RngStream(88).generator())
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha, spec, nsamples, nterms", [
+        (0.3, SpectralMeasure.positive_half_line(1.0), 5, None),  # one chunk, so one part
+        (0.5, UNCENTRED_3, 3000, 300),
+        (0.8, SpectralMeasure.symmetric_pair(1.0), 2500, None),
+        (1.0, CENTRED_3, 1200, 1000),
+        (1.5, SpectralMeasure.axis_symmetric(1.0, dim=2), 700, 2000),
+    ])
+    def test_equal_at_1_2_and_4_workers(self, monkeypatch, alpha, spec, nsamples, nterms):
+        # several blocks, each atom in parts of whole chunks ending in a partial one
+        monkeypatch.setattr(stable, "_BATCH_ELEMENTS", 600_000)
+        params = StableParams(alpha, spec)
+        with monkeypatch.context() as m:
+            m.setattr(stable, "_sample_batch", _serial_replay)
+            want, _ = sample_stable_many(params, nsamples, RngStream(82), nterms=nterms)
+        for count in (1, 2, 4):
+            with _workers(count):
+                got, _ = sample_stable_many(params, nsamples, RngStream(82), nterms=nterms)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("alpha, spec, nterms", [
         (0.5, SpectralMeasure.positive_half_line(1.0), 100),
@@ -394,15 +474,18 @@ class TestLepageKernel:
         _, p = ks_two_sample(got @ axis, want @ axis)
         assert p > 0.01
 
-    def test_a_zero_uniform_stays_finite(self):
-        # random() = 0 is the arrival G (1 - 0) = G, not 0^(-1/alpha) = inf
+    def test_a_zero_uniform_stays_finite(self, monkeypatch):
+        # random() = 0 is the arrival G (1 - 0) = G, not 0^(-1/alpha) = inf;
+        # every part draws the fixed values from their start
+        monkeypatch.setattr(stable, "_jumped", lambda gen, outputs: gen)
         gen = _EdgeDraws(gamma=[10.0], random=[0.0, 0.5])
         x = stable._sample_batch(StableParams(0.5, SpectralMeasure.positive_half_line(1.0)), 4, (10,), gen)
         assert np.all(np.isfinite(x))
 
-    def test_an_infinite_draw_raises(self):
+    def test_an_infinite_draw_raises(self, monkeypatch):
         # at alpha = 0.02 the uniform arrival G 2^-53 has the term
         # (G 2^-53)^(-50), far above the largest double
+        monkeypatch.setattr(stable, "_jumped", lambda gen, outputs: gen)
         params = StableParams(0.02, SpectralMeasure.positive_half_line(1.0))
         plan = truncation_plan(params, nterms=200)
         finite = _EdgeDraws(gamma=[200.0], random=[0.5])
@@ -410,6 +493,19 @@ class TestLepageKernel:
         gen = _EdgeDraws(gamma=[200.0], random=[0.5, 1.0 - 2.0**-53])
         with pytest.raises(FloatingPointError):
             stable._sample_batch(params, 3, plan.atom_terms, gen)
+
+    def test_an_overflow_in_a_worker_raises_without_a_warning(self):
+        # alpha = 0.02 and weight 1000: the last kept arrival G ~ 0.2 keeps
+        # G^(-50) finite, but a uniform arrival G U below 6.8e-7 overflows,
+        # and about 7 in 10^4 samples have one (2 at this seed)
+        params = StableParams(0.02, SpectralMeasure.positive_half_line(1000.0))
+        last = RngStream(83).substream(0).generator().gamma(200, 1e-3, size=10_000)
+        assert np.all(np.isfinite(last**-50.0))
+        for count in (1, 2):
+            with _workers(count), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(FloatingPointError):
+                    sample_stable_many(params, 10_000, RngStream(83), nterms=200)
 
     @pytest.mark.parametrize("alpha, spec, nterms, seed", [
         (0.5, UNCENTRED_3, 300, 1),
@@ -441,8 +537,11 @@ class _EdgeDraws:
         self.calls.append((name, shape))
         return np.resize(self.values[name], shape)
 
-    def random(self, shape):
-        return self._tile("random", shape)
+    def random(self, shape=None, out=None):
+        if out is None:
+            return self._tile("random", shape)
+        out[...] = self._tile("random", out.shape)
+        return out
 
     def standard_exponential(self, shape):
         return self._tile("standard_exponential", shape)
@@ -563,9 +662,8 @@ class TestTruncationBound:
         params = StableParams(alpha, SpectralMeasure.positive_half_line(1.0))
         short = truncation_plan(params, nterms=nterms)
         long = truncation_plan(params, nterms=1500)
-        gen = _Recording(91)
-        a = stable._sample_batch(params, 10_000, short.atom_terms, gen)[:, 0]
-        last, = gen.gammas
+        a = stable._sample_batch(params, 10_000, short.atom_terms, RngStream(91).generator())[:, 0]
+        last = RngStream(91).generator().gamma(short.atom_terms[0], 1.0, size=10_000)  # the kernel's G
 
         def compensator(g):
             return g ** (1.0 - 1.0 / alpha) / (1.0 - 1.0 / alpha)

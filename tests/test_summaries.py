@@ -39,6 +39,28 @@ def test_ks_detects_shift():
     assert p < 1e-6
 
 
+def test_ks_rejects_nan():
+    # sorted last, NaN used to pass: all-NaN sides gave (0, 1), and 100 NaNs
+    # a side gave a plausible p
+    nan = np.full(1000, np.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_two_sample(nan, nan.copy())
+    gen = RngStream(556).generator()
+    a, b = gen.normal(size=1000), gen.normal(size=1000)
+    a[::10] = b[5::10] = np.nan
+    for x, y in ((a, b), (a, gen.normal(size=1000)), (gen.normal(size=1000), b)):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_two_sample(x, y)
+
+
+def test_ks_takes_infinities_by_order():
+    # the same ranks with finite values in place of -inf and +inf
+    b = np.array([-0.5, 0.5, 2.0, 3.0])
+    got = ks_two_sample(np.array([-np.inf, 0.0, 1.0, np.inf]), b)
+    assert got == ks_two_sample(np.array([-10.0, 0.0, 1.0, 10.0]), b)
+    assert got[0] == 0.25
+
+
 def test_ks_calibration_uniform():
     # null p-values exceed 0.01 in at least 98 of 100 seeded trials
     hits = 0
