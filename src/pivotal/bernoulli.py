@@ -11,15 +11,16 @@ polynomial, then its Russo derivative at each theta) enumerates it once.
 The indicator must therefore stay a pure function of its input: one whose
 closure is mutated between calls gets the sums of the old one.
 
-The binomial and negative-binomial identity reports integrate the beta
-kernel t^a (1-t)^b, a polynomial of degree a + b, over [0, p].  An N-point
-Gauss-Legendre rule is exact for degree <= 2N - 1, so up to degree 127 the
-integral takes the smallest cached rule (N = 8, 16, 32 or 64) that is exact
-for the kernel: one call on N interior nodes, whose positive weighted sum
-keeps the relative accuracy of a tail far below 1.  Above degree 127 the
-kernel, analytic and unimodal, takes the composite 16-point rule anchored at
-its peak on [0, p] (:func:`~pivotal.quadrature.peak_gauss_legendre`), so a
-peak narrow against [0, p] is not missed.
+The binomial identity report integrates the one beta kernel t^a (1-t)^b, a
+polynomial of degree a + b, over [0, p]; the negative-binomial report is the
+binomial report at (k + r - 1, r).  An N-point Gauss-Legendre rule is exact
+for degree <= 2N - 1, so up to degree 127 the integral takes the smallest
+cached rule (N = 8, 16, 32 or 64) that is exact for the kernel: one call on N
+interior nodes, whose positive weighted sum keeps the relative accuracy of a
+tail far below 1.  Above degree 127 the kernel, analytic and unimodal, takes
+the composite 16-point rule anchored at its peak on [0, p]
+(:func:`~pivotal.quadrature.peak_gauss_legendre`), so a peak narrow against
+[0, p] is not missed.
 """
 
 from __future__ import annotations
@@ -104,14 +105,12 @@ class EventPolynomial:
 
     ``counts[j]`` is the number of outcomes of A with exactly j ones, so every
     contribution to P is nonnegative per (j, m-j) power pair and evaluation is
-    cancellation-free.  ``coefficients`` are the exact monomial coefficients.
-    ``probability`` and ``derivative`` raise ValueError for a theta outside
-    [0, 1] (NaN included), scalar or array.
+    cancellation-free.  ``probability`` and ``derivative`` raise ValueError
+    for a theta outside [0, 1] (NaN included), scalar or array.
     """
 
     nbits: int
     counts: np.ndarray  # (m+1,) int64
-    coefficients: np.ndarray  # (m+1,) float (exact integers below 2^53)
 
     def probability(self, theta):
         t = _success_probability(theta)[..., None]
@@ -143,17 +142,8 @@ def _success_probability(theta) -> np.ndarray:
 
 
 def event_polynomial(event: BooleanEvent) -> EventPolynomial:
-    m = event.nbits
     counts, _, _ = _popcount_sums(event)
-    # exact integer expansion of sum_j c_j t^j (1-t)^(m-j)
-    coeffs = [0] * (m + 1)
-    for j in range(m + 1):
-        c = int(counts[j])
-        if c == 0:
-            continue
-        for l in range(m - j + 1):
-            coeffs[j + l] += c * ((-1) ** l) * math.comb(m - j, l)
-    return EventPolynomial(m, counts, np.array(coeffs, dtype=float))
+    return EventPolynomial(event.nbits, counts)
 
 
 # the last event enumerated: (weak reference to it, its popcount sums); it is
@@ -360,26 +350,15 @@ class NegBinIdentityReport:
 
 
 def identity_report_negbin(r: int, k: int, p: float) -> NegBinIdentityReport:
-    """Negative-binomial identity report.
-
-    Besides the binomial-tail formulation, both partial sums of the
-    negative-binomial mass (up to k-1 and up to k) are reported against the
-    integral: only the former matches, the latter exceeds it by NB(r,p;k).
-
-    The kernel t^(r-1) (1-t)^(k-1) has degree r + k - 2: for r + k <= 129 the
-    integral is an exact Gauss-Legendre sum, beyond it the peak-anchored
-    composite rule.
-    """
+    """The binomial report at (k + r - 1, r), beside both partial sums of the
+    negative-binomial mass: the one up to k-1 matches the integral, the one up
+    to k exceeds it by NB(r,p;k)."""
     if r < 1 or k < 1:
         raise ValueError("need r, k >= 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    n = k + r - 1
-    tail = sum(binomial_pmf(n, p, j) for j in range(r, n + 1))
-    integral = _beta_integral(r - 1, k - 1, math.lgamma(k + r) - math.lgamma(k) - math.lgamma(r), p)
+    rep = identity_report_binomial(k + r - 1, r, p)
     below = sum(negbin_pmf(r, p, j) for j in range(k))
     through = below + negbin_pmf(r, p, k)
     return NegBinIdentityReport(
-        r, k, p, tail, integral, abs(tail - integral),
-        below, through, abs(below - integral), abs(through - integral),
+        r, k, p, rep.tail, rep.integral, rep.gap,
+        below, through, abs(below - rep.integral), abs(through - rep.integral),
     )

@@ -1,8 +1,11 @@
-"""Poisson, Erlang and compound-Poisson identities: closed forms, recursions, quadrature."""
+"""Poisson, Erlang and compound-Poisson identities: closed forms, recursions, quadrature.
+
+One gamma kernel integral carries the Poisson tail integral and both Erlang quadratures."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,53 +91,51 @@ def _xlogy(x: int, t: np.ndarray) -> np.ndarray:
         return x * np.log(t)
 
 
+def _gamma_integral(n: int, rate: float, upper: float) -> float:
+    """Integral of the gamma kernel rate^n t^(n-1) e^(-rate t) / (n-1)! over [0, upper]
+    by :func:`~pivotal.quadrature.peak_gauss_legendre` anchored at its peak (n - 1)/rate,
+    whose positive weighted sum keeps the relative accuracy of a tail far below 1."""
+    log_rate = n * math.log(rate)
+    lg = math.lgamma(n)
+
+    def kernel(t: np.ndarray) -> np.ndarray:
+        return np.exp(log_rate + _xlogy(n - 1, t) - rate * t - lg)  # value rate at t = 0 for n = 1
+
+    return peak_gauss_legendre(kernel, 0.0, upper, (n - 1) / rate, math.sqrt(n) / rate, (n - 1) / upper - rate)
+
+
 def poisson_tail_integral(theta: float, k: int) -> float:
-    """Integral of the Erlang-type kernel t^(k-1) e^-t / (k-1)! over [0, theta],
-    by :func:`~pivotal.quadrature.peak_gauss_legendre` anchored at the kernel's
-    peak min(k - 1, theta).  Its positive weighted sum keeps the relative
-    accuracy of a tail far below 1.
-    """
+    """P(Poisson(theta) >= k) as the integral of the gamma kernel
+    t^(k-1) e^-t / (k-1)! over [0, theta]."""
     if theta < 0 or k < 1:
         raise ValueError("need theta >= 0 and k >= 1")
     if theta == 0.0:
         return 0.0
-    lg = math.lgamma(k)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(_xlogy(k - 1, t) - t - lg)  # value 1 at t = 0 for k = 1
-
-    return peak_gauss_legendre(integrand, 0.0, theta, k - 1.0, math.sqrt(k), (k - 1) / theta - 1.0)
+    return _gamma_integral(k, 1.0, theta)
 
 
 def erlang_cdf(n: int, theta: float, x: float) -> tuple[float, float, float]:
-    """Erlang distribution function three ways: density quadrature, the
-    parameter-integral representation, and the Poisson tail at theta*x.
-
-    Both quadratures are :func:`~pivotal.quadrature.peak_gauss_legendre`
-    anchored at their kernel's peak: the density on [0, x] at
-    y = min(x, (n - 1)/theta), the parameter kernel on [0, theta] at
-    t = min(theta, (n - 1)/x).
-    """
+    """Erlang distribution function three ways: the gamma kernel at rate theta
+    over [0, x] (the density), at rate x over [0, theta] (the parameter
+    integral), and the Poisson tail at theta*x."""
     if n < 1 or theta <= 0 or x < 0:
         raise ValueError("need n >= 1, theta > 0, x >= 0")
     if x == 0.0:
         return 0.0, 0.0, 0.0
-    lg = math.lgamma(n)
-
-    def density(y: np.ndarray) -> np.ndarray:
-        return np.exp(n * math.log(theta) + _xlogy(n - 1, y) - theta * y - lg)
-
-    direct = peak_gauss_legendre(density, 0.0, x, (n - 1) / theta, math.sqrt(n) / theta, (n - 1) / x - theta)
-
-    def kernel(t: np.ndarray) -> np.ndarray:
-        return np.exp(n * math.log(x) + _xlogy(n - 1, t) - t * x - lg)
-
-    via_integral = peak_gauss_legendre(kernel, 0.0, theta, (n - 1) / x, math.sqrt(n) / x, (n - 1) / theta - x)
-    via_poisson = poisson_tail(theta * x, n)
-    return direct, via_integral, via_poisson
+    return _gamma_integral(n, theta, x), _gamma_integral(n, x, theta), poisson_tail(theta * x, n)
 
 
 # -- compound Poisson ---------------------------------------------------------
+
+
+def _start(log_mass: float) -> float:
+    """exp(log_mass), the mass a compound-Poisson route starts from and is linear in;
+    ValueError below the smallest normal float (log_mass below about -708), whose
+    lost digits would pass to the result as a plausible wrong number."""
+    mass = math.exp(log_mass)
+    if mass < sys.float_info.min:
+        raise ValueError(f"the starting mass exp({log_mass!r}) is below the smallest normal float")
+    return mass
 
 
 def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int) -> float:
@@ -144,14 +145,14 @@ def cpois_pmf_direct(theta: float, q: LatticeDistribution, k: int) -> float:
     convolution masses) drops below 1e-14 relative to the accumulated mass;
     convolution powers are built iteratively and truncated at argument k.
     When the jump law puts no mass at 0, Q^(*n)(k) vanishes for n > k and the
-    sum is finite outright.
+    sum is finite outright.  ValueError where exp(-theta) underflows (``_start``).
     """
     if k < 0:
         return 0.0
     probs = q.probs[: k + 1]
     conv = np.zeros(k + 1)
     conv[0] = 1.0  # Q^(*0) = delta_0
-    term = math.exp(-theta)
+    term = _start(-theta)
     acc = term * conv[k]
     nmax = k if probs[0] == 0.0 else 1_000_000
     n = 0
@@ -175,9 +176,10 @@ def cpois_pmf_panjer(theta: float, q: LatticeDistribution, k: int) -> float:
 
 
 def panjer_pmfs(theta: float, q: LatticeDistribution, kmax: int) -> np.ndarray:
-    """All masses p_0..p_kmax: p_k = (theta/k) * sum_i i q_i p_{k-i}."""
+    """All masses p_0..p_kmax: p_k = (theta/k) * sum_i i q_i p_{k-i};
+    ValueError where p_0 = exp(-theta(1-q_0)) underflows (``_start``)."""
     p = np.zeros(kmax + 1)
-    p[0] = math.exp(-theta * (1.0 - q.q(0)))
+    p[0] = _start(-theta * (1.0 - q.q(0)))
     jq = np.arange(q.probs.size) * q.probs
     for k in range(1, kmax + 1):
         imax = min(k, q.probs.size - 1)
@@ -191,10 +193,14 @@ def cpois_pmf_polyrec(theta: float, q: LatticeDistribution, k: int) -> float:
 
     With c_k(theta) = exp((1-q_0) theta) * mass_k(theta), c_0 = 1 and
     c_k = sum_{j<k} q_{k-j} * Integral_0^theta c_j(t) dt, a degree-k
-    polynomial whose coefficients are accumulated exactly.
+    polynomial whose coefficients are accumulated exactly.  They shrink like
+    1/n!: ValueError where one underflows, a range narrower than the one where
+    the value is right (at q = (0, 1/2, 1/2), from k = 180 on, where theta = 120
+    still gives 3e-14), and where exp(-theta(1-q_0)) does (``_start``).
     """
     if k < 0:
         return 0.0
+    start = _start(-theta * (1.0 - q.q(0)))
     q_pad = np.zeros(k + 1)
     take = min(q.probs.size, k + 1)
     q_pad[:take] = q.probs[:take]
@@ -202,13 +208,17 @@ def cpois_pmf_polyrec(theta: float, q: LatticeDistribution, k: int) -> float:
     integ = np.zeros((k + 1, k + 2))
     integ[0, 1] = 1.0
     ck = np.array([1.0])
-    for kk in range(1, k + 1):
-        ck = q_pad[kk:0:-1] @ integ[:kk, : kk + 1]
-        integ[kk, 1 : kk + 2] = ck / np.arange(1, kk + 2)
+    try:
+        with np.errstate(under="raise"):
+            for kk in range(1, k + 1):
+                ck = q_pad[kk:0:-1] @ integ[:kk, : kk + 1]
+                integ[kk, 1 : kk + 2] = ck / np.arange(1, kk + 2)
+    except FloatingPointError:
+        raise ValueError(f"a polynomial coefficient underflows at k = {k}; use the direct sum or Panjer") from None
     value = 0.0
     for a in ck[::-1]:  # Horner
         value = value * theta + a
-    return math.exp(-theta * (1.0 - q.q(0))) * value
+    return start * value
 
 
 def _lattice_floor(x: float) -> int:

@@ -78,6 +78,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,7 @@ _CHUNK_ELEMENTS = 1 << 16
 _EXACT_BLOCK = 1 << 16
 _NBLOCKS = 50
 _PLAN_CAP = 100_000  # the longest series a plan picks for itself
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class EnvelopeError(ValueError):
@@ -214,20 +216,26 @@ def truncation_plan(
     """Pick the series length and its split over the atoms for the requested tolerance.
 
     A given ``nterms`` is kept (raised to nmin), so passing a plan's
-    ``nterms`` back gives the same plan.
+    ``nterms`` back gives the same plan.  The bound's terms w_j^(2/alpha)
+    ``tail_meansq_sum(N_j, alpha)`` are summed in log space, as each factor
+    alone can overflow at small alpha; it reads inf only beyond the float range.
     """
     if trunc_tol <= 0:
         raise ValueError("trunc_tol must be positive")
     alpha = params.alpha
     spec = params.spectral
-    nmin = int(math.ceil(2.0 / alpha)) + 3
-    atom_scale = spec.weights ** (2.0 / alpha)
+    beta = 2.0 / alpha
+    nmin = int(math.ceil(beta)) + 3
+    log_scale = [beta * math.log(w) - math.log(beta - 1.0) for w in spec.weights]
 
     def split(n: int) -> tuple[int, ...]:
         return tuple(max(nmin, math.ceil(p * n)) for p in spec.probabilities)
 
     def std_bound(n: int) -> float:
-        return math.sqrt(sum(c * tail_meansq_sum(nj, alpha) for c, nj in zip(atom_scale, split(n))))
+        logs = [c + _log_gamma_ratio(nj, 1.0 - beta) for c, nj in zip(log_scale, split(n))]
+        top = max(logs)
+        half_log = 0.5 * (top + math.log(sum(math.exp(x - top) for x in logs)))
+        return math.exp(half_log) if half_log < _LOG_FLOAT_MAX else math.inf
 
     capped = nterms is None and std_bound(_PLAN_CAP) > trunc_tol
     if capped:

@@ -98,11 +98,6 @@ class TestEventProbability:
     def test_two_trials_at_least_one(self):
         assert bn.event_polynomial(bn.threshold_event(2, 1)).probability(0.5) == pytest.approx(0.75, abs=1e-15)
 
-    def test_monomial_coefficients(self):
-        # P(S_2 >= 1) = 2 theta - theta^2
-        poly = bn.event_polynomial(bn.threshold_event(2, 1))
-        assert poly.coefficients.tolist() == [0.0, 2.0, -1.0]
-
     def test_too_many_bits(self):
         with pytest.raises(ValueError):
             bn.event_polynomial(bn.threshold_event(25, 0))

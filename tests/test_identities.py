@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from pivotal import identities
+from pivotal import bernoulli, identities
 from pivotal.identities import (
     LatticeDistribution,
     cpois_cdf,
@@ -223,6 +223,58 @@ class TestCompoundPoissonPmf:
         assert np.all(np.diff(partial) >= 0.0)
         assert partial[-1] <= 1.0 + 1e-12
         assert partial[-1] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestCompoundPoissonRange:
+    """q = (0, 1/2, 1/2) against a log-space sum over the Poisson count."""
+
+    Q = LatticeDistribution(np.array([0.0, 0.5, 0.5]))
+
+    @staticmethod
+    def reference(theta, k):
+        # n jumps, k - n of them of size 2: Po(theta; n) C(n, k - n) 2^-n
+        n = np.arange((k + 1) // 2, k + 1)
+        logs = (stats.poisson.logpmf(n, theta) + special.gammaln(n + 1) - special.gammaln(k - n + 1)
+                - special.gammaln(2 * n - k + 1) - n * math.log(2.0))
+        return math.exp(special.logsumexp(logs))
+
+    def test_start_below_the_normal_range_raises(self):
+        # exp(-800) underflows; every route returned 0.0 for a mass of 8.92e-3
+        assert self.reference(800.0, 1200) == pytest.approx(8.92e-3, rel=1e-3)
+        for route in (cpois_pmf_direct, cpois_pmf_panjer, cpois_pmf_polyrec, cpois_cdf):
+            with pytest.raises(ValueError):
+                route(800.0, self.Q, 1200)
+        with pytest.raises(ValueError):
+            cpois_cdf_ode_residual(800.0, self.Q, 1200.0, 1e-3)
+
+    def test_start_inside_the_normal_range(self):
+        want = self.reference(700.0, 1050)
+        assert cpois_pmf_direct(700.0, self.Q, 1050) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert cpois_pmf_panjer(700.0, self.Q, 1050) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta, k", [(700.0, 1050), (200.0, 300), (150.0, 225), (120.0, 180)])
+    def test_polyrec_raises_where_a_coefficient_underflows(self, theta, k):
+        # it returned 0.0, 9.7e-13 for 1.78e-2, and a mass off by 4.5e-9
+        # relative at the first three; at (120, 180) it is still right
+        with pytest.raises(ValueError):
+            cpois_pmf_polyrec(theta, self.Q, k)
+
+
+class TestSharedKernels:
+    """One beta kernel for the binomial and negative-binomial reports, one
+    gamma kernel for the Poisson tail integral and both Erlang quadratures."""
+
+    @pytest.mark.parametrize("r, k, p", [(1, 1, 0.5), (3, 5, 0.1), (13, 14, 0.5), (20, 7, 0.9), (2, 128, 0.9)])
+    def test_negbin_report_is_the_binomial_one(self, r, k, p):
+        nb = bernoulli.identity_report_negbin(r, k, p)
+        binom = bernoulli.identity_report_binomial(k + r - 1, r, p)
+        assert (nb.binomial_tail, nb.integral, nb.gap) == (binom.tail, binom.integral, binom.gap)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 300])
+    @pytest.mark.parametrize("theta, x", [(0.5, 3.0), (2.0, 2.0), (7.0, 0.1), (20.0, 10.0)])
+    def test_gamma_kernel_routes(self, n, theta, x):
+        assert erlang_cdf(n, theta, x)[0] == erlang_cdf(n, x, theta)[1]
+        assert poisson_tail_integral(theta, n) == erlang_cdf(n, 1.0, theta)[0]
 
 
 class TestCompoundPoissonOde:

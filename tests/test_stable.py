@@ -140,6 +140,24 @@ class TestTailSums:
         plan = truncation_plan(params, trunc_tol=1e-6)
         assert plan.capped and plan.nterms == 100_000
 
+    def test_bound_beyond_the_float_range_of_its_factors(self):
+        # w^(2/alpha) = 1e300 overflows at alpha = 0.02 and w = 1e6, and used
+        # to give an inf bound at nterms = 200 and a nan one, uncapped, at 3296
+        alpha, w = 0.02, 1e6
+        params = StableParams(alpha, SpectralMeasure.positive_half_line(w))
+
+        def log10_bound(n):
+            beta = 2.0 / alpha
+            return 0.5 * (beta * math.log(w) + gammaln(n + 1 - beta) - gammaln(n) - math.log(beta - 1)) / math.log(10)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = truncation_plan(params, nterms=200)
+            plan = truncation_plan(params)
+        assert math.log10(fixed.tail_std_bound) == pytest.approx(log10_bound(200), rel=1e-12)
+        assert plan.capped and plan.nterms == 100_000
+        assert math.log10(plan.tail_std_bound) == pytest.approx(log10_bound(100_000), rel=1e-9)
+
     @pytest.mark.parametrize("alpha, spec", [(0.5, UNCENTRED_3), (1.2, CENTRED_3)])
     def test_plan_splits_over_atoms(self, alpha, spec):
         plan = truncation_plan(StableParams(alpha, spec), nterms=400)
