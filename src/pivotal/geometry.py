@@ -23,7 +23,9 @@ block fixed by the mass (or m) and ``_BLOCK_POINTS``, counts before points.
 side 1 and K_t on side 2.  Both use one fixed rule: the step ``_DELTA``,
 ``_BOUNDARY_NODES`` nodes per boundary piece, and a boundary side over
 min(reps, ``_POOL``) replicates of K_t, or over two (both empty, so the mean
-is the node sum exactly and the standard error 0) where K_t has mass 0.
+is the node sum exactly and the standard error 0) where K_t has mass 0.  The
+Poisson finite difference takes enough replicates, up to ``_SHELL_REPS``, to
+see ``_SHELL_POINTS`` points in its shell K_{t+delta} minus K_{t-delta}.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ from .summaries import mean_stderr, zscore
 _BOUNDARY_NODES = 32  # Gauss-Legendre nodes per edge or arc of a boundary
 _DELTA = 1e-2  # finite-difference step of the Crofton checks
 _POOL = 5000  # most replicates the Crofton boundary side averages over
+_SHELL_POINTS = 30  # the Poisson difference takes enough replicates to hold this many shell points on average
+_SHELL_REPS = 10**6  # the most replicates that floor asks for
 
 # -- shapes -------------------------------------------------------------------
 
@@ -391,19 +395,25 @@ def crofton_poisson_check(
     the variance).  At t = 0 the boundary side runs over the body's own
     boundary, which for a segment is both of its sides (each inner point has
     two unit normals, as in ``perimeter``), and the difference is one-sided.
-    Where K_t has mass 0, as for a segment at t = 0, every replicate of eta_t
-    is empty, so the boundary side averages two empty replicates: its mean
-    is the node sum exactly and its standard error 0.  Otherwise it averages
-    over min(reps, 5000) replicates of eta_t.  ``sup_density`` must bound h
-    on the largest parallel set sampled, K_{t+delta}.
+    The difference averages over max(reps, ceil(30 / lam)) replicates, lam
+    the h-mass of the shell K_{t+delta} minus K_{t-delta} (K_0 at t = 0), so
+    that they hold about 30 shell points in all; the floor applies only where
+    lam > 0 and is at most 10^6.  Where K_t has mass 0, as for a segment at
+    t = 0, every replicate of eta_t is empty, so the boundary side averages
+    two empty replicates: its mean is the node sum exactly and its standard
+    error 0.  Otherwise it averages over min(reps, 5000) replicates of
+    eta_t.  ``sup_density`` must bound h on the largest parallel set
+    sampled, K_{t+delta}.
     """
     delta, tminus, denom, pts, wh = _crofton_setup(g, body, t, reps, h)
     mu_plus = intensity_on_parallel_set(body, t + delta, h, sup_density)
     region_minus = parallel_region(body, tminus)
+    shell = total_mass(mu_plus) - parallel_mass(body, tminus, h)
+    nplus = max(reps, math.ceil(min(_SHELL_POINTS / shell, _SHELL_REPS))) if shell > 0 else reps
 
     vals = np.concatenate([
-        (g.replicate_values(blk) - g.replicate_values(blk.restricted(region_minus(blk.points)))) / denom
-        for blk in poisson_blocks(mu_plus, reps, rng.substream(0))
+        (g.differences(blk) - g.differences(blk.restricted(region_minus(blk.points)))) / denom
+        for blk in poisson_blocks(mu_plus, nplus, rng.substream(0))
     ])
     lhs, lhs_se = mean_stderr(vals)
 
@@ -439,7 +449,7 @@ def crofton_binomial_check(
 
     def mean_g_at(radius: float, side: int) -> tuple[float, float]:
         mu = intensity_on_parallel_set(body, radius, h, sup_density)
-        return mean_stderr(np.concatenate([g.replicate_values(blk)
+        return mean_stderr(np.concatenate([g.differences(blk)
                                            for blk in binomial_blocks(mu, m, reps, rng.substream(side))]))
 
     up, up_se = mean_g_at(t + delta, 0)
@@ -454,7 +464,7 @@ def crofton_binomial_check(
         # each replicate's first m - 1 points against the whole replicate
         keep = np.ones(blk.points.shape[0], dtype=bool)
         keep[blk.offsets[1:] - 1] = False
-        return g.node_differences(blk.restricted(keep), pts, wh, base=g.replicate_values(blk))
+        return g.node_differences(blk.restricted(keep), pts, wh, base=g.differences(blk))
 
     rhs, rhs_se = mean_stderr(np.concatenate([boundary_sums(blk) for blk in
                                               binomial_blocks(mu_t, m, min(reps, _POOL), rng.substream(2))]))

@@ -6,8 +6,9 @@ Penrose, *Lectures on the Poisson Process*, 2017, ch. 19) has E g as its
 k = 0 term.  So ``_differences`` estimates every order k >= 0 alike: the
 k-fold add-point difference at Poisson replicates with k added points, where
 order 0 is g itself.  ``expectation_mc`` is its order 0, the series is one
-loop over k = 0..kmax, and the location and higher-order estimators are its
-orders k >= 1 at the intensity theta * lam.
+loop over k = 0..kmax whose result lists every order, order 0 first, in
+``terms``, and the location and higher-order estimators are its orders
+k >= 1 at the intensity theta * lam.
 
 Every estimator draws its replicates from the block engine of
 :mod:`pivotal.point_process`: side s of an estimator is the stream
@@ -72,8 +73,7 @@ class PerturbationSeriesResult:
     estimate: float
     truncation_bound: float
     stderr: float
-    base: MCEstimate  # the order-0 term, E g under lam
-    terms: list[SeriesTerm]  # orders 1..kmax
+    terms: list[SeriesTerm]  # orders 0..kmax; order 0 estimates E g under lam
 
 
 def perturbation_series(
@@ -123,8 +123,7 @@ def perturbation_series(
     y = 2.0 * abs(theta) * nu_mass
     partial = sum(y**k / math.factorial(k) for k in range(kmax + 1))
     truncation = g.bound * max(0.0, math.exp(y) - partial)
-    base = MCEstimate(terms[0].mean_difference, terms[0].stderr, reps)
-    return PerturbationSeriesResult(estimate, truncation, math.sqrt(var), base, terms[1:])
+    return PerturbationSeriesResult(estimate, truncation, math.sqrt(var), terms)
 
 
 @dataclass(frozen=True)

@@ -32,20 +32,20 @@ every k >= 0, one subset sum over the 2^k subsets of the added points; k = 0
 gives g(phi) and ``difference`` is the k = 1 case.
 
 Block protocol: estimators and checks evaluate a statistic g on a
-``ReplicateBlock`` only through four ``Statistic`` methods: ``replicate_values``
-(g at each replicate), ``differences`` (the iterated add-point difference over
-the added points), ``node_differences`` (weighted add-point differences at
-fixed nodes) and ``pivotal_points``.  The engine's blocks, and the blocks
-``restricted`` from them, are read-only.  The ``Statistic`` defaults evaluate g
-configuration by configuration, once per configuration.  ``node_differences``
-and ``pivotal_points`` build a replicate's configurations grown by one point
-(a node, or a copy of one of its points) or thinned by one in read-only
-(chunk, n +/- 1, dim) arrays of at most ``_BLOCK_POINTS`` points (a larger
-configuration gets an array of its own); g receives one row at a time, and a
-row stays valid after the call.  A ``CountFunctional``, g(phi) =
-f(phi(B_1), ..., phi(B_r)), overrides them with closed forms in the region
-memberships of the points, a whole block at a time, with the same values bit
-for bit.
+``ReplicateBlock`` only through three ``Statistic`` methods: ``differences``
+(the iterated add-point difference over the added points, so g at each
+replicate of a block without added points), ``node_differences`` (weighted
+add-point differences at fixed nodes) and ``pivotal_points``.  The engine's
+blocks, and the blocks ``restricted`` from them, are read-only.  The
+``Statistic`` defaults evaluate g configuration by configuration, once per
+configuration.  ``node_differences`` and ``pivotal_points`` build a replicate's
+configurations grown by one point (a node, or a copy of one of its points) or
+thinned by one in read-only (chunk, n +/- 1, dim) arrays of at most
+``_BLOCK_POINTS`` points (a larger configuration gets an array of its own); g
+receives one row at a time, and a row stays valid after the call.  A
+``CountFunctional``, g(phi) = f(phi(B_1), ..., phi(B_r)), overrides them with
+closed forms in the region memberships of the points, a whole block at a time,
+with the same values bit for bit.
 
 Region counts: a region given to ``count_in`` must be a pure, row-wise
 membership test, mapping an (n, dim) array to n booleans (another shape
@@ -426,12 +426,9 @@ class Statistic:
             raise DeclarationError(f"declared bound {self.bound} violated: {v}")
         return v
 
-    def replicate_values(self, blk: ReplicateBlock) -> np.ndarray:
-        """g at each replicate of the block."""
-        return np.array([self.value(blk.configuration(i)) for i in range(blk.reps)], dtype=float)
-
     def differences(self, blk: ReplicateBlock) -> np.ndarray:
-        """The iterated difference of g at each replicate, over its added points."""
+        """The iterated difference of g at each replicate, over its added
+        points; g itself at a block without added points."""
         return np.array([iterated_difference(self, blk.configuration(i), blk.added[i]) for i in range(blk.reps)],
                         dtype=float)
 
@@ -534,9 +531,6 @@ class CountFunctional(Statistic):
             if bad.any():
                 raise DeclarationError(f"declared bound {self.bound} violated: {float(v[bad][0])}")
         return v
-
-    def replicate_values(self, blk: ReplicateBlock) -> np.ndarray:
-        return self.values(self.counts(blk))
 
     def differences(self, blk: ReplicateBlock) -> np.ndarray:
         """With region counts C of a replicate and memberships M_i of its k added

@@ -75,6 +75,7 @@ samples, block b from ``rng.substream(b)``, and never the reps % 50 left over.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
@@ -192,14 +193,6 @@ def _log_gamma_ratio(x: float, s: float) -> float:
     return s * math.log(x) + (x + s - 0.5) * math.log1p(s / x) - s + series + math.log(factor)
 
 
-def tail_meansq_sum(nterms: int, alpha: float) -> float:
-    """sum_{k>N} Gamma(k - 2/alpha)/Gamma(k), exactly."""
-    beta = 2.0 / alpha
-    if nterms + 1 - beta <= 0:
-        raise ValueError("need nterms > 2/alpha - 1")
-    return math.exp(_log_gamma_ratio(nterms, 1.0 - beta)) / (beta - 1.0)
-
-
 @dataclass(frozen=True)
 class TruncationPlan:
     nterms: int
@@ -216,9 +209,11 @@ def truncation_plan(
     """Pick the series length and its split over the atoms for the requested tolerance.
 
     A given ``nterms`` is kept (raised to nmin), so passing a plan's
-    ``nterms`` back gives the same plan.  The bound's terms w_j^(2/alpha)
-    ``tail_meansq_sum(N_j, alpha)`` are summed in log space, as each factor
-    alone can overflow at small alpha; it reads inf only beyond the float range.
+    ``nterms`` back gives the same plan; otherwise the plan bisects for the
+    least length whose bound meets the tolerance.  The bound's terms
+    w_j^(2/alpha) S2(N_j) (module docstring) are summed in log space, as each
+    factor alone can overflow at small alpha; it reads inf only beyond the
+    float range.
     """
     if trunc_tol <= 0:
         raise ValueError("trunc_tol must be positive")
@@ -241,16 +236,7 @@ def truncation_plan(
     if capped:
         nterms = _PLAN_CAP
     elif nterms is None:
-        lo, hi = nmin, nmin
-        while std_bound(hi) > trunc_tol:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if std_bound(mid) <= trunc_tol:
-                hi = mid
-            else:
-                lo = mid + 1
-        nterms = lo
+        nterms = nmin + bisect.bisect_left(range(nmin, _PLAN_CAP + 1), True, key=lambda n: std_bound(n) <= trunc_tol)
     else:
         nterms = max(nterms, nmin)
     return TruncationPlan(nterms, split(nterms), std_bound(nterms), capped)

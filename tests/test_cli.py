@@ -231,6 +231,16 @@ class TestRunner:
             assert carriers == uses[key], key
             assert all(float(r["threshold"]) == value for r in rows if (r["suite"], r["check_id"]) in uses[key])
 
+    @pytest.mark.parametrize("reps", [20, 50])
+    def test_segment_difference_sees_its_shell_at_few_reps(self, tmp_path, reps):
+        # with no floor on its replicates, no replicate held a point next to the
+        # segment, so the row read lhs 0 +/- 0 and z = inf
+        cfg = write_cfg(tmp_path, {"seed": 3, "suites": ["crofton"], "crofton": {"reps": reps}})
+        run(cfg, tmp_path / "out", verbose=False)
+        rows = csv.DictReader((tmp_path / "out" / "results.csv").open())
+        row, = (r for r in rows if r["check_id"] == "poisson_count_segment_t0")
+        assert row["pass"] == "true" and float(row["lhs_stderr"]) > 0
+
     def test_affine_density_envelope_covers_sampled_radii(self, tmp_path):
         # the checks sample the box at radius max(t, 0.2) + delta, where the
         # affine density exceeds its maximum over the box padded by t alone;

@@ -277,19 +277,33 @@ class TestCroftonPoisson:
             crofton_poisson_check(COUNT, DISK, 0.5, reps, RngStream(96))
 
     def test_golden_values(self):
+        # the finite differences average over 160, 745 and 115 replicates, the floors of their shells
         rep = crofton_poisson_check(COUNT, DISK, 0.5, 60, RngStream(38))
         assert rep == CroftonReport(
-            lhs=10.0, lhs_stderr=2.6037782196164776, rhs=9.42477796076938,
-            rhs_stderr=2.3126196243485683e-16, z=0.22091821603582956, delta=0.01, reps=60)
+            lhs=10.625, lhs_stderr=1.9520338933416899, rhs=9.42477796076938,
+            rhs_stderr=2.3126196243485683e-16, z=0.6148571719602464, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, SEG, 0.0, 60, RngStream(39))
         assert rep == CroftonReport(
-            lhs=1.6666666666666667, lhs_stderr=1.6666666666666665, rhs=3.9999999999999987,
-            rhs_stderr=0.0, z=-1.3999999999999995, delta=0.01, reps=60)
+            lhs=3.6241610738255035, lhs_stderr=0.6851747715720529, rhs=3.9999999999999987,
+            rhs_stderr=0.0, z=-0.5485300127326302, delta=0.01, reps=60)
         rep = crofton_poisson_check(COUNT, DISK, 0.4, 60, RngStream(40), h=lambda p: 1.0 + 0.5 * p[:, 0] ** 2,
                                     sup_density=2.0)
         assert rep == CroftonReport(
-            lhs=10.0, lhs_stderr=3.0991159665316332, rhs=13.106724550776626,
-            rhs_stderr=0.0, z=-1.002455082135409, delta=0.01, reps=60)
+            lhs=12.173913043478262, lhs_stderr=2.276744128024727, rhs=13.106724550776626,
+            rhs_stderr=0.0, z=-0.4097129298880235, delta=0.01, reps=60)
+
+    def test_shell_floor(self):
+        # the segment's shell K_delta has mass 4 delta + pi delta^2, so 30 points take 745 replicates,
+        # whose first 60 are those of 60; at 744 the floor still reads 745
+        reps = [crofton_poisson_check(COUNT, SEG, 0.0, n, RngStream(39)) for n in (60, 744, 745, 746)]
+        assert [(r.lhs, r.lhs_stderr) for r in reps[:3]] == [(reps[0].lhs, reps[0].lhs_stderr)] * 3
+        assert (reps[3].lhs, reps[3].lhs_stderr) != (reps[0].lhs, reps[0].lhs_stderr)
+
+    def test_shell_floor_is_capped(self, monkeypatch):
+        # the floor asks for at most _SHELL_REPS replicates, so a tiny density cannot make the check run without end
+        monkeypatch.setattr(geometry, "_SHELL_REPS", 100)
+        rep, ref, more = (crofton_poisson_check(COUNT, SEG, 0.0, n, RngStream(39)) for n in (60, 100, 101))
+        assert (rep.lhs, rep.lhs_stderr) == (ref.lhs, ref.lhs_stderr) != (more.lhs, more.lhs_stderr)
 
 
 class TestCroftonBinomial:

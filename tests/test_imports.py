@@ -1,4 +1,6 @@
-"""No module of the library imports a ``_``-prefixed name from a sibling module."""
+"""No module of the library imports a ``_``-prefixed name from a sibling
+module, and none holds an ``assert``: its bounds are enforced by checks that
+``python -O`` does not strip."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,9 @@ def test_finder_sees_relative_and_absolute_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_cross_module_import(path):
     assert private_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    lines = [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert lines == []

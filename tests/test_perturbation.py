@@ -65,8 +65,8 @@ class TestPerturbationSeries:
     def test_constant_statistic(self):
         g = Statistic(eval=lambda phi: 1.5, bound=1.5)
         res = perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=3, reps=200, rng=RngStream(45))
-        assert res.estimate == 1.5
-        assert all(t.mean_difference == 0.0 for t in res.terms)
+        assert res.estimate == 1.5 and res.terms[0].mean_difference == 1.5
+        assert all(t.mean_difference == 0.0 for t in res.terms[1:])
 
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError):
@@ -78,9 +78,10 @@ class TestPerturbationSeries:
         res = perturbation_series(g, SQUARE, SQUARE, 0.5, kmax=4, reps=1000, rng=RngStream(151))
         assert (res.estimate, res.stderr, res.truncation_bound) == (
             0.7130338541666668, 0.014114513475239421, 0.009948495125712054)
-        assert res.base == MCEstimate(0.797, 0.01272607374459825, 1000)
-        assert res.base == expectation_mc(g, SQUARE, 1000, RngStream(151))
+        base = expectation_mc(g, SQUARE, 1000, RngStream(151))
+        assert base == MCEstimate(0.797, 0.01272607374459825, 1000)
         assert [(t.order, t.weight, t.mean_difference, t.stderr) for t in res.terms] == [
+            (0, 1.0, base.mean, base.stderr),
             (1, 0.5, -0.178, 0.012102167676183573), (2, 0.125, 0.043, 0.006418114379799739),
             (3, 0.020833333333333332, -0.017, 0.004089954489689063),
             (4, 0.0026041666666666665, 0.005, 0.00223158687484489)]
@@ -96,7 +97,7 @@ class TestPerturbationSeries:
         g = Statistic(eval=lambda phi: float(min(len(phi), 1000.0)), bound=1000.0)
         th = 0.5
         res = perturbation_series(g, SQUARE, SQUARE, th, kmax=3, reps=3000, rng=RngStream(47))
-        for term in res.terms[1:]:
+        for term in res.terms[2:]:
             assert term.mean_difference == 0.0
         assert abs(res.estimate - (1.0 + th)) < 4.0 * res.stderr
 
@@ -426,7 +427,7 @@ class TestGoldenValues:
         res = perturbation_series(void_indicator(B), SQUARE, SQUARE, 0.5, kmax=3, reps=40, rng=RngStream(37))
         assert res == PerturbationSeriesResult(
             estimate=0.6249999999999999, truncation_bound=0.05161516179237857, stderr=0.07966275068156914,
-            base=MCEstimate(mean=0.7, stderr=0.07337993857053428, reps=40),
-            terms=[SeriesTerm(order=1, weight=0.5, mean_difference=-0.175, stderr=0.060843430844447585),
+            terms=[SeriesTerm(order=0, weight=1.0, mean_difference=0.7, stderr=0.07337993857053428),
+                   SeriesTerm(order=1, weight=0.5, mean_difference=-0.175, stderr=0.060843430844447585),
                    SeriesTerm(order=2, weight=0.125, mean_difference=0.1, stderr=0.048038446141526144),
                    SeriesTerm(order=3, weight=0.020833333333333332, mean_difference=0.0, stderr=0.0)])

@@ -453,6 +453,10 @@ def _hand_block(dim: int, sizes: list[int], k: int, seed: int) -> ReplicateBlock
     return ReplicateBlock(gen.random((int(offsets[-1]), dim)), offsets, gen.random((len(sizes), k, dim)))
 
 
+def _without_added(blk: ReplicateBlock) -> ReplicateBlock:
+    return ReplicateBlock(blk.points, blk.offsets, blk.added[:, :0])
+
+
 _QUARTER = box_region([0.0, 0.0], [0.5, 0.5])
 _PLANE = _hand_block(2, [0, 3, 1, 0, 5, 2, 4], 3, 31)
 _PLANE.points[2] = _PLANE.points[1]  # a point of multiplicity two
@@ -477,8 +481,11 @@ class TestBlockMethods:
     for the same f, value for value."""
 
     def test_replicate_values(self, case, as_generic):
+        # order 0: on a block without added points the differences are g at each replicate
         g, blk = BLOCK_CASES[case]
-        assert g.replicate_values(blk).tolist() == as_generic(g).replicate_values(blk).tolist()
+        bare = _without_added(blk)
+        want = [g.value(bare.configuration(i)) for i in range(bare.reps)]
+        assert g.differences(bare).tolist() == as_generic(g).differences(bare).tolist() == want
 
     def test_differences(self, case, as_generic):
         g, blk = BLOCK_CASES[case]
@@ -680,7 +687,7 @@ class TestRegionCounts:
         with pytest.raises(TypeError):
             g.eval(phi)
         with pytest.raises(TypeError):
-            g.replicate_values(_PLANE)
+            g.differences(_without_added(_PLANE))
 
 
 class TestReplicateBlocks:

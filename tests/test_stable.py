@@ -29,7 +29,6 @@ from pivotal.stable import (
     radvec_residual,
     sample_stable_exact,
     sample_stable_many,
-    tail_meansq_sum,
     truncation_plan,
 )
 from pivotal.suites import _RADVEC_CASES
@@ -88,9 +87,16 @@ class TestTailSums:
             closed = math.exp(gammaln(n0 + 1 - beta) - gammaln(n0)) / (beta - 1.0)
             assert partial + remainder == pytest.approx(closed, rel=1e-9)
 
+    @staticmethod
+    def _meansq_sum(n, alpha):
+        """S2(n) = sum_{k>n} Gamma(k - 2/alpha)/Gamma(k) from the plan's bound:
+        the pair of unit atoms keeps n terms each, so the bound is sqrt(2 S2(n))."""
+        params = StableParams(alpha, SpectralMeasure.symmetric_pair(2.0))
+        return truncation_plan(params, nterms=2 * n).tail_std_bound ** 2 / 2
+
     def test_wrappers(self):
         # alpha=0.5: mean-square beta=4
-        assert tail_meansq_sum(10, 0.5) == pytest.approx(
+        assert self._meansq_sum(10, 0.5) == pytest.approx(
             math.exp(gammaln(7.0) - gammaln(10.0)) / 3.0, rel=1e-12
         )
 
@@ -101,11 +107,7 @@ class TestTailSums:
         # a difference of two log-gammas near n log n loses ~1e-10 here
         beta = round(2.0 / alpha)
         denom = (beta - 1) * math.prod(range(n - beta + 1, n))
-        assert tail_meansq_sum(n, alpha) == pytest.approx(float(Fraction(1, denom)), rel=1e-13, abs=0.0)
-
-    def test_meansq_sum_needs_positive_arguments(self):
-        with pytest.raises(ValueError):
-            tail_meansq_sum(3, 0.5)
+        assert self._meansq_sum(n, alpha) == pytest.approx(float(Fraction(1, denom)), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha, spec, tol, nterms, want, atoms", [
         (0.5, SpectralMeasure.positive_half_line(1.0), 1e-3, None, 72, (72,)),
@@ -129,11 +131,19 @@ class TestTailSums:
         bounds = [truncation_plan(params, nterms=n).tail_std_bound for n in (10, 30, 100, 300)]
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
 
-    def test_plan_hits_tolerance(self):
-        params = StableParams(0.7, SpectralMeasure.positive_half_line(1.5))
-        plan = truncation_plan(params, trunc_tol=1e-3)
-        assert plan.tail_std_bound <= 1e-3
-        assert truncation_plan(params, nterms=plan.nterms - 1).tail_std_bound > 1e-3
+    @pytest.mark.parametrize("alpha, spec, tol", [
+        *((0.3, SpectralMeasure.positive_half_line(1.5), tol) for tol in (3e-3, 1e-4, 1e-6)),
+        *((0.5, UNCENTRED_3, tol) for tol in (1e-2, 1e-3, 1e-5)),
+        *((0.8, SpectralMeasure.positive_half_line(1.5), tol) for tol in (1e-1, 1e-2, 1e-3)),
+        *((1.2, CENTRED_3, tol) for tol in (1.0, 0.3, 0.1)),
+    ])
+    def test_plan_hits_tolerance(self, alpha, spec, tol):
+        # the plan's length is the least one that meets the tolerance
+        params = StableParams(alpha, spec)
+        plan = truncation_plan(params, trunc_tol=tol)
+        assert not plan.capped and plan.nterms > math.ceil(2.0 / alpha) + 3
+        assert plan.tail_std_bound <= tol
+        assert truncation_plan(params, nterms=plan.nterms - 1).tail_std_bound > tol
 
     def test_cap_reported(self):
         params = StableParams(1.5, SpectralMeasure.symmetric_pair(1.0))
@@ -164,7 +174,8 @@ class TestTailSums:
         nmin = math.ceil(2.0 / alpha) + 3
         w = spec.weights
         assert plan.atom_terms == tuple(max(nmin, math.ceil(p * 400)) for p in w / w.sum())
-        want = math.sqrt(sum(wj ** (2.0 / alpha) * tail_meansq_sum(nj, alpha)
+        beta = 2.0 / alpha
+        want = math.sqrt(sum(wj ** beta * math.exp(gammaln(nj + 1 - beta) - gammaln(nj)) / (beta - 1.0)
                              for wj, nj in zip(w, plan.atom_terms)))
         assert plan.tail_std_bound == pytest.approx(want, rel=1e-12)
 
