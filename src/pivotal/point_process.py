@@ -49,12 +49,14 @@ with the same values bit for bit.
 
 Region counts: a region given to ``count_in`` must be a pure, row-wise
 membership test, mapping an (n, dim) array to n booleans (another shape
-raises TypeError).  A configuration memoises each region's count, keyed by
-the region object, and the membership of its points.  A configuration that
-``node_differences`` or ``pivotal_points`` grows or thins by one row keeps no
-membership: it counts as its replicate's count plus or minus that row's.
-So g = phi.count_in(B), like ``CountFunctional.eval``, asks B once per
-replicate and once per node set, never once per grown configuration, and
+raises TypeError).  ``box_region`` and ``ball_region`` raise ValueError on
+points of another width than their own dimension.  A configuration memoises
+each region's count, keyed by the region object, and the membership of its
+points.  A configuration that ``node_differences`` or ``pivotal_points`` grows
+or thins by one row stores no memo: each of its counts is two memo lookups,
+its replicate's count plus or minus that row's membership in its replicate or
+node set.  So g = phi.count_in(B), like ``CountFunctional.eval``, asks B once
+per replicate and once per node set, never once per grown configuration, and
 every count is the same exact integer as a fresh count.
 """
 
@@ -143,31 +145,21 @@ class PointConfiguration:
         """The number of points in ``region``, a pure row-wise membership test
         mapping an (n, dim) array to n booleans (another shape raises TypeError),
         memoised per region object as the module docstring says."""
-        return self._region(region)[2]
+        parts = self.__dict__.get("_parts")
+        if parts is None:
+            return self._region(region)[2]
+        base, rows, j, sign = parts
+        return base._region(region)[2] + sign * rows._region(region)[1].item(j)
 
     def _region(self, region) -> tuple:
-        """(region, membership or None, count), memoised; the entry holds the
-        region, so no other object takes its id while the entry lives."""
+        """(region, membership, count), memoised; the entry holds the region,
+        so no other object takes its id while the entry lives."""
         memo = self.__dict__.setdefault("_memo", {})
         entry = memo.get(id(region))
         if entry is None:
-            parts = self.__dict__.get("_parts")
-            if parts is None:
-                inside = _inside(region, self.points)
-                entry = (region, inside, int(np.count_nonzero(inside)))
-            else:
-                base, rows, j, sign = parts
-                entry = (region, None, base._region(region)[2] + sign * rows._region(region)[1].item(j))
-            memo[id(region)] = entry
+            inside = _inside(region, self.points)
+            entry = memo[id(region)] = (region, inside, int(np.count_nonzero(inside)))
         return entry
-
-
-def _derived(dim: int, pts: np.ndarray, base: PointConfiguration, rows: PointConfiguration, j: int,
-             sign: int) -> PointConfiguration:
-    """The configuration of the read-only array ``pts``, with its parts recorded."""
-    phi = object.__new__(PointConfiguration)
-    phi.__dict__.update(dim=dim, points=pts, _parts=(base, rows, j, sign))
-    return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,24 +295,26 @@ def _sample_points(mu: IntensityMeasure, n: int, gen: np.random.Generator) -> np
         return np.empty((n, mu.dim))
     lo = mu.bounds[:, 0]
     span = mu.bounds[:, 1] - lo
+    if mu.density is None and mu.contains is None:
+        # every proposal is accepted: one draw of max(n, 16) rows, as the rejection loop draws
+        pts = gen.random((max(n, 16), mu.dim))
+        pts *= span
+        pts += lo
+        return pts[:n]
     out = np.empty((n, mu.dim))
     got = 0
     rejected = 0
-    plain = mu.density is None and mu.contains is None
     while got < n:
         m = max(n - got, 16)
         # the same draws and the same arithmetic as gen.uniform(lo, hi, (m, dim))
         pts = lo + span * gen.random((m, mu.dim))
-        if plain:
-            acc = pts
-        else:
-            u = gen.random(m) * mu.sup_density
-            dens = mu.density_at(pts)
-            if dens.max() > mu.sup_density:
-                raise DeclarationError(
-                    f"density {float(dens.max())!r} exceeds the declared sup_density {mu.sup_density!r}"
-                )
-            acc = pts[u < dens]
+        u = gen.random(m) * mu.sup_density
+        dens = mu.density_at(pts)
+        if dens.max() > mu.sup_density:
+            raise DeclarationError(
+                f"density {float(dens.max())!r} exceeds the declared sup_density {mu.sup_density!r}"
+            )
+        acc = pts[u < dens]
         rejected = rejected + m if acc.shape[0] == 0 else 0
         if rejected >= _MAX_REJECTED_PROPOSALS:
             raise DeclarationError(f"no proposal accepted in {rejected} draws from the bounding box")
@@ -437,8 +431,7 @@ class Statistic:
         """For each replicate phi: the sum over nodes p, in node order, of
         w_p (g(phi + delta_p) - b), where b is the replicate's entry of ``base``,
         or g(phi) if ``base`` is None."""
-        dim = blk.points.shape[1]
-        rows = PointConfiguration(dim, nodes)
+        rows = PointConfiguration(blk.points.shape[1], nodes)
         value = self.value
         base = None if base is None else np.asarray(base, dtype=float).tolist()
         weights = np.asarray(weights, dtype=float).tolist()  # Python floats: the products of float64 scalars, faster
@@ -446,26 +439,37 @@ class Statistic:
         for i in range(blk.reps):
             phi = blk.configuration(i)
             s, b = 0.0, value(phi) if base is None else base[i]
-            for j, (grown, w) in enumerate(zip(_grown(phi.points, rows.points), weights)):
-                s += w * (value(_derived(dim, grown, phi, rows, j, 1)) - b)
+            for psi, w in zip(_derived(phi, rows, _grown(phi.points, rows.points), 1), weights):
+                s += w * (value(psi) - b)
             acc[i] = s
         return acc
 
     def pivotal_points(self, blk: ReplicateBlock) -> tuple[np.ndarray, np.ndarray]:
         """Per replicate with g = 1: the number of its points z with g(eta - delta_z) = 0,
         and with g(eta + delta_z) = 0 (a duplicate added); 0 where g = 0."""
-        dim = blk.points.shape[1]
         value = self.value
         r, a = np.zeros(blk.reps), np.zeros(blk.reps)
         for i in range(blk.reps):
             eta = blk.configuration(i)
             if value(eta) == 1.0:
-                for j, (fewer, more) in enumerate(zip(_thinned(eta.points), _grown(eta.points, eta.points))):
-                    if value(_derived(dim, fewer, eta, eta, j, -1)) == 0.0:
+                for fewer, more in zip(_derived(eta, eta, _thinned(eta.points), -1),
+                                       _derived(eta, eta, _grown(eta.points, eta.points), 1)):
+                    if value(fewer) == 0.0:
                         r[i] += 1.0
-                    if value(_derived(dim, more, eta, eta, j, 1)) == 0.0:
+                    if value(more) == 0.0:
                         a[i] += 1.0
         return r, a
+
+
+def _derived(base, rows, arrays: Iterator[np.ndarray], sign: int) -> Iterator[PointConfiguration]:
+    """The configuration of the j-th read-only array of ``arrays``, with its
+    parts ``(base, rows, j, sign)`` recorded, for each j in turn."""
+    new, dim = object.__new__, base.dim
+    for j, pts in enumerate(arrays):
+        phi = new(PointConfiguration)
+        d = phi.__dict__
+        d["dim"], d["points"], d["_parts"] = dim, pts, (base, rows, j, sign)
+        yield phi
 
 
 def _grown(pts: np.ndarray, extra: np.ndarray) -> Iterator[np.ndarray]:
@@ -612,9 +616,16 @@ def count_event(k: int) -> CountFunctional:
 def box_region(lo, hi) -> Callable[[np.ndarray], np.ndarray]:
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    sides = tuple(zip(lo, hi))
 
     def inside(pts: np.ndarray) -> np.ndarray:
-        return np.logical_and.reduce((pts >= lo) & (pts <= hi), axis=1)
+        pts = _point_rows(pts, len(sides))  # points of another width raise, never broadcast
+        out = np.ones(pts.shape[0], dtype=bool)
+        for k, (a, b) in enumerate(sides):
+            col = pts[:, k]
+            out &= col >= a
+            out &= col <= b
+        return out
 
     return inside
 
@@ -624,7 +635,7 @@ def ball_region(center, radius: float) -> Callable[[np.ndarray], np.ndarray]:
     r2 = radius * radius
 
     def inside(pts: np.ndarray) -> np.ndarray:
-        return ((pts - c) ** 2).sum(axis=1) <= r2
+        return ((_point_rows(pts, c.size) - c) ** 2).sum(axis=1) <= r2
 
     return inside
 

@@ -170,6 +170,23 @@ class TestEnvelope:
             list(point_process.binomial_blocks(mu, 2000, 1, RngStream(18)))
 
 
+class TestPlainSampler:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 5000])
+    def test_plain_box_draws_as_one_uniform_array(self, n, dim):
+        # no density and no membership test: the rows of one (max(n, 16), dim)
+        # uniform draw on the box, and the stream moves on by exactly those draws
+        bounds = [[-1.0, 2.5], [0.25, 0.75]][:dim]
+        mu = IntensityMeasure.box(bounds)
+        gen, ref = RngStream(19, 10 * n + dim).generator(), RngStream(19, 10 * n + dim).generator()
+        lo, hi = np.array(bounds).T
+        expected = lo + (hi - lo) * ref.random((max(n, 16), dim))[:n]
+        out = point_process._sample_points(mu, n, gen)
+        assert out.shape == (n, dim) and np.array_equal(out, expected)
+        if n:
+            assert gen.random() == ref.random()
+
+
 class TestBinomialSampler:
     def test_zero_points(self):
         phi = sample_binomial(IntensityMeasure.unit_square(), 0, RngStream(6))
@@ -646,6 +663,9 @@ class TestRegionCounts:
             fresh = [int(np.count_nonzero(region(np.array(phi.points)))) if len(phi) else 0 for region in regions]
             assert counts == fresh
             assert [phi.count_in(region) for region in regions] == fresh
+        # a grown or thinned configuration counts from its parts and stores nothing
+        derived = [phi for phi, _ in seen if "_parts" in phi.__dict__]
+        assert len(derived) == 24 + 22 and not any("_memo" in phi.__dict__ for phi in derived)
 
     def test_count_functional_evaluates_through_the_memo(self):
         # g.eval counts a configuration by count_in, so a derived one asks nothing more
@@ -688,6 +708,45 @@ class TestRegionCounts:
             g.eval(phi)
         with pytest.raises(TypeError):
             g.differences(_without_added(_PLANE))
+
+
+def _reduced_box(lo, hi):
+    """The box test as one reduction over the comparison of every coordinate."""
+    return lambda pts: np.logical_and.reduce((pts >= np.asarray(lo, float)) & (pts <= np.asarray(hi, float)), axis=1)
+
+
+class TestRegions:
+    @pytest.mark.parametrize("dtype", [float, np.float32])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_box_equals_the_reduction_over_columns(self, dim, dtype):
+        lo, hi = [0.1, -0.5, 0.0][:dim], [0.7, 0.5, 0.3][:dim]
+        pts = RngStream(51, dim).generator().uniform(-1.0, 1.0, (400, dim))
+        pts[:5 * dim] = 0.5 * (np.array(lo) + hi)
+        pts[:dim], pts[dim:2 * dim] = lo, hi  # the corners, then each side on the boundary
+        for k in range(dim):
+            pts[2 * dim + k, k], pts[3 * dim + k, k] = lo[k], hi[k]
+        pts[4 * dim + np.arange(dim), np.arange(dim)] = np.nan  # NaN is in no box
+        pts = pts.astype(dtype)
+        box, reduced = box_region(lo, hi), _reduced_box(lo, hi)
+        assert np.array_equal(box(pts), reduced(pts))
+        assert not box(pts)[4 * dim:5 * dim].any()
+        if dtype is float:
+            assert box(pts)[:4 * dim].all()
+        assert box(pts[:0]).shape == (0,) and np.array_equal(box(pts[:0]), reduced(pts[:0]))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("region", [box_region([0.0, 0.0], [0.5, 0.5]), ball_region([0.0, 0.0], 0.5)])
+    def test_points_of_another_width_raise(self, region, width):
+        # (n, 1) points used to broadcast against the corners or the center, and a
+        # column-wise box would test an (n, 3) array on two of its columns
+        pts = np.full((2, width), 0.2)
+        with pytest.raises(ValueError):
+            region(pts)
+        with pytest.raises(ValueError):
+            PointConfiguration(width, pts).count_in(region)
+        blk = _hand_block(width, [2, 0, 3], 0, 52)
+        with pytest.raises(ValueError):
+            hit_indicator(region).differences(blk)
 
 
 class TestReplicateBlocks:
